@@ -7,7 +7,9 @@ Subcommands:
     report     aggregate a results CSV into rank and inclusion-error tables
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for runtime
-failures (e.g. SCM parameters no sampled graph can satisfy).
+failures (e.g. SCM parameters no sampled graph can satisfy).  A benchmark
+in which every cell of some replicate failed still writes its results, then
+exits 2.
 """
 
 from __future__ import annotations
@@ -163,6 +165,10 @@ def _cmd_benchmark(args) -> int:
     summary = harness.report(rows)
     print(summary.format())
     print(f"wrote {len(rows)} rows to {args.out}")
+    dead = sorted({r.scm_id for r in rows} - {r.scm_id for r in rows if not r.failed})
+    if dead:
+        print(f"runtime failure: every cell failed in {', '.join(dead)}", file=sys.stderr)
+        return 2
     return 0
 
 

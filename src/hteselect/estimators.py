@@ -5,6 +5,14 @@ treatment and treatment-by-feature interaction columns (S), per-arm outcome
 models (T), imputed-effect regression with propensity weighting (X), and a
 two-fold cross-fit doubly robust learner (DR).  Each fit returns a
 ``CateEstimator`` exposing per-unit effect prediction.
+
+Fitting is split in two.  ``prepare`` computes, once for a fixed set of
+rows, the row-block statistics an estimator kind needs: ridge ``Moments``
+per block its outcome models are fit on, and ``Standardized`` rows where a
+propensity model is fit by IRLS.  ``fit_columns`` then fits the estimator on
+any column subset from those statistics alone.  ``fit_estimator`` is the
+all-columns case; the greedy subset scorer prepares once per inner split
+and fits every candidate subset.
 """
 
 from __future__ import annotations
@@ -17,7 +25,8 @@ import numpy as np
 from . import supervised
 from .errors import DegenerateArms, DimensionMismatch
 from .fit_metrics import doubly_robust_effects
-from .supervised import LinearModel, fit_logistic, fit_ridge
+from .supervised import LinearModel, Moments, Standardized, fit_logistic, solve_ridge
+from .supervised import fit_ridge  # noqa: F401  (re-exported with fit_logistic)
 
 ESTIMATOR_KINDS = ("S", "T", "X", "DR")
 
@@ -26,15 +35,13 @@ ESTIMATOR_KINDS = ("S", "T", "X", "DR")
 class CateEstimator:
     """A fitted effect estimator with its component models.
 
-    ``feature_columns`` records which dataset columns the estimator was fit
-    on (bookkeeping for traces); prediction takes a matrix with exactly that
-    many columns, already subset by the caller.
+    Prediction takes a matrix with exactly ``feature_dim`` columns, already
+    subset by the caller.
     """
 
     kind: str
     feature_dim: int
     models: dict[str, LinearModel] = field(default_factory=dict)
-    feature_columns: tuple[int, ...] | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -50,9 +57,28 @@ def predict_cate(estimator: CateEstimator, x: np.ndarray) -> np.ndarray:
     return estimator.predict(x)
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """Row-block statistics of one estimator kind over a fixed set of rows.
+
+    ``blocks`` holds the kind's statistics by name; ``n_features`` is the
+    column count of the rows they were computed from.
+    """
+
+    kind: str
+    n_features: int
+    blocks: dict
+    lam: float
+    propensity_lam: float
+
+
 def _check_arms(t: np.ndarray) -> None:
     if not ((t == 1).any() and (t == 0).any()):
         raise DegenerateArms("both treatment arms must be nonempty")
+
+
+def _arm_moments(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> dict[str, Moments]:
+    return {"f1": Moments.of(x[t == 1], y[t == 1]), "f0": Moments.of(x[t == 0], y[t == 0])}
 
 
 def _s_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -62,12 +88,16 @@ def _s_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.hstack([x, tc, tc * x])
 
 
-def fit_s_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
+def _prepare_s(x, t, y) -> dict:
+    return {"joint": Moments.of(_s_design(x, t), y)}
+
+
+def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
-    x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
-    _check_arms(t)
-    model = fit_ridge(_s_design(x, t), y, lam)
-    return CateEstimator(kind="S", feature_dim=x.shape[1], models={"joint": model})
+    k = prep.n_features
+    joint_cols = np.concatenate([cols, [k], k + 1 + cols])
+    model = prep.blocks["joint"].ridge(joint_cols, prep.lam)
+    return CateEstimator(kind="S", feature_dim=len(cols), models={"joint": model})
 
 
 def _predict_s(est: CateEstimator, x: np.ndarray) -> np.ndarray:
@@ -77,18 +107,12 @@ def _predict_s(est: CateEstimator, x: np.ndarray) -> np.ndarray:
     return f1 - f0
 
 
-def fit_t_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
+def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Separate ridge per arm; effect = f1(x) - f0(x)."""
-    x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
-    _check_arms(t)
-    treated, control = t == 1, t == 0
     return CateEstimator(
         kind="T",
-        feature_dim=x.shape[1],
-        models={
-            "f1": fit_ridge(x[treated], y[treated], lam),
-            "f0": fit_ridge(x[control], y[control], lam),
-        },
+        feature_dim=len(cols),
+        models={arm: prep.blocks[arm].ridge(cols, prep.lam) for arm in ("f1", "f0")},
     )
 
 
@@ -96,6 +120,161 @@ def _predict_t(est: CateEstimator, x: np.ndarray) -> np.ndarray:
     return supervised.predict(est.models["f1"], x) - supervised.predict(
         est.models["f0"], x
     )
+
+
+def _prepare_x(x, t, y) -> dict:
+    return dict(_arm_moments(x, t, y), rows=Standardized.of(x), t=t)
+
+
+def _residual_ridge(
+    block: Moments, cols: np.ndarray, model: LinearModel, sign: float, lam: float
+) -> LinearModel:
+    """Ridge of sign * (y - model(x)) on a block's rows, from its moments.
+
+    The residual is affine in the block's standardized columns, so its
+    normal-equation statistics follow from Z'Z and Z'y.
+    """
+    gram = block.sub_gram(cols)
+    mu, scale = block.mu[cols], block.scale[cols]
+    slopes = model.weights[1:]
+    z_resid = block.zy[cols] - gram @ (scale * slopes)
+    resid_mean = block.y_mean - model.weights[0] - float(mu @ slopes)
+    return solve_ridge(gram, sign * z_resid, sign * resid_mean, mu, scale, lam)
+
+
+def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+    """X-learner; both stages are solved from the per-arm moments."""
+    blocks, lam = prep.blocks, prep.lam
+    f1 = blocks["f1"].ridge(cols, lam)
+    f0 = blocks["f0"].ridge(cols, lam)
+    return CateEstimator(
+        kind="X",
+        feature_dim=len(cols),
+        models={
+            "f1": f1,
+            "f0": f0,
+            "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0, lam),
+            "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0, lam),
+            "propensity": fit_logistic(
+                blocks["rows"].columns(cols), blocks["t"], prep.propensity_lam
+            ),
+        },
+    )
+
+
+def _predict_x(est: CateEstimator, x: np.ndarray) -> np.ndarray:
+    p = supervised.predict(est.models["propensity"], x)
+    g1 = supervised.predict(est.models["g1"], x)
+    g0 = supervised.predict(est.models["g0"], x)
+    return p * g0 + (1.0 - p) * g1
+
+
+def _prepare_dr(x, t, y) -> dict:
+    folds = []
+    for part in (0, 1):  # folds by row parity (deterministic)
+        xf, tf, yf = x[part::2], t[part::2], y[part::2]
+        if not ((tf == 1).any() and (tf == 0).any()):
+            raise DegenerateArms("cross-fitting fold lost a treatment arm")
+        folds.append(dict(_arm_moments(xf, tf, yf), x=xf, t=tf, y=yf, rows=Standardized.of(xf)))
+    return {"folds": folds, "all": Moments.of(x)}
+
+
+def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+    """DR-learner; the final stage's target statistics accumulate by fold."""
+    lam, folds, whole = prep.lam, prep.blocks["folds"], prep.blocks["all"]
+    mu, scale = whole.mu[cols], whole.scale[cols]
+    z_phi = np.zeros(len(cols))
+    phi_sum = 0.0
+    for current in (0, 1):
+        fit, apply = folds[1 - current], folds[current]
+        m1 = fit["f1"].ridge(cols, lam)
+        m0 = fit["f0"].ridge(cols, lam)
+        prop = fit_logistic(fit["rows"].columns(cols), fit["t"], prep.propensity_lam)
+        xa = apply["x"][:, cols]
+        phi = doubly_robust_effects(
+            apply["y"],
+            apply["t"],
+            supervised.predict(m1, xa),
+            supervised.predict(m0, xa),
+            supervised.predict(prop, xa),
+        )
+        z_phi += ((xa - mu) / scale).T @ phi
+        phi_sum += float(phi.sum())
+    effect = solve_ridge(
+        whole.sub_gram(cols), z_phi, phi_sum / whole.n, mu, scale, lam
+    )
+    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect})
+
+
+def _predict_dr(est: CateEstimator, x: np.ndarray) -> np.ndarray:
+    return supervised.predict(est.models["effect"], x)
+
+
+_PREDICTORS: dict[str, Callable] = {
+    "S": _predict_s,
+    "T": _predict_t,
+    "X": _predict_x,
+    "DR": _predict_dr,
+}
+
+_PREPARERS: dict[str, Callable] = {
+    "S": _prepare_s,
+    "T": _arm_moments,
+    "X": _prepare_x,
+    "DR": _prepare_dr,
+}
+
+_FITTERS: dict[str, Callable] = {
+    "S": _fit_s,
+    "T": _fit_t,
+    "X": _fit_x,
+    "DR": _fit_dr,
+}
+
+
+def prepare(
+    kind: str,
+    x,
+    t,
+    y,
+    lam: float = supervised.OUTCOME_LAMBDA,
+    propensity_lam: float = supervised.PROPENSITY_LAMBDA,
+) -> Prepared:
+    """Row-block statistics for fitting ``kind`` on column subsets of x.
+
+    Raises:
+        DegenerateArms: a treatment arm the estimator needs is empty.
+    """
+    if kind not in _FITTERS:
+        raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
+    x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
+    _check_arms(t)
+    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y), lam, propensity_lam)
+
+
+def fit_columns(prep: Prepared, cols) -> CateEstimator:
+    """Fit the prepared estimator on feature columns ``cols``."""
+    return _FITTERS[prep.kind](prep, np.asarray(cols, dtype=np.intp))
+
+
+def fit_estimator(kind: str, x, t, y) -> CateEstimator:
+    """Fit one of the four estimator kinds by name on all columns of x."""
+    return _all_columns(kind, x, t, y)
+
+
+def _all_columns(kind: str, x, t, y, **lams) -> CateEstimator:
+    prep = prepare(kind, x, t, y, **lams)
+    return fit_columns(prep, np.arange(prep.n_features))
+
+
+def fit_s_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
+    """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
+    return _all_columns("S", x, t, y, lam=lam)
+
+
+def fit_t_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
+    """Separate ridge per arm; effect = f1(x) - f0(x)."""
+    return _all_columns("T", x, t, y, lam=lam)
 
 
 def fit_x_learner(
@@ -112,31 +291,7 @@ def fit_x_learner(
     prediction is the pointwise convex combination
     p(x) * g0(x) + (1 - p(x)) * g1(x).
     """
-    x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
-    _check_arms(t)
-    treated, control = t == 1, t == 0
-    f1 = fit_ridge(x[treated], y[treated], lam)
-    f0 = fit_ridge(x[control], y[control], lam)
-    d1 = y[treated] - supervised.predict(f0, x[treated])
-    d0 = supervised.predict(f1, x[control]) - y[control]
-    return CateEstimator(
-        kind="X",
-        feature_dim=x.shape[1],
-        models={
-            "f1": f1,
-            "f0": f0,
-            "g1": fit_ridge(x[treated], d1, lam),
-            "g0": fit_ridge(x[control], d0, lam),
-            "propensity": fit_logistic(x, t, propensity_lam),
-        },
-    )
-
-
-def _predict_x(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    p = supervised.predict(est.models["propensity"], x)
-    g1 = supervised.predict(est.models["g1"], x)
-    g0 = supervised.predict(est.models["g0"], x)
-    return p * g0 + (1.0 - p) * g1
+    return _all_columns("X", x, t, y, lam=lam, propensity_lam=propensity_lam)
 
 
 def fit_dr_learner(
@@ -155,54 +310,4 @@ def fit_dr_learner(
     Raises:
         DegenerateArms: an arm is empty within a fold.
     """
-    x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
-    _check_arms(t)
-    n = x.shape[0]
-    fold = np.arange(n) % 2
-    phi = np.empty(n)
-    for current in (0, 1):
-        fit_idx = fold != current
-        apply_idx = fold == current
-        xf, tf, yf = x[fit_idx], t[fit_idx], y[fit_idx]
-        if not ((tf == 1).any() and (tf == 0).any()):
-            raise DegenerateArms("cross-fitting fold lost a treatment arm")
-        m1 = fit_ridge(xf[tf == 1], yf[tf == 1], lam)
-        m0 = fit_ridge(xf[tf == 0], yf[tf == 0], lam)
-        prop = fit_logistic(xf, tf, propensity_lam)
-        xa = x[apply_idx]
-        phi[apply_idx] = doubly_robust_effects(
-            y[apply_idx],
-            t[apply_idx],
-            supervised.predict(m1, xa),
-            supervised.predict(m0, xa),
-            supervised.predict(prop, xa),
-        )
-    return CateEstimator(
-        kind="DR", feature_dim=x.shape[1], models={"effect": fit_ridge(x, phi, lam)}
-    )
-
-
-def _predict_dr(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    return supervised.predict(est.models["effect"], x)
-
-
-_PREDICTORS: dict[str, Callable] = {
-    "S": _predict_s,
-    "T": _predict_t,
-    "X": _predict_x,
-    "DR": _predict_dr,
-}
-
-_FITTERS: dict[str, Callable] = {
-    "S": fit_s_learner,
-    "T": fit_t_learner,
-    "X": fit_x_learner,
-    "DR": fit_dr_learner,
-}
-
-
-def fit_estimator(kind: str, x, t, y) -> CateEstimator:
-    """Fit one of the four estimator kinds by name."""
-    if kind not in _FITTERS:
-        raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
-    return _FITTERS[kind](x, t, y)
+    return _all_columns("DR", x, t, y, lam=lam, propensity_lam=propensity_lam)

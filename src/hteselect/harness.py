@@ -254,24 +254,49 @@ def _run_selector(
 # ---------------------------------------------------------------------------
 
 
+def _failed_row(scm_id: str, method: MethodSpec, flags, exc: Exception) -> BenchmarkRow:
+    return BenchmarkRow(
+        scm_id=scm_id,
+        method=method.method_id,
+        selector=method.selector,
+        estimator=method.estimator,
+        metric=method.metric if method.selector in _METRIC_SELECTORS else "",
+        n_selected=0,
+        selected=(),
+        mse=float("nan"),
+        tau_risk=float("nan"),
+        inclusion_error=0.0,
+        ie_defined=False,
+        flags=tuple(flags) + (f"failed:{type(exc).__name__}",),
+    )
+
+
 def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[BenchmarkRow], dict]:
+    """Every method cell of one replicate.
+
+    A failure while drawing the replicate's dataset or fitting its shared
+    held-out yardstick fails every cell of the replicate, each with its own
+    ``failed:<Error>`` row; a failure inside one method fails that cell only.
+    """
     spec = config.spec_for_replicate(replicate)
-    graph, dataset, _ = make_dataset(spec)
     scm_id = f"scm{replicate:04d}"
+    try:
+        graph, dataset, _ = make_dataset(spec)
+        n = dataset.x.shape[0]
+        split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
+        order = split_rng.permutation(n)
+        cut = int(round(config.split_ratio * n))
+        train, test = order[:cut], order[cut:]
+        x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
+        x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
+        tau_te = dataset.tau[test]
+
+        # shared held-out yardstick for the reported risk metric
+        m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
+        p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
+    except HteSelectError as exc:
+        return [_failed_row(scm_id, method, (), exc) for method in config.methods], {}
     cfg = structure_fit.CiTestConfig(alpha=config.alpha, max_cond=config.max_cond)
-
-    n = dataset.x.shape[0]
-    split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
-    order = split_rng.permutation(n)
-    cut = int(round(config.split_ratio * n))
-    train, test = order[:cut], order[cut:]
-    x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
-    x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
-    tau_te = dataset.tau[test]
-
-    # shared held-out yardstick for the reported risk metric
-    m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
-    p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
 
     rows: list[BenchmarkRow] = []
     traces: dict = {}
@@ -313,20 +338,7 @@ def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[Bench
             )
             traces[f"{scm_id}/{method.method_id}"] = trace
         except HteSelectError as exc:
-            row = BenchmarkRow(
-                scm_id=scm_id,
-                method=method.method_id,
-                selector=method.selector,
-                estimator=method.estimator,
-                metric=method.metric if method.selector in _METRIC_SELECTORS else "",
-                n_selected=0,
-                selected=(),
-                mse=float("nan"),
-                tau_risk=float("nan"),
-                inclusion_error=0.0,
-                ie_defined=False,
-                flags=tuple(flags) + (f"failed:{type(exc).__name__}",),
-            )
+            row = _failed_row(scm_id, method, flags, exc)
         elapsed_ms = (time.perf_counter_ns() - started) // 1_000_000
         row.wall_millis = int(elapsed_ms) if config.record_timing else 0
         rows.append(row)

@@ -196,6 +196,15 @@ class SubsetScorer:
     from its own descendants, collapsing the treatment-residual term exactly
     when post-treatment columns are present.  Estimator failures score +inf
     and are skipped with a warning rather than aborting the search.
+
+    Subsets are fit from statistics computed once per split, not from raw
+    rows.  ``estimators.prepare`` gives the estimator's Gram blocks, so each
+    of its ridge fits is a Cholesky solve of a sub-block; for the
+    residual-product metric one standardized copy of the inner-train rows
+    serves every propensity IRLS.  That IRLS is warm-started from the
+    weights of already-scored subsets one column away (see
+    ``_warm_start``); only the weights of the last three subset sizes scored
+    are kept.
     """
 
     def __init__(
@@ -213,75 +222,121 @@ class SubsetScorer:
             raise ValueError(f"unknown metric {metric!r}")
         if n_splits < 1:
             raise ValueError("n_splits must be >= 1")
-        self.x = np.asarray(x, dtype=np.float64)
-        self.t = np.asarray(t, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         self.metric = metric
         self.estimator = estimator
         self.evaluations = 0
 
-        n = self.x.shape[0]
+        n = x.shape[0]
         rng = np.random.default_rng(seed)
         cut = int(round(inner_ratio * n))
         self.splits: list[tuple[np.ndarray, np.ndarray]] = []
         for _ in range(n_splits):
             order = rng.permutation(n)
             tr, va = order[:cut], order[cut:]
-            if len(set(self.t[tr])) < 2 or len(set(self.t[va])) < 2:
+            if len(set(t[tr])) < 2 or len(set(t[va])) < 2:
                 raise HteSelectError("inner split lost a treatment arm")
             self.splits.append((tr, va))
-        self._yards = [self._fit_yardstick(tr, va) for tr, va in self.splits]
+        self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
+        # per-split propensity weights of scored subsets, for the subset size
+        # being scored and the two sizes scored before it
+        self._warm_size = 0
+        self._warm: list[dict[frozenset, tuple]] = [{}, {}, {}]
 
-    def _fit_yardstick(self, tr: np.ndarray, va: np.ndarray) -> dict:
-        x_tr, x_va = self.x[tr], self.x[va]
-        t_tr, y_tr = self.t[tr], self.y[tr]
-        yard: dict = {}
+    def _prepare_split(self, x, t, y, tr, va) -> dict:
+        """Validation rows, yardsticks and fitting statistics of one split."""
+        x_tr, t_tr, y_tr = x[tr], t[tr], y[tr]
+        stats = {"x_va": x[va], "t_va": t[va], "y_va": y[va]}
+        stats.update(self._fit_yardstick(x_tr, t_tr, y_tr, stats))
+        try:
+            stats["prepared"] = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
+        except HteSelectError as exc:  # every subset fails alike on this split
+            stats["prepared"] = exc
+        if self.metric == "TauRisk":
+            stats["rows"], stats["t_tr"] = supervised.Standardized.of(x_tr), t_tr
+        return stats
+
+    def _fit_yardstick(self, x_tr, t_tr, y_tr, stats) -> dict:
+        x_va = stats["x_va"]
         if self.metric == "TauRisk":
             m_hat = supervised.fit_ridge(x_tr, y_tr)
-            yard["m_hat"] = supervised.predict(m_hat, x_va)
-        elif self.metric == "NNPEHE":
-            yard["tau_tilde"] = fit_metrics.nn_imputed_effects(
-                x_va, self.y[va], self.t[va]
-            )
-        elif self.metric == "PluginTau":
+            return {"m_hat": supervised.predict(m_hat, x_va)}
+        if self.metric == "NNPEHE":
+            return {"tau_tilde": fit_metrics.nn_imputed_effects(x_va, stats["y_va"], stats["t_va"])}
+        if self.metric == "PluginTau":
             ref = estimators.fit_t_learner(x_tr, t_tr, y_tr)
-            yard["tau_tilde"] = ref.predict(x_va)
-        elif self.metric == "CFCV":
-            arms = estimators.fit_t_learner(x_tr, t_tr, y_tr)
-            p_hat = supervised.fit_logistic(x_tr, t_tr)
-            yard["tau_tilde"] = fit_metrics.doubly_robust_effects(
-                self.y[va],
-                self.t[va],
+            return {"tau_tilde": ref.predict(x_va)}
+        arms = estimators.fit_t_learner(x_tr, t_tr, y_tr)  # CFCV
+        p_hat = supervised.fit_logistic(x_tr, t_tr)
+        return {
+            "tau_tilde": fit_metrics.doubly_robust_effects(
+                stats["y_va"],
+                stats["t_va"],
                 supervised.predict(arms.models["f1"], x_va),
                 supervised.predict(arms.models["f0"], x_va),
                 supervised.predict(p_hat, x_va),
             )
-        return yard
+        }
 
     def __call__(self, cols: tuple[int, ...]) -> float:
         self.evaluations += 1
         cols = tuple(cols)
-        values = []
-        for (tr, va), yard in zip(self.splits, self._yards):
+        idx = np.asarray(cols, dtype=np.intp)
+        starts = self._warm_start(cols) if self.metric == "TauRisk" else None
+        values, weights = [], []
+        for split, stats in enumerate(self._split_stats):
             try:
-                est = estimators.fit_estimator(
-                    self.estimator, self.x[np.ix_(tr, cols)], self.t[tr], self.y[tr]
-                )
-                tau_hat = est.predict(self.x[np.ix_(va, cols)])
-                values.append(self._score(tau_hat, cols, tr, va, yard))
+                if isinstance(stats["prepared"], HteSelectError):
+                    raise stats["prepared"]
+                est = estimators.fit_columns(stats["prepared"], idx)
+                x_va = stats["x_va"][:, idx]
+                tau_hat = est.predict(x_va)
+                if self.metric == "TauRisk":
+                    p_model = supervised.fit_logistic(
+                        stats["rows"].columns(idx), stats["t_tr"],
+                        start=None if starts is None else starts[split],
+                    )
+                    weights.append(p_model.standardized_weights())
+                    p_hat = supervised.predict(p_model, x_va)
+                    values.append(fit_metrics.tau_risk(
+                        tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"], p_hat
+                    ))
+                else:
+                    values.append(fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"]))
             except HteSelectError as exc:
                 logger.warning("candidate %s skipped: %s", cols, exc)
                 return math.inf
+        if weights:
+            self._warm[0][frozenset(cols)] = (cols, weights)
         return float(np.mean(values))
 
-    def _score(self, tau_hat, cols, tr, va, yard) -> float:
-        if self.metric == "TauRisk":
-            p_model = supervised.fit_logistic(self.x[np.ix_(tr, cols)], self.t[tr])
-            p_hat = supervised.predict(p_model, self.x[np.ix_(va, cols)])
-            return fit_metrics.tau_risk(
-                tau_hat, self.y[va], self.t[va], yard["m_hat"], p_hat
-            )
-        return fit_metrics.plugin_tau(tau_hat, yard["tau_tilde"])
+    def _warm_start(self, cols: tuple[int, ...]) -> list[np.ndarray] | None:
+        """Per-split IRLS start weights for ``cols`` from scored neighbours.
+
+        Greedy rounds score S = G+a+c after G+a and G+c (forward) or
+        S = G-a-c after G-a and G-c (backward), and G before those.  With
+        both parents and G stored, the start is the additive extrapolation
+        w(P1) + w(P2) - w(G); with one parent it is that parent's weights.
+        A column a subset lacks contributes weight zero.
+        """
+        if len(cols) != self._warm_size:  # a new round
+            self._warm_size = len(cols)
+            self._warm = [{}] + self._warm[:2]
+        target = frozenset(cols)
+        parents = [key for key in self._warm[1] if len(target ^ key) == 1]
+        if not parents:
+            return None
+        start = _aligned_weights(self._warm[1][parents[0]], cols)
+        if len(parents) > 1:
+            first, second = parents[:2]
+            common = first & second if len(first) < len(target) else first | second
+            if common in self._warm[2]:
+                other = _aligned_weights(self._warm[1][second], cols)
+                base = _aligned_weights(self._warm[2][common], cols)
+                start = [a + b - g for a, b, g in zip(start, other, base)]
+        return start
 
     def report(self, value: float) -> fit_metrics.FitMetricReport:
         return fit_metrics.FitMetricReport(
@@ -296,6 +351,14 @@ class SubsetScorer:
                 "splits": len(self.splits),
             },
         )
+
+
+def _aligned_weights(entry: tuple, cols: tuple[int, ...]) -> list[np.ndarray]:
+    """A stored subset's per-split weights laid out for the columns ``cols``."""
+    parent, weights = entry
+    pos = {c: j for j, c in enumerate(parent, start=1)}
+    take = np.array([0] + [pos.get(c, -1) for c in cols])
+    return [np.where(take >= 0, w[take], 0.0) for w in weights]
 
 
 def select_features(

@@ -417,18 +417,6 @@ def make_dataset(spec: ScmSpec) -> tuple[CausalGraph, Dataset, int]:
     return graph, generate(graph, spec, rng), attempts
 
 
-def spawn_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
-    """Independent per-replicate generators from a splittable seed tree."""
-    children = np.random.SeedSequence(master_seed).spawn(count)
-    return [np.random.default_rng(child) for child in children]
-
-
-def replicate_seed(master_seed: int, replicate: int) -> int:
-    """Deterministic 64-bit seed for one replicate of an experiment."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
+from scipy.special import expit
 from scipy.stats import norm
 
 from .errors import ConstantColumn
@@ -265,15 +266,6 @@ def orient_reci(data: np.ndarray, i: int, j: int) -> OrientResult:
     return OrientResult("i_to_j" if diff < 0 else "j_to_i", False, gap)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray) -> float:
     """Log-likelihood margin for 'binary causes continuous'.
 
@@ -300,7 +292,7 @@ def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray) -> float:
 
     model = fit_logistic(c[:, None], b, lam=1e-3)
     score = model.weights[0] + c * model.weights[1]
-    probs = np.clip(_sigmoid(score), 1e-12, 1.0 - 1e-12)
+    probs = np.clip(expit(score), 1e-12, 1.0 - 1e-12)
     ll_logistic = float(b @ np.log(probs) + (1.0 - b) @ np.log(1.0 - probs))
     return ll_forward - (ll_margin + ll_logistic)
 

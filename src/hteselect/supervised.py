@@ -1,9 +1,20 @@
 """Minimal regression core: ridge least squares and IRLS logistic regression.
 
 Every estimator and fit metric in the package is built on these two fits.
-Features are standardized inside ``fit`` using statistics of the fitting
-split only; the returned weights are folded back to original units so that
-prediction is a plain affine map.  The intercept is never penalized.
+Features are standardized with statistics of the fitting rows only; the
+returned weights are folded back to original units so that prediction is a
+plain affine map.  The intercept is never penalized.
+
+Ridge solves the centered normal equations of the standardized design,
+(Z'Z + lam*I) b = Z'y, by Cholesky; because Z is centered the intercept is
+the mean of y.  ``Moments`` holds Z'Z, Z'y and the column moments of one
+block of rows, so a ridge fit on any column subset of those rows is a
+sub-block solve that never touches the rows again.  ``lstsq`` runs only for
+lam == 0 (after a rank check on the design) and as the fallback when the
+Cholesky factorization fails.
+
+Logistic regression is IRLS with step halving on the standardized design
+(``Standardized``), optionally started from standardized-space weights.
 """
 
 from __future__ import annotations
@@ -11,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.special import expit
 
 from .errors import DegenerateArms, DimensionMismatch, SingularSystem
 
@@ -28,7 +41,8 @@ class LinearModel:
 
     ``weights[0]`` is the intercept, ``weights[1:]`` the per-feature slopes.
     ``mu``/``scale`` record the standardization used during fitting (needed
-    to evaluate the penalized objective, not for prediction).
+    to evaluate the penalized objective and to recover standardized-space
+    weights, not for prediction).
     """
 
     weights: np.ndarray
@@ -38,6 +52,11 @@ class LinearModel:
     mu: np.ndarray
     scale: np.ndarray
     converged: bool = True
+
+    def standardized_weights(self) -> np.ndarray:
+        """The weights in the standardized space the model was fit in."""
+        slopes = self.weights[1:]
+        return np.concatenate([[self.weights[0] + float(slopes @ self.mu)], slopes * self.scale])
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,39 +73,82 @@ def _fold_back(w_std: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarr
     return np.concatenate([[intercept], slopes])
 
 
-def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
-    """Ridge regression solved as an augmented least-squares problem.
-
-    Solves (X'X + lam*I')w = X'y with the intercept slot unpenalized, via
-    an SVD-backed least-squares factorization of the penalty-augmented
-    design (numerically stable for small lam).
-
-    Raises:
-        SingularSystem: lam == 0 and the design is rank-deficient.
-    """
+def _regression_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
+    if x.ndim != 2 or y.shape != (x.shape[0],) or x.shape[0] < 1:
         raise ValueError("x must be (n, k) with matching y")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in regression inputs")
-    n, k = x.shape
-    z, mu, scale = _standardize(x)
-    design = np.hstack([np.ones((n, 1)), z])
-    if lam == 0.0:
-        rank = np.linalg.matrix_rank(design)
-        if rank < k + 1:
-            raise SingularSystem(
-                f"rank-deficient design (rank {rank} < {k + 1}) with lam=0"
-            )
-        aug, target = design, y
-    else:
-        penalty = np.sqrt(lam) * np.eye(k + 1)[1:]  # no intercept penalty
-        aug = np.vstack([design, penalty])
-        target = np.concatenate([y, np.zeros(k)])
-    w_std, *_ = np.linalg.lstsq(aug, target, rcond=None)
+    return x, y
+
+
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for symmetric positive definite a by Cholesky.
+
+    LAPACK is called directly: the systems are small and solved thousands
+    of times, so wrapper overhead would dominate.  Falls back to ``lstsq``
+    when the factorization fails.
+    """
+    if not len(b):  # intercept-only fits
+        return np.zeros(0)
+    factor, info = dpotrf(a, lower=0, clean=0)
+    if info == 0:
+        x, info = dpotrs(factor, b, lower=0)
+        if info == 0:
+            return x
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Ridge sufficient statistics of one block of rows.
+
+    ``gram`` is Z'Z and ``zy`` is Z'y for the column-standardized design Z
+    of the block (centered, so Z'1 = 0), ``y_mean`` the mean of the target.
+    Standardization is per column, so the statistics of a column subset are
+    the matching sub-blocks.  Built without a target, ``zy`` is None and
+    callers supply target statistics to ``solve_ridge`` themselves.
+    """
+
+    n: int
+    mu: np.ndarray
+    scale: np.ndarray
+    gram: np.ndarray
+    zy: np.ndarray | None
+    y_mean: float
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray | None = None) -> "Moments":
+        x, target = _regression_inputs(x, np.zeros(len(x)) if y is None else y)
+        z, mu, scale = _standardize(x)
+        zy = None if y is None else z.T @ target
+        return cls(x.shape[0], mu, scale, z.T @ z, zy, float(target.mean()))
+
+    def sub_gram(self, cols: np.ndarray) -> np.ndarray:
+        """Z'Z restricted to columns ``cols``."""
+        return self.gram.take(cols, axis=0).take(cols, axis=1)
+
+    def ridge(self, cols, lam: float = OUTCOME_LAMBDA) -> LinearModel:
+        """Ridge fit of the block's target on columns ``cols`` (lam > 0)."""
+        cols = np.asarray(cols, dtype=np.intp)
+        return solve_ridge(
+            self.sub_gram(cols), self.zy[cols], self.y_mean, self.mu[cols], self.scale[cols], lam
+        )
+
+
+def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
+    """Ridge model from standardized normal-equation statistics (lam > 0).
+
+    Solves (gram + lam*I) b = zy by Cholesky, falling back to ``lstsq`` on
+    the same system when the factorization fails; the standardized-space
+    intercept is ``y_mean``.
+    """
+    if lam <= 0:
+        raise ValueError("normal-equation ridge needs lam > 0")
+    k = gram.shape[0]
+    slopes = _spd_solve(gram + lam * np.eye(k), zy)
+    w_std = np.concatenate([[y_mean], slopes])
     return LinearModel(
         weights=_fold_back(w_std, mu, scale),
         lam=lam,
@@ -97,81 +159,143 @@ def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> Line
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
+    """Ridge regression on standardized features, intercept unpenalized.
+
+    For lam > 0 this is the ``Moments`` normal-equation solve over all
+    columns.  For lam == 0 the intercept-augmented design is rank-checked
+    and solved by ``lstsq``.
+
+    Raises:
+        SingularSystem: lam == 0 and the design is rank-deficient.
+    """
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if lam > 0.0:
+        return Moments.of(x, y).ridge(np.arange(np.shape(x)[1]), lam)
+    x, y = _regression_inputs(x, y)
+    n, k = x.shape
+    z, mu, scale = _standardize(x)
+    design = np.hstack([np.ones((n, 1)), z])
+    rank = np.linalg.matrix_rank(design)
+    if rank < k + 1:
+        raise SingularSystem(f"rank-deficient design (rank {rank} < {k + 1}) with lam=0")
+    w_std, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return LinearModel(
+        weights=_fold_back(w_std, mu, scale),
+        lam=lam,
+        kind="regression",
+        feature_dim=k,
+        mu=mu,
+        scale=scale,
+    )
 
 
-def _penalized_loglik(design, t, w, lam):
-    p = np.clip(_sigmoid(design @ w), 1e-12, 1.0 - 1e-12)
-    ll = float(t @ np.log(p) + (1.0 - t) @ np.log(1.0 - p))
+@dataclass(frozen=True)
+class Standardized:
+    """Column-standardized rows behind a leading intercept column.
+
+    ``design`` is (n, k+1) in column-major order, so that selecting a
+    column subset copies contiguous columns.
+    """
+
+    design: np.ndarray
+    mu: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "Standardized":
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError("x must be (n, k)")
+        z, mu, scale = _standardize(x)
+        design = np.empty((x.shape[0], x.shape[1] + 1), order="F")
+        design[:, 0] = 1.0
+        design[:, 1:] = z
+        return cls(design, mu, scale)
+
+    def columns(self, cols) -> "Standardized":
+        """The same rows restricted to feature columns ``cols``."""
+        cols = np.asarray(cols, dtype=np.intp)
+        return Standardized(
+            self.design[:, np.concatenate([[0], cols + 1])], self.mu[cols], self.scale[cols]
+        )
+
+
+def _penalized_loglik(p, treated, w, lam):
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    ll = float(np.log(np.where(treated, p, 1.0 - p)).sum())
     return ll - 0.5 * lam * float(w[1:] @ w[1:])
 
 
 def fit_logistic(
-    x: np.ndarray,
+    x,
     t: np.ndarray,
     lam: float = PROPENSITY_LAMBDA,
     objective_trace: list | None = None,
+    start: np.ndarray | None = None,
 ) -> LinearModel:
     """Penalized logistic regression by IRLS with step halving.
 
-    Step halving keeps the penalized log-likelihood nondecreasing across
-    iterations, so the final iterate is also the best one.  If the max
-    weight change has not dropped below 1e-8 after 100 iterations the model
-    is returned with ``converged=False``.  ``objective_trace``, when given,
-    collects the per-iteration penalized log-likelihood.
+    ``x`` is a feature matrix or an already ``Standardized`` design.  The
+    iteration starts from the standardized-space weights ``start`` (intercept
+    first) when given, else from zero.  Step halving keeps the penalized
+    log-likelihood nondecreasing across iterations, so the final iterate is
+    also the best one; the probabilities of the accepted step feed the next
+    Newton step.  If the max weight change has not dropped below 1e-8 after
+    100 iterations, or no halved step keeps the objective from decreasing,
+    the model is returned with ``converged=False``.  ``objective_trace``,
+    when given, collects the per-iteration penalized log-likelihood.
 
     Raises:
         DegenerateArms: t does not contain both classes.
     """
-    x = np.asarray(x, dtype=np.float64)
+    std = x if isinstance(x, Standardized) else Standardized.of(x)
     t = np.asarray(t, dtype=np.float64)
     if lam <= 0:
         raise ValueError("logistic fits require lam > 0")
     classes = np.unique(t)
     if not np.array_equal(classes, np.array([0.0, 1.0])):
         raise DegenerateArms("treatment vector must contain both 0 and 1")
-    n, k = x.shape
-    z, mu, scale = _standardize(x)
-    design = np.hstack([np.ones((n, 1)), z])
+    design, treated = std.design, t == 1.0
+    k = design.shape[1] - 1
     pen = lam * np.concatenate([[0.0], np.ones(k)])
 
-    w = np.zeros(k + 1)
-    cur_ll = _penalized_loglik(design, t, w, lam)
+    w = np.zeros(k + 1) if start is None else np.array(start, dtype=np.float64)
+    if w.shape != (k + 1,):
+        raise DimensionMismatch(f"start must have {k + 1} weights, got {w.shape}")
+    p = expit(design @ w)
+    cur_ll = _penalized_loglik(p, treated, w, lam)
     converged = False
     for _ in range(_IRLS_MAX_ITER):
-        p = _sigmoid(design @ w)
         weight = p * (1.0 - p) + 1e-10
         grad = design.T @ (t - p) - pen * w
         hess = (design * weight[:, None]).T @ design + np.diag(pen)
-        step = np.linalg.solve(hess, grad)
+        step = _spd_solve(hess, grad)
         # halve until the penalized objective does not decrease
         stepsize = 1.0
-        cand_ll = cur_ll
         for _ in range(30):
-            cand_ll = _penalized_loglik(design, t, w + stepsize * step, lam)
+            cand = w + stepsize * step
+            cand_p = expit(design @ cand)
+            cand_ll = _penalized_loglik(cand_p, treated, cand, lam)
             if cand_ll >= cur_ll - 1e-12:
                 break
             stepsize *= 0.5
-        w = w + stepsize * step
-        cur_ll = cand_ll
+        else:  # no halved step keeps the objective: stop, not converged
+            break
+        w, p, cur_ll = cand, cand_p, cand_ll
         if objective_trace is not None:
             objective_trace.append(cur_ll)
         if float(np.max(np.abs(stepsize * step))) < _IRLS_TOL:
             converged = True
             break
     return LinearModel(
-        weights=_fold_back(w, mu, scale),
+        weights=_fold_back(w, std.mu, std.scale),
         lam=lam,
         kind="logistic",
         feature_dim=k,
-        mu=mu,
-        scale=scale,
+        mu=std.mu,
+        scale=std.scale,
         converged=converged,
     )
 
@@ -189,7 +313,7 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
         )
     score = model.weights[0] + x @ model.weights[1:]
     if model.kind == "logistic":
-        return np.clip(_sigmoid(score), *PROB_CLIP)
+        return np.clip(expit(score), *PROB_CLIP)
     return score
 
 

@@ -118,6 +118,8 @@ def test_infeasible_spec_exits_two(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    # the failed replicate is still recorded, one typed row per method
+    assert "failed:InfeasibleSpec" in (tmp_path / "o.csv").read_text()
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -13,6 +13,8 @@ from hteselect.estimators import (
     predict_cate,
 )
 from hteselect.fit_metrics import doubly_robust_effects
+from hteselect.supervised import fit_logistic, fit_ridge
+from hteselect.supervised import predict as lin_predict
 
 
 def _randomized(n, seed, effect="null"):
@@ -67,14 +69,51 @@ def test_x_learner_close_to_t_learner_when_randomized():
 def test_x_learner_prediction_is_convex_combination():
     x, t, y, _ = _randomized(2_000, 4, "linear")
     est = fit_x_learner(x, t, y)
-    from hteselect.supervised import predict as lin_predict
-
     g1 = lin_predict(est.models["g1"], x)
     g0 = lin_predict(est.models["g0"], x)
     tau_hat = predict_cate(est, x)
     lo = np.minimum(g0, g1) - 1e-9
     hi = np.maximum(g0, g1) + 1e-9
     assert np.all((tau_hat >= lo) & (tau_hat <= hi))
+
+
+def test_x_learner_effect_models_fit_imputed_effects():
+    # stage two is fit from arm moments; it must equal a ridge on explicit
+    # imputed effects
+    x, t, y, _ = _randomized(1_500, 11, "linear")
+    x = x * [1.0, 4.0, 0.3] + [2.0, -1.0, 0.0]
+    est = fit_x_learner(x, t, y)
+    treated, control = t == 1, t == 0
+    d1 = y[treated] - lin_predict(est.models["f0"], x[treated])
+    d0 = lin_predict(est.models["f1"], x[control]) - y[control]
+    for name, rows, target in (("g1", treated, d1), ("g0", control, d0)):
+        want = fit_ridge(x[rows], target).weights
+        assert np.allclose(est.models[name].weights, want, rtol=1e-10, atol=1e-12)
+
+
+def test_dr_learner_effect_model_fits_cross_fit_pseudo_outcomes():
+    # the final stage accumulates its target fold by fold; it must equal a
+    # ridge on the explicitly cross-fit pseudo-outcomes over all rows
+    rng = np.random.default_rng(12)
+    n = 1_001
+    x = rng.normal(size=(n, 3)) * [1.0, 2.0, 0.5] + [0.0, 3.0, -1.0]
+    t = (rng.random(n) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    y = 2.0 * t + x[:, 0] - x[:, 2] + 0.3 * rng.normal(size=n)
+    phi = np.empty(n)
+    for current in (0, 1):
+        fit_rows, apply_rows = np.arange(n) % 2 != current, np.arange(n) % 2 == current
+        xf, tf, yf = x[fit_rows], t[fit_rows], y[fit_rows]
+        m1 = fit_ridge(xf[tf == 1], yf[tf == 1])
+        m0 = fit_ridge(xf[tf == 0], yf[tf == 0])
+        prop = fit_logistic(xf, tf)
+        xa = x[apply_rows]
+        phi[apply_rows] = doubly_robust_effects(
+            y[apply_rows], t[apply_rows],
+            lin_predict(m1, xa), lin_predict(m0, xa), lin_predict(prop, xa),
+        )
+    want = fit_ridge(x, phi).weights
+    got = fit_dr_learner(x, t, y).models["effect"].weights
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_dr_pseudo_outcomes_debias_wrong_propensity():

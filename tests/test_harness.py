@@ -239,6 +239,42 @@ def test_failed_cells_recorded_and_ranked_last(monkeypatch):
     assert any(f.startswith("failed:") for f in failed[0].flags)
 
 
+_REPLICATE_METHODS = (
+    MethodSpec("None", "T"),
+    MethodSpec("HteFitF", "T", "TauRisk"),
+    MethodSpec("OracleValid", "T"),
+)
+_REPLICATE_BASE = dict(d=20, p_e=0.3, sigma=0.2, rho=0.1, gamma=True, m=1, p_h=1,
+                       m_p=False, n=2000)
+
+
+def _replicate_flags(base, master_seed):
+    config = ExperimentConfig(base=base, methods=_REPLICATE_METHODS, replicates=1,
+                              master_seed=master_seed, record_timing=False)
+    rows, _ = run_experiment(config)
+    assert [r.method for r in rows] == [m.method_id for m in _REPLICATE_METHODS]
+    return [r.flags for r in rows]
+
+
+def test_infeasible_replicate_fails_each_cell():
+    base = dict(_REPLICATE_BASE, d=3, p_e=0.05, gamma=True, m=1)
+    flags = _replicate_flags(base, 0)
+    assert flags == [("failed:InfeasibleSpec",)] * len(_REPLICATE_METHODS)
+
+
+def test_degenerate_replicates_fail_each_cell():
+    # at n=6, master seed 1 draws a single-class treatment in make_dataset
+    # and seed 13 leaves one class out of the train split, where the held-out
+    # yardstick's propensity fit rejects it; no seed may abort the experiment
+    base = dict(_REPLICATE_BASE, n=6)
+    for seed in range(15):
+        flags = _replicate_flags(base, seed)
+        if seed in (1, 13):
+            assert flags == [("failed:DegenerateArms",)] * len(_REPLICATE_METHODS)
+        else:
+            assert not any(f.startswith("failed") for f in flags[0] + flags[2])
+
+
 def test_rank_invariance_under_constant_shift():
     rows, _ = run_experiment(_base_config(replicates=2))
     shifted = [

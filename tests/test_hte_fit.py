@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from hteselect import fit_metrics
+from hteselect.estimators import ESTIMATOR_KINDS, fit_estimator, fit_t_learner
 from hteselect.hte_fit import (
     SubsetScorer,
     backward_select,
     forward_select,
     select_features,
 )
+from hteselect.supervised import fit_logistic, fit_ridge, predict
 
 
 class ScriptedScore:
@@ -202,3 +205,71 @@ def test_all_metrics_drive_selection(metric):
     trace = select_features(x, t, y, metric=metric, seed=2)
     assert len(trace.final_set) >= 1
     assert math.isfinite(trace.final_score)
+
+
+def _row_refit_score(scorer, x, t, y, cols):
+    """Reference score: every model refit from raw rows with fit_estimator."""
+    cols = list(cols)
+    values = []
+    for tr, va in scorer.splits:
+        x_tr, t_tr, y_tr, x_va = x[tr], t[tr], y[tr], x[va]
+        est = fit_estimator(scorer.estimator, x_tr[:, cols], t_tr, y_tr)
+        tau_hat = est.predict(x_va[:, cols])
+        if scorer.metric == "TauRisk":
+            m_hat = predict(fit_ridge(x_tr, y_tr), x_va)
+            p_hat = predict(fit_logistic(x_tr[:, cols], t_tr), x_va[:, cols])
+            values.append(fit_metrics.tau_risk(tau_hat, y[va], t[va], m_hat, p_hat))
+            continue
+        if scorer.metric == "NNPEHE":
+            tau_tilde = fit_metrics.nn_imputed_effects(x_va, y[va], t[va])
+        elif scorer.metric == "PluginTau":
+            tau_tilde = fit_t_learner(x_tr, t_tr, y_tr).predict(x_va)
+        else:
+            arms = fit_t_learner(x_tr, t_tr, y_tr)
+            tau_tilde = fit_metrics.doubly_robust_effects(
+                y[va], t[va],
+                predict(arms.models["f1"], x_va),
+                predict(arms.models["f0"], x_va),
+                predict(fit_logistic(x_tr, t_tr), x_va),
+            )
+        values.append(fit_metrics.plugin_tau(tau_hat, tau_tilde))
+    return float(np.mean(values))
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+@pytest.mark.parametrize("metric", ["TauRisk", "NNPEHE", "PluginTau", "CFCV"])
+def test_scorer_matches_row_refit_reference(kind, metric):
+    x, t, y = _confounded_data(5, n=600, noise_cols=4)
+    scorer = SubsetScorer(x, t, y, metric=metric, estimator=kind, seed=3)
+    # forward-like growth then backward-like removals, so that warm starts
+    # come from one and from two parents, smaller and larger
+    sequence = [
+        (0,), (1,), (0, 1), (0, 2), (0, 1, 2),
+        (0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2), (1, 2, 3),
+    ]
+    for cols in sequence:
+        want = _row_refit_score(scorer, x, t, y, cols)
+        assert abs(scorer(cols) - want) <= 1e-8 * abs(want), cols
+
+
+def test_warm_started_propensity_fits_take_fewer_iterations(monkeypatch):
+    from hteselect import supervised
+
+    original = supervised.fit_logistic
+    iterations = {"warm": 0, "cold": 0}
+
+    def counting(x, t, lam=supervised.PROPENSITY_LAMBDA, objective_trace=None, start=None):
+        trace: list = []
+        model = original(x, t, lam, trace, start)
+        if start is not None:
+            cold: list = []
+            original(x, t, lam, cold)
+            iterations["warm"] += len(trace)
+            iterations["cold"] += len(cold)
+        return model
+
+    monkeypatch.setattr(supervised, "fit_logistic", counting)
+    x, t, y = _mediated_data(3, n=1000)
+    for select in (forward_select, backward_select):
+        select(SubsetScorer(x, t, y, metric="TauRisk", seed=4), range(4))
+    assert 0 < iterations["warm"] < 0.8 * iterations["cold"]

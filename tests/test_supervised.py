@@ -6,10 +6,12 @@ import pytest
 from hteselect.errors import DegenerateArms, DimensionMismatch, SingularSystem
 from hteselect.supervised import (
     LinearModel,
+    Moments,
     fit_logistic,
     fit_ridge,
     predict,
     ridge_objective,
+    solve_ridge,
 )
 
 
@@ -51,12 +53,61 @@ def test_matches_normal_equation_oracle():
     assert np.allclose(model.weights, _normal_equation_oracle(x, y, 0.1), atol=1e-8)
 
 
+def _lstsq_oracle(x, y, lam):
+    """SVD least squares on the penalty-augmented standardized design."""
+    n, k = x.shape
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    design = np.hstack([np.ones((n, 1)), (x - mu) / sd])
+    aug = np.vstack([design, np.sqrt(lam) * np.eye(k + 1)[1:]])
+    w, *_ = np.linalg.lstsq(aug, np.concatenate([y, np.zeros(k)]), rcond=None)
+    slopes = w[1:] / sd
+    return np.concatenate([[w[0] - slopes @ mu], slopes])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0])
+def test_cholesky_ridge_matches_lstsq_oracle(seed, lam):
+    rng = np.random.default_rng(seed)
+    n, k = 300 + 100 * seed, 6
+    x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k) + rng.normal(size=k) * 5
+    # columns 0 and 1 correlated at 1 - 1e-6
+    x[:, 1] = x[:, 0] + np.sqrt(2e-6) * x[:, 0].std() * rng.normal(size=n)
+    assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] > 1 - 2e-6
+    y = x @ rng.normal(size=k) + rng.normal(size=n)
+    got = fit_ridge(x, y, lam).weights
+    want = _lstsq_oracle(x, y, lam)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_moments_subset_ridge_matches_fit_on_columns():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(120, 5)) * [1.0, 3.0, 0.5, 2.0, 1.0] + [0.0, 4.0, -1.0, 0.0, 9.0]
+    y = rng.normal(size=120)
+    moments = Moments.of(x, y)
+    for cols in ([2], [0, 3], [4, 1, 2], [0, 1, 2, 3, 4]):
+        got = moments.ridge(cols, lam=0.1)
+        want = fit_ridge(x[:, cols], y, lam=0.1)
+        assert np.allclose(got.weights, want.weights, rtol=1e-10, atol=1e-12)
+
+
+def test_failed_cholesky_falls_back_to_lstsq():
+    # an indefinite system has no Cholesky factor; lstsq still solves it
+    zy = np.array([1.0, -2.0, 0.5])
+    model = solve_ridge(-np.eye(3), zy, 0.5, np.zeros(3), np.ones(3), lam=1e-3)
+    assert np.allclose(model.weights[1:], zy / (-1.0 + 1e-3))
+    assert model.weights[0] == 0.5
+
+
 def test_singular_system_only_without_penalty():
-    x = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
     y = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(SingularSystem):
-        fit_ridge(x, y, lam=0.0)
-    fit_ridge(x, y, lam=1e-3)  # penalized solve is fine
+    for x in (
+        np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),  # duplicated column
+        np.array([[1.0, 4.0], [2.0, 4.0], [3.0, 4.0]]),  # constant column
+    ):
+        with pytest.raises(SingularSystem):
+            fit_ridge(x, y, lam=0.0)
+        fit_ridge(x, y, lam=1e-3)  # penalized solve is fine
 
 
 def test_unique_minimizer_property():
@@ -146,6 +197,27 @@ def test_objective_nondecreasing_over_irls():
     fit_logistic(x, t, lam=1e-2, objective_trace=trace)
     diffs = np.diff(trace)
     assert np.all(diffs >= -1e-9)
+
+
+def test_warm_start_reaches_cold_optimum():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(800, 4))
+    z = 1.5 * x[:, 0] - 2.0 * x[:, 1] + 0.7 * x[:, 3]
+    t = (rng.random(800) < 1 / (1 + np.exp(-z))).astype(float)
+    cold_trace: list = []
+    cold = fit_logistic(x, t, lam=1e-2, objective_trace=cold_trace)
+    # the scorer's warm start: a fit without column 3, its weight set to zero
+    parent = fit_logistic(x[:, :3], t, lam=1e-2).standardized_weights()
+    warm_trace: list = []
+    warm = fit_logistic(
+        x, t, lam=1e-2, objective_trace=warm_trace, start=np.append(parent, 0.0)
+    )
+    assert warm.converged and cold.converged
+    assert np.max(np.abs(warm.weights - cold.weights)) <= 1e-8
+    assert np.all(np.diff(warm_trace) >= -1e-12)
+    assert len(warm_trace) < len(cold_trace)
+    with pytest.raises(DimensionMismatch):
+        fit_logistic(x, t, start=np.zeros(4))
 
 
 def test_single_class_rejected():
