@@ -1,97 +1,51 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Opposite-arm nearest-neighbor search for matching-based effect imputation.
 
-The only kernel that is loop-bound rather than BLAS-bound is the
-opposite-arm nearest-neighbor search used for matching-based effect
-imputation (O(n^2 * k) pairwise distances).  Set the environment variable
-``HTESELECT_NO_NUMBA=1`` to force the numpy path; by default the numba
-path is used whenever numba imports cleanly.
-
-Both paths break distance ties toward the lowest row index, so they agree
-exactly on duplicated covariates.  ``benchmarks/bench_kernels.py`` compares
-their throughput.
+Each arm queries a ``scipy.spatial.cKDTree`` built on the other arm for its
+two nearest rows.  Where the second distance is within ``TIE_RTOL`` of the
+first, the row is rescanned by exact squared distance so that ties, including
+ties at round-off level, break toward the lowest row index.
 """
 
-import os
-
 import numpy as np
+from scipy.spatial import cKDTree
 
-_FLAG = "HTESELECT_NO_NUMBA"
+# perfbench/worker.py records this in its environment line
+HAS_NUMBA = False
 
-
-def numba_requested() -> bool:
-    return os.environ.get(_FLAG, "").strip() not in ("1", "true", "yes")
-
-
-def _nn_opposite_numpy(x, treated):
-    n = x.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    idx = np.arange(n)
-    for arm in (0, 1):
-        rows = idx[treated == arm]
-        opp = idx[treated != arm]
-        if opp.size == 0:
-            raise ValueError("opposite arm is empty")
-        xo = x[opp]
-        for i in rows:
-            diff = xo - x[i]
-            d = np.einsum("ij,ij->i", diff, diff)
-            out[i] = opp[int(np.argmin(d))]
-    return out
+# Relative gap between the two nearest distances below which the tree's
+# ordering is not trusted; far above the round-off of a sum of squares.
+TIE_RTOL = 1e-9
 
 
-try:
-    if not numba_requested():
-        raise ImportError("numba disabled via %s" % _FLAG)
-    from numba import njit
-
-    HAS_NUMBA = True
-
-    @njit(cache=True)
-    def _nn_opposite_numba(x, treated):
-        n, k = x.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            best = -1
-            bestd = np.inf
-            for j in range(n):
-                if treated[j] == treated[i]:
-                    continue
-                d = 0.0
-                for c in range(k):
-                    diff = x[i, c] - x[j, c]
-                    d += diff * diff
-                if d < bestd:
-                    bestd = d
-                    best = j
-            out[i] = best
-        return out
-
-except ImportError:
-    HAS_NUMBA = False
-    _nn_opposite_numba = None
-
-
-def nn_opposite_arm(x, treated, force=None):
+def nn_opposite_arm(x, treated):
     """Index of each unit's Euclidean nearest neighbor in the opposite arm.
 
     Args:
         x: (n, k) float feature matrix (standardize before calling).
         treated: (n,) array interpretable as 0/1 arm labels.
-        force: optionally "numba" or "numpy" to pin the path (tests and
-            benchmarks); default follows the module-level selection.
 
     Returns:
-        (n,) int64 array of neighbor row indices.
+        (n,) int64 array of neighbor row indices; among equidistant
+        neighbors the lowest row index wins.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.asarray(treated).astype(np.int8)
     if x.ndim != 2 or t.shape != (x.shape[0],):
         raise ValueError("x must be (n, k) and treated must be (n,)")
-    use_numba = HAS_NUMBA if force is None else force == "numba"
-    if use_numba:
-        if _nn_opposite_numba is None:
-            raise RuntimeError("numba path requested but unavailable")
-        if t.min() == t.max():
+    n = x.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    idx = np.arange(n)
+    for arm in (0, 1):
+        rows = idx[t == arm]
+        opp = idx[t != arm]
+        if opp.size == 0:
             raise ValueError("opposite arm is empty")
-        return _nn_opposite_numba(x, t)
-    return _nn_opposite_numpy(x, t)
+        xo = x[opp]
+        # with one opposite row the tree pads the second distance with inf
+        dist, nn = cKDTree(xo).query(x[rows], k=2)
+        out[rows] = opp[nn[:, 0]]
+        for i in rows[dist[:, 1] <= dist[:, 0] * (1.0 + TIE_RTOL)]:
+            diff = xo - x[i]
+            d = np.einsum("ij,ij->i", diff, diff)
+            out[i] = opp[int(np.argmin(d))]
+    return out

@@ -15,13 +15,12 @@ exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, hte_fit, structure_fit
+from . import harness, structure_fit
 from .errors import ConfigError, HteSelectError
 from .harness import MethodSpec
 from .scm_gen import (
@@ -103,40 +102,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    dataset = dataset_from_csv(args.data.read_text())
-    x, t, y = dataset.x, dataset.t, dataset.y
-    k = x.shape[1]
-    cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
-    trace: dict = {}
-    if args.selector == "None":
-        selected = tuple(range(k))
-    elif args.selector in ("HteFitF", "HteFitB"):
-        direction = "forward" if args.selector == "HteFitF" else "backward"
-        result = hte_fit.select_features(
-            x, t, y, metric=args.metric, estimator=args.estimator,
-            direction=direction, seed=args.seed,
-        )
-        selected, trace = result.final_set, json.loads(result.to_json())
-    elif args.selector == "StructureFit":
-        stacked = np.hstack([x, t[:, None], y[:, None]])
-        result = structure_fit.structure_fit(
-            stacked, t_col=k, y_col=k + 1, candidates=range(k), cfg=cfg
-        )
-        selected, trace = result.selected, json.loads(result.graph.to_json())
-    elif args.selector == "HteFS":
-        selected, trace = harness.hte_fs(
-            x, t, y, metric=args.metric, estimator=args.estimator,
-            seed=args.seed, cfg=cfg,
-        )
-    else:  # oracle selectors need the generating graph
-        if args.graph is None:
-            raise ConfigError(f"{args.selector} requires --graph")
+    method = MethodSpec(args.selector, args.estimator, args.metric)
+    graph = None
+    if args.graph is not None:
         graph, _ = graph_from_json(args.graph.read_text())
-        mode = args.selector.removeprefix("Oracle")
-        result = structure_fit.oracle_adjustment(graph, mode)
-        col_of_node = {node: j for j, node in enumerate(graph.feature_nodes())}
-        selected = tuple(sorted(col_of_node[n] for n in result.nodes))
-        trace = {"nodes": sorted(result.nodes)}
+    elif method.selector.startswith("Oracle"):
+        raise ConfigError(f"{method.selector} requires --graph")
+    dataset = dataset_from_csv(args.data.read_text())
+    cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
+    selected, trace, _ = harness._run_selector(
+        method, dataset.x, dataset.t, dataset.y, graph, cfg, args.seed
+    )
+    if not selected:
+        raise HteSelectError("selector returned no columns")
     print(" ".join(str(c) for c in selected))
     if args.trace_out is not None:
         args.trace_out.write_text(json.dumps(trace, indent=2))
@@ -146,18 +124,7 @@ def _cmd_select(args) -> int:
 def _cmd_benchmark(args) -> int:
     config = harness.config_from_json(args.config.read_text())
     if args.workers is not None:
-        config = harness.ExperimentConfig(
-            base=config.base,
-            methods=config.methods,
-            replicates=config.replicates,
-            grid=config.grid,
-            split_ratio=config.split_ratio,
-            master_seed=config.master_seed,
-            alpha=config.alpha,
-            max_cond=config.max_cond,
-            workers=args.workers,
-            record_timing=config.record_timing,
-        )
+        config = dataclasses.replace(config, workers=args.workers)
     rows, traces = harness.run_experiment(config)
     args.out.write_text(harness.rows_to_csv(rows))
     if args.traces is not None:

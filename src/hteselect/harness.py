@@ -26,7 +26,7 @@ import numpy as np
 
 from . import estimators, fit_metrics, hte_fit, structure_fit, supervised
 from .errors import ConfigError, HteSelectError
-from .scm_gen import Dataset, ScmSpec, make_dataset
+from .scm_gen import ScmSpec, make_dataset
 
 SELECTORS = (
     "None",
@@ -210,10 +210,11 @@ def _run_selector(
     t_tr: np.ndarray,
     y_tr: np.ndarray,
     graph,
-    dataset: Dataset,
     cfg: structure_fit.CiTestConfig,
     seed: int,
 ) -> tuple[tuple[int, ...], dict, list[str]]:
+    """One selector's columns, trace and flags; only Oracle selectors read
+    ``graph``, mapping its nodes to columns by ``graph.feature_nodes()``."""
     k = x_tr.shape[1]
     all_cols = tuple(range(k))
     if method.selector == "None":
@@ -242,7 +243,7 @@ def _run_selector(
     if method.selector.startswith("Oracle"):
         mode = method.selector.removeprefix("Oracle")
         result = structure_fit.oracle_adjustment(graph, mode)
-        col_of_node = {node: j for j, node in enumerate(dataset.feature_nodes)}
+        col_of_node = {node: j for j, node in enumerate(graph.feature_nodes())}
         cols = tuple(sorted(col_of_node[n] for n in result.nodes if n in col_of_node))
         flags = ["empty_causal_path"] if result.empty_causal_path else []
         return cols, {"nodes": sorted(result.nodes)}, flags
@@ -308,7 +309,7 @@ def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[Bench
         flags: list[str] = []
         try:
             selected, trace, flags = _run_selector(
-                method, x_tr, t_tr, y_tr, graph, dataset, cfg, seed
+                method, x_tr, t_tr, y_tr, graph, cfg, seed
             )
             if not selected:
                 raise HteSelectError("selector returned no columns")

@@ -140,8 +140,8 @@ class CausalGraph:
 class Dataset:
     """Observational data plus counterfactual ground truth.
 
-    ``x`` holds every node except treatment and outcome, in node-id order;
-    ``feature_nodes[j]`` is the graph node behind column j, and
+    ``x`` holds every node except treatment and outcome, in node-id order
+    (column j is node ``CausalGraph.feature_nodes()[j]``), and
     ``post_treatment_mask[j]`` is True iff that node is a strict descendant
     of the treatment.
     """
@@ -150,7 +150,6 @@ class Dataset:
     t: np.ndarray
     y: np.ndarray
     tau: np.ndarray
-    feature_nodes: list[int]
     post_treatment_mask: np.ndarray
 
     @property
@@ -405,7 +404,6 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
         t=t,
         y=values[:, graph.y_node],
         tau=tau,
-        feature_nodes=feature_nodes,
         post_treatment_mask=mask,
     )
 
@@ -481,7 +479,6 @@ def dataset_from_csv(text: str) -> Dataset:
         t=data[:, k],
         y=data[:, k + 1],
         tau=data[:, k + 2],
-        feature_nodes=list(range(k)),
         post_treatment_mask=np.zeros(k, dtype=bool),
     )
 

@@ -49,7 +49,6 @@ class CiTestConfig:
 
     alpha: float = 0.05
     max_cond: int = 3
-    test: str = "fisherz"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -387,7 +386,6 @@ class PartialGraph:
 
     nodes: set[int] = field(default_factory=set)
     directed_edges: set[tuple[int, int]] = field(default_factory=set)
-    undirected_edges: set[frozenset] = field(default_factory=set)
 
     def reaches(self, src: int, dst: int) -> bool:
         seen = {src}
@@ -434,7 +432,6 @@ class PartialGraph:
             {
                 "nodes": sorted(self.nodes),
                 "directed_edges": sorted(list(e) for e in self.directed_edges),
-                "undirected_edges": sorted(sorted(e) for e in self.undirected_edges),
             }
         )
 

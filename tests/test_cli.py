@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from hteselect import harness, structure_fit
 from hteselect.cli import main
 from hteselect.harness import rows_from_csv
-from hteselect.scm_gen import dataset_from_csv
+from hteselect.scm_gen import dataset_from_csv, graph_from_json
 
 
 @pytest.fixture
@@ -69,6 +70,33 @@ def test_select_oracle_requires_graph(simulated, capsys):
          "--graph", str(graph)]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("selector", harness.SELECTORS)
+def test_select_matches_harness_dispatch(selector, simulated, tmp_path, capsys):
+    data, graph_path = simulated
+    trace = tmp_path / "trace.json"
+    code = main(
+        ["select", "--data", str(data), "--selector", selector, "--seed", "2",
+         "--graph", str(graph_path), "--trace-out", str(trace)]
+    )
+    assert code == 0
+    ds = dataset_from_csv(data.read_text())
+    graph, _ = graph_from_json(graph_path.read_text())
+    expected, expected_trace, _ = harness._run_selector(
+        harness.MethodSpec(selector), ds.x, ds.t, ds.y, graph,
+        structure_fit.CiTestConfig(), 2,
+    )
+    printed = capsys.readouterr().out.split()
+    assert [int(c) for c in printed] == list(expected)
+    assert json.loads(trace.read_text()) == json.loads(json.dumps(expected_trace))
+
+
+def test_select_empty_selection_exits_two(simulated, monkeypatch):
+    data, _ = simulated
+    empty = structure_fit.StructureFitResult((), frozenset(), structure_fit.PartialGraph())
+    monkeypatch.setattr(structure_fit, "structure_fit", lambda *a, **kw: empty)
+    assert main(["select", "--data", str(data), "--selector", "StructureFit"]) == 2
 
 
 def test_benchmark_and_report(tmp_path, capsys):

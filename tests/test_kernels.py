@@ -1,4 +1,4 @@
-"""Numba and numpy kernel paths must agree."""
+"""The tree-based nearest-neighbor search must match a brute-force scan."""
 
 import numpy as np
 import pytest
@@ -6,47 +6,64 @@ import pytest
 from hteselect import _kernels
 
 
-def _paths():
-    paths = ["numpy"]
-    if _kernels.HAS_NUMBA:
-        paths.append("numba")
-    return paths
+def _brute_force(x, t):
+    """Exact squared distances to every opposite-arm row; lowest index wins."""
+    out = np.empty(len(t), dtype=np.int64)
+    for i in range(len(t)):
+        opp = np.flatnonzero(t != t[i])
+        diff = x[opp] - x[i]
+        out[i] = opp[int(np.argmin(np.einsum("ij,ij->i", diff, diff)))]
+    return out
 
 
-@pytest.mark.parametrize("path", _paths())
-def test_nearest_opposite_neighbor_brute_force(path):
+def test_nearest_opposite_neighbor_brute_force():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(60, 4))
     t = rng.random(60) < 0.4
-    got = _kernels.nn_opposite_arm(x, t, force=path)
-    for i in range(60):
-        opp = np.flatnonzero(t != t[i])
-        dists = ((x[opp] - x[i]) ** 2).sum(axis=1)
-        assert got[i] == opp[int(np.argmin(dists))]
+    assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t))
 
 
-def test_paths_agree_on_continuous_data():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable in this environment")
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(300, 6))
-    t = rng.random(300) < 0.5
-    a = _kernels.nn_opposite_arm(x, t, force="numba")
-    b = _kernels.nn_opposite_arm(x, t, force="numpy")
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("path", _paths())
-def test_exact_ties_break_to_lowest_index(path):
+def test_exact_ties_break_to_lowest_index():
     # duplicated covariate rows across arms: distance zero to several rows
     x = np.array([[1.0], [1.0], [1.0], [2.0]])
     t = np.array([1, 0, 0, 0])
-    nn = _kernels.nn_opposite_arm(x, t, force=path)
-    assert nn[0] == 1  # first of the two zero-distance controls
+    assert _kernels.nn_opposite_arm(x, t)[0] == 1
+
+    # many equidistant opposite rows, so a two-neighbor query alone can
+    # return any pair of them; every unit must still get the lowest index
+    x = np.zeros((40, 2))
+    x[::2] = [1.0, -1.0]
+    t = np.arange(40) % 2
+    nn = _kernels.nn_opposite_arm(x, t)
+    assert np.all(nn[t == 1] == 0)
+    assert np.all(nn[t == 0] == 1)
 
 
-@pytest.mark.parametrize("path", _paths())
-def test_single_class_rejected(path):
+def test_round_off_near_ties_match_brute_force():
+    # thirds are not exact in binary, so mathematically equal distances
+    # differ in the last bits and the exact scan decides the winner
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 50))
+        k = int(rng.integers(1, 5))
+        x = np.round(rng.normal(size=(n, k)) * 3) / 3
+        t = rng.random(n) < 0.5
+        t[:2] = [True, False]
+        assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t)), seed
+
+
+def test_single_row_opposite_arm():
+    x = np.array([[0.0], [5.0], [-3.0], [0.0]])
+    t = np.array([0, 0, 1, 0])
+    assert _kernels.nn_opposite_arm(x, t).tolist() == [2, 2, 0, 2]
+
+
+def test_single_class_rejected():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        _kernels.nn_opposite_arm(x, np.ones(4), force=path)
+        _kernels.nn_opposite_arm(x, np.ones(4))
+
+
+def test_non_finite_rejected():
+    with pytest.raises(ValueError):
+        _kernels.nn_opposite_arm(np.array([[0.0], [np.nan]]), np.array([0, 1]))

@@ -290,7 +290,7 @@ def test_counterfactual_consistency_and_mask():
     post = g.descendants(g.t_node, include_self=False)
     assert np.array_equal(
         ds.post_treatment_mask,
-        np.array([node in post for node in ds.feature_nodes]),
+        np.array([node in post for node in g.feature_nodes()]),
     )
 
 
