@@ -19,17 +19,8 @@ from .errors import (
     NoValidPair,
     SingularSystem,
 )
-from .estimators import (
-    CateEstimator,
-    fit_dr_learner,
-    fit_estimator,
-    fit_s_learner,
-    fit_t_learner,
-    fit_x_learner,
-    predict_cate,
-)
+from .estimators import CateEstimator, fit_estimator
 from .fit_metrics import (
-    FitMetricReport,
     cfcv,
     inclusion_error,
     mse_true,
@@ -69,7 +60,6 @@ from .structure_fit import (
     GraphOrienter,
     PartialGraph,
     discover_colliders,
-    fisher_z,
     local_structure,
     oracle_adjustment,
     orient_reci,

@@ -57,11 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="run one selector on a dataset CSV")
     sel.add_argument("--data", type=Path, required=True)
     sel.add_argument("--selector", choices=harness.SELECTORS, required=True)
-    sel.add_argument("--estimator", default="T")
-    sel.add_argument("--metric", default="TauRisk")
+    sel.add_argument("--estimator", default=MethodSpec.estimator)
+    sel.add_argument("--metric", default=MethodSpec.metric)
     sel.add_argument("--graph", type=Path, help="graph JSON (needed by Oracle selectors)")
-    sel.add_argument("--alpha", type=float, default=0.05)
-    sel.add_argument("--max-cond", type=int, default=3)
+    sel.add_argument("--alpha", type=float, default=structure_fit.CiTestConfig.alpha)
+    sel.add_argument("--max-cond", type=int, default=structure_fit.CiTestConfig.max_cond)
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--trace-out", type=Path)
 

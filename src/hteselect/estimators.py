@@ -6,13 +6,13 @@ models (T), imputed-effect regression with propensity weighting (X), and a
 two-fold cross-fit doubly robust learner (DR).  Each fit returns a
 ``CateEstimator`` exposing per-unit effect prediction.
 
-Fitting is split in two.  ``prepare`` computes, once for a fixed set of
-rows, the row-block statistics an estimator kind needs: ridge ``Moments``
-per block its outcome models are fit on, and ``Standardized`` rows where a
-propensity model is fit by IRLS.  ``fit_columns`` then fits the estimator on
-any column subset from those statistics alone.  ``fit_estimator`` is the
-all-columns case; the greedy subset scorer prepares once per inner split
-and fits every candidate subset.
+The module has three entry points.  ``prepare`` computes, once for a fixed
+set of rows, the row-block statistics an estimator kind needs: ridge
+``Moments`` per block its outcome models are fit on, and ``Standardized``
+rows where a propensity model is fit by IRLS.  ``fit_columns`` then fits the
+estimator on any column subset from those statistics alone.
+``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
+once per inner split and fits every candidate subset.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class CateEstimator:
         return _PREDICTORS[self.kind](self, x)
 
 
-def predict_cate(estimator: CateEstimator, x: np.ndarray) -> np.ndarray:
-    """Per-unit effect prediction; finite for any row in the fitted space."""
-    return estimator.predict(x)
-
-
 @dataclass(frozen=True)
 class Prepared:
     """Row-block statistics of one estimator kind over a fixed set of rows.
@@ -68,8 +63,6 @@ class Prepared:
     kind: str
     n_features: int
     blocks: dict
-    lam: float
-    propensity_lam: float
 
 
 def _check_arms(t: np.ndarray) -> None:
@@ -96,7 +89,7 @@ def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
     k = prep.n_features
     joint_cols = np.concatenate([cols, [k], k + 1 + cols])
-    model = prep.blocks["joint"].ridge(joint_cols, prep.lam)
+    model = prep.blocks["joint"].ridge(joint_cols)
     return CateEstimator(kind="S", feature_dim=len(cols), models={"joint": model})
 
 
@@ -112,7 +105,7 @@ def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     return CateEstimator(
         kind="T",
         feature_dim=len(cols),
-        models={arm: prep.blocks[arm].ridge(cols, prep.lam) for arm in ("f1", "f0")},
+        models={arm: prep.blocks[arm].ridge(cols) for arm in ("f1", "f0")},
     )
 
 
@@ -127,7 +120,7 @@ def _prepare_x(x, t, y) -> dict:
 
 
 def _residual_ridge(
-    block: Moments, cols: np.ndarray, model: LinearModel, sign: float, lam: float
+    block: Moments, cols: np.ndarray, model: LinearModel, sign: float
 ) -> LinearModel:
     """Ridge of sign * (y - model(x)) on a block's rows, from its moments.
 
@@ -139,25 +132,32 @@ def _residual_ridge(
     slopes = model.weights[1:]
     z_resid = block.zy[cols] - gram @ (scale * slopes)
     resid_mean = block.y_mean - model.weights[0] - float(mu @ slopes)
-    return solve_ridge(gram, sign * z_resid, sign * resid_mean, mu, scale, lam)
+    return solve_ridge(
+        gram, sign * z_resid, sign * resid_mean, mu, scale, supervised.OUTCOME_LAMBDA
+    )
 
 
 def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
-    """X-learner; both stages are solved from the per-arm moments."""
-    blocks, lam = prep.blocks, prep.lam
-    f1 = blocks["f1"].ridge(cols, lam)
-    f0 = blocks["f0"].ridge(cols, lam)
+    """Two-stage construction with propensity-weighted effect models.
+
+    Stage one fits per-arm outcome models.  Stage two regresses the imputed
+    effects D1 = y1 - f0(x1) and D0 = f1(x0) - y0 onto features, and the
+    prediction is the pointwise convex combination
+    p(x) * g0(x) + (1 - p(x)) * g1(x).  Both stages are solved from the
+    per-arm moments.
+    """
+    blocks = prep.blocks
+    f1 = blocks["f1"].ridge(cols)
+    f0 = blocks["f0"].ridge(cols)
     return CateEstimator(
         kind="X",
         feature_dim=len(cols),
         models={
             "f1": f1,
             "f0": f0,
-            "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0, lam),
-            "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0, lam),
-            "propensity": fit_logistic(
-                blocks["rows"].columns(cols), blocks["t"], prep.propensity_lam
-            ),
+            "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
+            "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
+            "propensity": fit_logistic(blocks["rows"].columns(cols), blocks["t"]),
         },
     )
 
@@ -180,16 +180,22 @@ def _prepare_dr(x, t, y) -> dict:
 
 
 def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
-    """DR-learner; the final stage's target statistics accumulate by fold."""
-    lam, folds, whole = prep.lam, prep.blocks["folds"], prep.blocks["all"]
+    """Two-fold cross-fit doubly robust learner.
+
+    Folds are assigned by row parity (deterministic).  Pseudo-outcomes on
+    each fold use nuisance models fit on the other fold; the final stage is
+    one ridge of the pseudo-outcomes on features over all rows, whose target
+    statistics accumulate fold by fold.
+    """
+    folds, whole = prep.blocks["folds"], prep.blocks["all"]
     mu, scale = whole.mu[cols], whole.scale[cols]
     z_phi = np.zeros(len(cols))
     phi_sum = 0.0
     for current in (0, 1):
         fit, apply = folds[1 - current], folds[current]
-        m1 = fit["f1"].ridge(cols, lam)
-        m0 = fit["f0"].ridge(cols, lam)
-        prop = fit_logistic(fit["rows"].columns(cols), fit["t"], prep.propensity_lam)
+        m1 = fit["f1"].ridge(cols)
+        m0 = fit["f0"].ridge(cols)
+        prop = fit_logistic(fit["rows"].columns(cols), fit["t"])
         xa = apply["x"][:, cols]
         phi = doubly_robust_effects(
             apply["y"],
@@ -201,7 +207,7 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
         z_phi += ((xa - mu) / scale).T @ phi
         phi_sum += float(phi.sum())
     effect = solve_ridge(
-        whole.sub_gram(cols), z_phi, phi_sum / whole.n, mu, scale, lam
+        whole.sub_gram(cols), z_phi, phi_sum / whole.n, mu, scale, supervised.OUTCOME_LAMBDA
     )
     return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect})
 
@@ -232,24 +238,18 @@ _FITTERS: dict[str, Callable] = {
 }
 
 
-def prepare(
-    kind: str,
-    x,
-    t,
-    y,
-    lam: float = supervised.OUTCOME_LAMBDA,
-    propensity_lam: float = supervised.PROPENSITY_LAMBDA,
-) -> Prepared:
+def prepare(kind: str, x, t, y) -> Prepared:
     """Row-block statistics for fitting ``kind`` on column subsets of x.
 
     Raises:
-        DegenerateArms: a treatment arm the estimator needs is empty.
+        DegenerateArms: a treatment arm the estimator needs is empty,
+            overall or (DR) within a cross-fitting fold.
     """
     if kind not in _FITTERS:
         raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
     x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
     _check_arms(t)
-    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y), lam, propensity_lam)
+    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
 
 
 def fit_columns(prep: Prepared, cols) -> CateEstimator:
@@ -259,55 +259,5 @@ def fit_columns(prep: Prepared, cols) -> CateEstimator:
 
 def fit_estimator(kind: str, x, t, y) -> CateEstimator:
     """Fit one of the four estimator kinds by name on all columns of x."""
-    return _all_columns(kind, x, t, y)
-
-
-def _all_columns(kind: str, x, t, y, **lams) -> CateEstimator:
-    prep = prepare(kind, x, t, y, **lams)
+    prep = prepare(kind, x, t, y)
     return fit_columns(prep, np.arange(prep.n_features))
-
-
-def fit_s_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
-    """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
-    return _all_columns("S", x, t, y, lam=lam)
-
-
-def fit_t_learner(x, t, y, lam: float = supervised.OUTCOME_LAMBDA) -> CateEstimator:
-    """Separate ridge per arm; effect = f1(x) - f0(x)."""
-    return _all_columns("T", x, t, y, lam=lam)
-
-
-def fit_x_learner(
-    x,
-    t,
-    y,
-    lam: float = supervised.OUTCOME_LAMBDA,
-    propensity_lam: float = supervised.PROPENSITY_LAMBDA,
-) -> CateEstimator:
-    """Two-stage construction with propensity-weighted effect models.
-
-    Stage one fits per-arm outcome models.  Stage two regresses the imputed
-    effects D1 = y1 - f0(x1) and D0 = f1(x0) - y0 onto features, and the
-    prediction is the pointwise convex combination
-    p(x) * g0(x) + (1 - p(x)) * g1(x).
-    """
-    return _all_columns("X", x, t, y, lam=lam, propensity_lam=propensity_lam)
-
-
-def fit_dr_learner(
-    x,
-    t,
-    y,
-    lam: float = supervised.OUTCOME_LAMBDA,
-    propensity_lam: float = supervised.PROPENSITY_LAMBDA,
-) -> CateEstimator:
-    """Two-fold cross-fit doubly robust learner.
-
-    Folds are assigned by row parity (deterministic).  Pseudo-outcomes on
-    each fold use nuisance models fit on the other fold; the final stage is
-    one ridge of the pseudo-outcomes on features over all rows.
-
-    Raises:
-        DegenerateArms: an arm is empty within a fold.
-    """
-    return _all_columns("DR", x, t, y, lam=lam, propensity_lam=propensity_lam)

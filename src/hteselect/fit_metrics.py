@@ -10,7 +10,6 @@ zero exactly when the defining residuals vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -20,16 +19,6 @@ from ._kernels import nn_opposite_arm
 from .errors import DegenerateArms, LengthMismatch
 
 METRIC_KINDS = ("TauRisk", "NNPEHE", "PluginTau", "CFCV")
-
-
-@dataclass
-class FitMetricReport:
-    """One heuristic metric value for one estimator on one data split."""
-
-    metric: str
-    value: float
-    split_id: str
-    nuisance_spec: dict = field(default_factory=dict)
 
 
 def _as_vectors(*arrays):

@@ -88,8 +88,8 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
     split_ratio: float = 0.8
     master_seed: int = 0
-    alpha: float = 0.05
-    max_cond: int = 3
+    alpha: float = structure_fit.CiTestConfig.alpha
+    max_cond: int = structure_fit.CiTestConfig.max_cond
     workers: int = 1
     record_timing: bool = True
 
@@ -482,6 +482,20 @@ def report(rows: list[BenchmarkRow]) -> ReportSummary:
 # ---------------------------------------------------------------------------
 
 
+# optional top-level keys and their casts; an absent key keeps the field's
+# ExperimentConfig default
+_CONFIG_CASTS = {
+    "replicates": int,
+    "grid": dict,
+    "split_ratio": float,
+    "master_seed": int,
+    "alpha": float,
+    "max_cond": int,
+    "workers": int,
+    "record_timing": bool,
+}
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         payload = json.loads(text)
@@ -491,24 +505,13 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ConfigError("config must be an object with an 'scm' section")
     try:
         methods = tuple(
-            MethodSpec(
-                selector=m["selector"],
-                estimator=m.get("estimator", "T"),
-                metric=m.get("metric", "TauRisk"),
-            )
+            MethodSpec(**{k: m[k] for k in ("selector", "estimator", "metric") if k in m})
             for m in payload.get("methods", [])
         )
         config = ExperimentConfig(
             base=dict(payload["scm"]),
             methods=methods,
-            replicates=int(payload.get("replicates", 1)),
-            grid=dict(payload.get("grid", {})),
-            split_ratio=float(payload.get("split_ratio", 0.8)),
-            master_seed=int(payload.get("master_seed", 0)),
-            alpha=float(payload.get("alpha", 0.05)),
-            max_cond=int(payload.get("max_cond", 3)),
-            workers=int(payload.get("workers", 1)),
-            record_timing=bool(payload.get("record_timing", True)),
+            **{k: cast(payload[k]) for k, cast in _CONFIG_CASTS.items() if k in payload},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc

@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 REL_TOL = 1e-6
 INNER_TRAIN_RATIO = 0.7
+N_SPLITS = 3
 
 
 @dataclass
@@ -68,18 +69,17 @@ class SelectionTrace:
         )
 
 
-def _improves(candidate: float, best: float, rel_tol: float) -> bool:
+def _improves(candidate: float, best: float) -> bool:
     if not math.isfinite(candidate):
         return False
     if not math.isfinite(best):
         return True
-    return best - candidate > rel_tol * abs(best)
+    return best - candidate > REL_TOL * abs(best)
 
 
 def forward_select(
     score: Callable[[tuple[int, ...]], float],
     columns: Sequence[int],
-    rel_tol: float = REL_TOL,
     metric: str = "custom",
 ) -> SelectionTrace:
     """Greedy forward selection over ``columns``.
@@ -87,7 +87,7 @@ def forward_select(
     Seeds with the column whose singleton subset scores lowest, then
     repeatedly appends the remaining column giving the largest strict
     improvement, stopping when no candidate improves the best score by more
-    than ``rel_tol`` (relative) or no columns remain.
+    than ``REL_TOL`` (relative) or no columns remain.
     """
     columns = sorted(int(c) for c in columns)
     if not columns:
@@ -114,7 +114,7 @@ def forward_select(
             steps.append(SelectionStep(col, value, False))
             if value < cand_score:
                 cand_col, cand_score = col, value
-        if cand_col is None or not _improves(cand_score, best_score, rel_tol):
+        if cand_col is None or not _improves(cand_score, best_score):
             break
         chosen.append(cand_col)
         best_score = cand_score
@@ -133,7 +133,6 @@ def forward_select(
 def backward_select(
     score: Callable[[tuple[int, ...]], float],
     columns: Sequence[int],
-    rel_tol: float = REL_TOL,
     metric: str = "custom",
 ) -> SelectionTrace:
     """Greedy backward elimination over ``columns``.
@@ -157,7 +156,7 @@ def backward_select(
             steps.append(SelectionStep(col, value, False))
             if value < cand_score:
                 cand_col, cand_score = col, value
-        if cand_col is None or not _improves(cand_score, best_score, rel_tol):
+        if cand_col is None or not _improves(cand_score, best_score):
             break
         kept.remove(cand_col)
         best_score = cand_score
@@ -182,11 +181,12 @@ def _mark_accepted(steps: list[SelectionStep], column: int, round_start: int) ->
 class SubsetScorer:
     """Scores candidate column subsets against fixed metric yardsticks.
 
-    A small number of 70/30 inner splits (default 3) is drawn once per
-    instance, and every candidate subset is scored on the same splits with
-    the per-split values averaged: at desk-scale sample sizes a single
-    split's metric noise rivals the selection signal, and the greedy argmin
-    then stalls on its own winner's-curse scores.
+    ``N_SPLITS`` inner train/validation splits (``INNER_TRAIN_RATIO`` of the
+    rows for training) are drawn once per instance, and every candidate
+    subset is scored on the same splits with the per-split values averaged:
+    at desk-scale sample sizes a single split's metric noise rivals the
+    selection signal, and the greedy argmin then stalls on its own
+    winner's-curse scores.
 
     Per split, the outcome yardstick and any imputed reference effects are
     fit once on the inner-train rows with the full candidate feature set, so
@@ -215,13 +215,9 @@ class SubsetScorer:
         metric: str,
         estimator: str = "T",
         seed: int = 0,
-        inner_ratio: float = INNER_TRAIN_RATIO,
-        n_splits: int = 3,
     ):
         if metric not in fit_metrics.METRIC_KINDS:
             raise ValueError(f"unknown metric {metric!r}")
-        if n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
         x = np.asarray(x, dtype=np.float64)
         t = np.asarray(t, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -231,9 +227,9 @@ class SubsetScorer:
 
         n = x.shape[0]
         rng = np.random.default_rng(seed)
-        cut = int(round(inner_ratio * n))
+        cut = int(round(INNER_TRAIN_RATIO * n))
         self.splits: list[tuple[np.ndarray, np.ndarray]] = []
-        for _ in range(n_splits):
+        for _ in range(N_SPLITS):
             order = rng.permutation(n)
             tr, va = order[:cut], order[cut:]
             if len(set(t[tr])) < 2 or len(set(t[va])) < 2:
@@ -266,9 +262,9 @@ class SubsetScorer:
         if self.metric == "NNPEHE":
             return {"tau_tilde": fit_metrics.nn_imputed_effects(x_va, stats["y_va"], stats["t_va"])}
         if self.metric == "PluginTau":
-            ref = estimators.fit_t_learner(x_tr, t_tr, y_tr)
+            ref = estimators.fit_estimator("T", x_tr, t_tr, y_tr)
             return {"tau_tilde": ref.predict(x_va)}
-        arms = estimators.fit_t_learner(x_tr, t_tr, y_tr)  # CFCV
+        arms = estimators.fit_estimator("T", x_tr, t_tr, y_tr)  # CFCV
         p_hat = supervised.fit_logistic(x_tr, t_tr)
         return {
             "tau_tilde": fit_metrics.doubly_robust_effects(
@@ -338,20 +334,6 @@ class SubsetScorer:
                 start = [a + b - g for a, b, g in zip(start, other, base)]
         return start
 
-    def report(self, value: float) -> fit_metrics.FitMetricReport:
-        return fit_metrics.FitMetricReport(
-            metric=self.metric,
-            value=value,
-            split_id=f"inner-val x{len(self.splits)}[{len(self.splits[0][1])}]",
-            nuisance_spec={
-                "outcome_lam": supervised.OUTCOME_LAMBDA,
-                "propensity_lam": supervised.PROPENSITY_LAMBDA,
-                "outcome_features": "all-candidates",
-                "propensity_features": "subset-under-evaluation",
-                "splits": len(self.splits),
-            },
-        )
-
 
 def _aligned_weights(entry: tuple, cols: tuple[int, ...]) -> list[np.ndarray]:
     """A stored subset's per-split weights laid out for the columns ``cols``."""
@@ -369,13 +351,12 @@ def select_features(
     estimator: str = "T",
     direction: str = "forward",
     seed: int = 0,
-    rel_tol: float = REL_TOL,
 ) -> SelectionTrace:
     """Run one full metric-guided selection on a training partition."""
     scorer = SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=seed)
     columns = range(np.asarray(x).shape[1])
     if direction == "forward":
-        return forward_select(scorer, columns, rel_tol=rel_tol, metric=metric)
+        return forward_select(scorer, columns, metric=metric)
     if direction == "backward":
-        return backward_select(scorer, columns, rel_tol=rel_tol, metric=metric)
+        return backward_select(scorer, columns, metric=metric)
     raise ValueError("direction must be 'forward' or 'backward'")

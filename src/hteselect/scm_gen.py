@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,6 +77,23 @@ class ScmSpec:
             raise ValueError("need m + 2 <= d to place the mediator chain")
 
 
+def reachable(start: int, step: Callable[[int], Iterable[int]]) -> set[int]:
+    """Every node reachable from ``start`` by repeated ``step``, start included.
+
+    ``step(v)`` lists the nodes one move away from v.  It should return
+    Python ints (e.g. ``np.flatnonzero(row).tolist()``): numpy scalars
+    would slow every set lookup in this loop.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 @dataclass
 class CausalGraph:
     """A sampled DAG with edge coefficients and (optionally) assigned roles.
@@ -106,28 +124,12 @@ class CausalGraph:
 
     def descendants(self, node: int, include_self: bool = True) -> set[int]:
         """Nodes reachable from ``node`` along directed edges."""
-        seen = {node}
-        stack = [node]
-        while stack:
-            for child in np.flatnonzero(self.adj[stack.pop()]):
-                if child not in seen:
-                    seen.add(int(child))
-                    stack.append(int(child))
-        if not include_self:
-            seen.discard(node)
-        return seen
+        seen = reachable(node, lambda v: np.flatnonzero(self.adj[v]).tolist())
+        return seen if include_self else seen - {node}
 
     def ancestors(self, node: int, include_self: bool = True) -> set[int]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            for parent in np.flatnonzero(self.adj[:, stack.pop()]):
-                if parent not in seen:
-                    seen.add(int(parent))
-                    stack.append(int(parent))
-        if not include_self:
-            seen.discard(node)
-        return seen
+        seen = reachable(node, lambda v: np.flatnonzero(self.adj[:, v]).tolist())
+        return seen if include_self else seen - {node}
 
     def feature_nodes(self) -> list[int]:
         """All nodes except treatment and outcome, in node-id order."""
@@ -185,14 +187,7 @@ def has_backdoor_path(graph: CausalGraph, t: int, y: int) -> bool:
     adj = graph.adj.copy()
     adj[t, :] = False
     adj[:, t] = False
-    reach = {y}
-    stack = [y]
-    while stack:
-        for parent in np.flatnonzero(adj[:, stack.pop()]):
-            if parent not in reach:
-                reach.add(int(parent))
-                stack.append(int(parent))
-    return bool(anc_t & reach)
+    return bool(anc_t & reachable(y, lambda v: np.flatnonzero(adj[:, v]).tolist()))
 
 
 def _exact_hop_pairs(graph: CausalGraph, m: int) -> list[tuple[int, int]]:
@@ -484,7 +479,7 @@ def dataset_from_csv(text: str) -> Dataset:
 
 
 def validate_dataset(dataset: Dataset) -> None:
-    """Cheap invariant checks used by tests and the harness."""
+    """Cheap invariant checks on a dataset's values and treatment classes."""
     if not np.isfinite(dataset.x).all() or not np.isfinite(dataset.y).all():
         raise ValueError("non-finite values in dataset")
     if not np.isfinite(dataset.tau).all():

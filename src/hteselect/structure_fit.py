@@ -34,7 +34,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from .errors import ConstantColumn
-from .scm_gen import CausalGraph
+from .scm_gen import CausalGraph, reachable
 
 logger = logging.getLogger(__name__)
 
@@ -117,13 +117,6 @@ class FisherZTester:
         return float(2.0 * norm.sf(abs(z)))
 
 
-def fisher_z(
-    data: np.ndarray, i: int, j: int, cond: Iterable[int], cfg: CiTestConfig
-) -> tuple[float, bool]:
-    """One-shot partial-correlation test; see FisherZTester for the cached form."""
-    return FisherZTester(data, cfg).test(i, j, tuple(cond))
-
-
 def d_separated(graph: CausalGraph, i: int, j: int, cond: Iterable[int]) -> bool:
     """Exact d-separation via reachability in the moralized ancestral graph."""
     if i == j:
@@ -143,17 +136,7 @@ def d_separated(graph: CausalGraph, i: int, j: int, cond: Iterable[int]) -> bool
         for a, b in combinations(parents, 2):
             neighbors[a].add(b)
             neighbors[b].add(a)
-    seen = {i}
-    stack = [i]
-    while stack:
-        for nxt in neighbors[stack.pop()]:
-            if nxt in cond or nxt in seen:
-                continue
-            if nxt == j:
-                return False
-            seen.add(nxt)
-            stack.append(nxt)
-    return True
+    return j not in reachable(i, lambda v: neighbors[v] - cond)
 
 
 class DSepOracle:
@@ -164,10 +147,6 @@ class DSepOracle:
 
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return d_separated(self.graph, i, j, cond)
-
-    def test(self, i: int, j: int, cond: tuple[int, ...] = ()) -> tuple[float, bool]:
-        indep = self.independent(i, j, cond)
-        return (1.0 if indep else 0.0), indep
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +299,13 @@ class DataOrienter:
     Treatment-adjacent pairs use the generative likelihood margin; all other
     pairs use cubic-residual comparison, calling a member a child only when
     the verdict points away from the target with a relative gap of at least
-    ``child_gate``.
+    ``CHILD_GATE``; a treatment edge is outgoing when its margin exceeds
+    ``LR_THRESHOLD``.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        binary_col: int | None = None,
-        child_gate: float = CHILD_GATE,
-        lr_threshold: float = LR_THRESHOLD,
-    ):
+    def __init__(self, data: np.ndarray, binary_col: int | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.binary_col = binary_col
-        self.child_gate = child_gate
-        self.lr_threshold = lr_threshold
 
     def classify(self, target: int, member: int) -> str:
         if self.binary_col is not None and self.binary_col in (target, member):
@@ -341,13 +313,13 @@ class DataOrienter:
             margin = binary_direction_loglik(
                 self.data[:, self.binary_col], self.data[:, other]
             )
-            binary_causes = margin > self.lr_threshold
+            binary_causes = margin > LR_THRESHOLD
             if target == self.binary_col:
                 return "child" if binary_causes else "parent"
             return "parent" if binary_causes else "child"
         result = orient_reci(self.data, target, member)
         away = result.direction == "i_to_j"  # args were (target, member)
-        if away and not result.tie and result.gap >= self.child_gate:
+        if away and not result.tie and result.gap >= CHILD_GATE:
             return "child"
         return "parent"
 
@@ -387,19 +359,6 @@ class PartialGraph:
     nodes: set[int] = field(default_factory=set)
     directed_edges: set[tuple[int, int]] = field(default_factory=set)
 
-    def reaches(self, src: int, dst: int) -> bool:
-        seen = {src}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            for u, v in self.directed_edges:
-                if u == node and v not in seen:
-                    if v == dst:
-                        return True
-                    seen.add(v)
-                    stack.append(v)
-        return False
-
     def add_directed_edge(self, u: int, v: int) -> bool:
         """Add u -> v unless it would close a cycle; then keep v -> u.
 
@@ -410,22 +369,15 @@ class PartialGraph:
         self.nodes.update((u, v))
         if (u, v) in self.directed_edges:
             return True
-        if self.reaches(v, u):
+        if u in self.descendants(v):
             self.directed_edges.add((v, u))
             return False
         self.directed_edges.add((u, v))
         return True
 
     def descendants(self, node: int) -> set[int]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for u, v in self.directed_edges:
-                if u == cur and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+        """``node`` and every node downstream of it along directed edges."""
+        return reachable(node, lambda v: [w for u, w in self.directed_edges if u == v])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -451,8 +403,6 @@ def structure_fit(
     *,
     tester: CiTester | None = None,
     orienter: Orienter | None = None,
-    child_gate: float = CHILD_GATE,
-    lr_threshold: float = LR_THRESHOLD,
 ) -> StructureFitResult:
     """Remove discovered treatment descendants from the candidate columns.
 
@@ -475,9 +425,7 @@ def structure_fit(
     if orienter is None:
         if data is None:
             raise ValueError("data is required unless an orienter is supplied")
-        orienter = DataOrienter(
-            data, binary_col=t_col, child_gate=child_gate, lr_threshold=lr_threshold
-        )
+        orienter = DataOrienter(data, binary_col=t_col)
     scope = set(candidates) | {t_col, y_col}
     cache: dict[int, tuple[set[int], set[int]]] = {}
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from hteselect.errors import DegenerateArms, DimensionMismatch
-from hteselect.estimators import (
-    fit_dr_learner,
-    fit_estimator,
-    fit_s_learner,
-    fit_t_learner,
-    fit_x_learner,
-    predict_cate,
-)
+from hteselect.estimators import fit_estimator
 from hteselect.fit_metrics import doubly_robust_effects
 from hteselect.supervised import fit_logistic, fit_ridge
 from hteselect.supervised import predict as lin_predict
@@ -39,14 +32,14 @@ def _randomized(n, seed, effect="null"):
 def test_null_effect_estimated_near_zero(kind):
     x, t, y, _ = _randomized(10_000, 0, "null")
     est = fit_estimator(kind, x, t, y)
-    assert np.abs(predict_cate(est, x)).max() < 0.05
+    assert np.abs(est.predict(x)).max() < 0.05
 
 
 @pytest.mark.parametrize("kind", ["S", "T", "X", "DR"])
 def test_constant_effect_recovered(kind):
     x, t, y, _ = _randomized(10_000, 1, "constant")
     est = fit_estimator(kind, x, t, y)
-    tau_hat = predict_cate(est, x)
+    tau_hat = est.predict(x)
     assert abs(tau_hat.mean() - 2.0) < 0.05
 
 
@@ -54,24 +47,24 @@ def test_constant_effect_recovered(kind):
 def test_linear_heterogeneity_tracked(kind):
     x, t, y, tau = _randomized(10_000, 2, "linear")
     est = fit_estimator(kind, x, t, y)
-    tau_hat = predict_cate(est, x)
+    tau_hat = est.predict(x)
     slope = np.polyfit(x[:, 0], tau_hat, 1)[0]
     assert abs(slope - 1.0) < 0.05
 
 
 def test_x_learner_close_to_t_learner_when_randomized():
     x, t, y, _ = _randomized(10_000, 3, "linear")
-    tx = predict_cate(fit_t_learner(x, t, y), x)
-    xx = predict_cate(fit_x_learner(x, t, y), x)
+    tx = fit_estimator("T", x, t, y).predict(x)
+    xx = fit_estimator("X", x, t, y).predict(x)
     assert np.sqrt(np.mean((tx - xx) ** 2)) < 0.05
 
 
 def test_x_learner_prediction_is_convex_combination():
     x, t, y, _ = _randomized(2_000, 4, "linear")
-    est = fit_x_learner(x, t, y)
+    est = fit_estimator("X", x, t, y)
     g1 = lin_predict(est.models["g1"], x)
     g0 = lin_predict(est.models["g0"], x)
-    tau_hat = predict_cate(est, x)
+    tau_hat = est.predict(x)
     lo = np.minimum(g0, g1) - 1e-9
     hi = np.maximum(g0, g1) + 1e-9
     assert np.all((tau_hat >= lo) & (tau_hat <= hi))
@@ -82,7 +75,7 @@ def test_x_learner_effect_models_fit_imputed_effects():
     # imputed effects
     x, t, y, _ = _randomized(1_500, 11, "linear")
     x = x * [1.0, 4.0, 0.3] + [2.0, -1.0, 0.0]
-    est = fit_x_learner(x, t, y)
+    est = fit_estimator("X", x, t, y)
     treated, control = t == 1, t == 0
     d1 = y[treated] - lin_predict(est.models["f0"], x[treated])
     d0 = lin_predict(est.models["f1"], x[control]) - y[control]
@@ -112,7 +105,7 @@ def test_dr_learner_effect_model_fits_cross_fit_pseudo_outcomes():
             lin_predict(m1, xa), lin_predict(m0, xa), lin_predict(prop, xa),
         )
     want = fit_ridge(x, phi).weights
-    got = fit_dr_learner(x, t, y).models["effect"].weights
+    got = fit_estimator("DR", x, t, y).models["effect"].weights
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
@@ -137,8 +130,8 @@ def test_dr_learner_recovers_constant_effect_under_confounding():
     p_true = 1 / (1 + np.exp(-1.5 * x[:, 0]))
     t = (rng.random(n) < p_true).astype(float)
     y = 3.0 * t + x[:, 0] + 0.3 * rng.normal(size=n)
-    est = fit_dr_learner(x, t, y)
-    assert abs(predict_cate(est, x).mean() - 3.0) < 0.1
+    est = fit_estimator("DR", x, t, y)
+    assert abs(est.predict(x).mean() - 3.0) < 0.1
 
 
 def test_zero_outcome_gives_zero_effect():
@@ -146,23 +139,23 @@ def test_zero_outcome_gives_zero_effect():
     x = rng.normal(size=(200, 2))
     t = (rng.random(200) < 0.5).astype(float)
     y = np.zeros(200)
-    tau_hat = predict_cate(fit_dr_learner(x, t, y), x)
+    tau_hat = fit_estimator("DR", x, t, y).predict(x)
     assert np.allclose(tau_hat, 0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("fit", [fit_s_learner, fit_t_learner])
-def test_arm_swap_negates_effect_exactly(fit):
+@pytest.mark.parametrize("kind", ["S", "T"])
+def test_arm_swap_negates_effect_exactly(kind):
     x, t, y, _ = _randomized(2_000, 8, "linear")
-    tau = predict_cate(fit(x, t, y), x)
-    tau_swapped = predict_cate(fit(x, 1.0 - t, y), x)
+    tau = fit_estimator(kind, x, t, y).predict(x)
+    tau_swapped = fit_estimator(kind, x, 1.0 - t, y).predict(x)
     assert np.allclose(tau_swapped, -tau, atol=1e-10)
 
 
-@pytest.mark.parametrize("fit", [fit_s_learner, fit_t_learner])
-def test_affine_outcome_equivariance(fit):
+@pytest.mark.parametrize("kind", ["S", "T"])
+def test_affine_outcome_equivariance(kind):
     x, t, y, _ = _randomized(2_000, 9, "linear")
-    tau = predict_cate(fit(x, t, y), x)
-    tau_scaled = predict_cate(fit(x, t, -2.5 * y + 7.0), x)
+    tau = fit_estimator(kind, x, t, y).predict(x)
+    tau_scaled = fit_estimator(kind, x, t, -2.5 * y + 7.0).predict(x)
     assert np.allclose(tau_scaled, -2.5 * tau, atol=1e-8)
 
 
@@ -177,7 +170,7 @@ def test_randomized_consistency_across_sample_sizes():
         y = t * tau + x[:, 1] + 0.5 * rng.normal(size=n)
         for kind in ("S", "T", "X", "DR"):
             est = fit_estimator(kind, x, t, y)
-            err = abs(predict_cate(est, x).mean() - tau.mean())
+            err = abs(est.predict(x).mean() - tau.mean())
             errors.setdefault(kind, []).append(err)
     for kind, errs in errors.items():
         assert errs[-1] < 0.08, f"{kind} mean effect off by {errs[-1]:.3f} at n=8000"
@@ -186,11 +179,11 @@ def test_randomized_consistency_across_sample_sizes():
 def test_empty_arm_rejected():
     x = np.ones((10, 1))
     with pytest.raises(DegenerateArms):
-        fit_t_learner(x, np.ones(10), np.ones(10))
+        fit_estimator("T", x, np.ones(10), np.ones(10))
 
 
 def test_prediction_dimension_checked():
     x, t, y, _ = _randomized(200, 10, "null")
-    est = fit_t_learner(x, t, y)
+    est = fit_estimator("T", x, t, y)
     with pytest.raises(DimensionMismatch):
-        predict_cate(est, x[:, :2])
+        est.predict(x[:, :2])

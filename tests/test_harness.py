@@ -367,6 +367,14 @@ def test_config_json_round_trip():
     assert config.methods[1].method_id == "HteFitF(TauRisk)+T"
 
 
+def test_config_json_absent_keys_take_dataclass_defaults():
+    scm = {"d": 6, "p_e": 0.4, "sigma": 0.2, "rho": 0.5, "gamma": True,
+           "m": 1, "p_h": 0, "m_p": False, "n": 300}
+    payload = {"scm": scm, "methods": [{"selector": "None"}]}
+    config = config_from_json(json.dumps(payload))
+    assert config == ExperimentConfig(base=scm, methods=(MethodSpec("None"),))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -374,6 +382,7 @@ def test_config_json_round_trip():
         lambda p: p["methods"].append({"selector": "Bogus"}),
         lambda p: p.update(replicates=0),
         lambda p: p["scm"].update(d=1),
+        lambda p: p["methods"].append({"estimator": "T"}),
     ],
 )
 def test_config_errors_rejected(mutate):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hteselect.errors import InfeasibleSpec, NotPositiveDefinite, NoValidPair
 from hteselect.scm_gen import (
@@ -22,6 +24,7 @@ from hteselect.scm_gen import (
     true_ite,
     validate_dataset,
 )
+from hteselect.structure_fit import PartialGraph
 
 from conftest import build_graph
 
@@ -84,6 +87,68 @@ def test_no_backdoor_in_pure_chain():
 
 def test_backdoor_in_multivariable_graph(multivariable_graph):
     assert has_backdoor_path(multivariable_graph, 2, 8)
+
+
+# ---------------------------------------------------------------------------
+# graph walks against a transitive-closure oracle
+# ---------------------------------------------------------------------------
+
+
+def _closure(adj):
+    """reach[i, j]: j is reachable from i by directed edges, or i == j."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    while True:
+        grown = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+def _nodes(row):
+    return set(np.flatnonzero(row).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(3, 12),
+    p_e=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graph_walks_match_transitive_closure(d, p_e, seed):
+    g = sample_graph(_spec(d=d, p_e=p_e), np.random.default_rng(seed))
+    reach = _closure(g.adj)
+    edges = list(zip(*np.nonzero(g.adj)))
+    partial = PartialGraph()
+    for u, v in edges:
+        assert partial.add_directed_edge(int(u), int(v))
+    for v in range(d):
+        assert g.descendants(v) == _nodes(reach[v])
+        assert g.descendants(v, include_self=False) == _nodes(reach[v]) - {v}
+        assert g.ancestors(v) == _nodes(reach[:, v])
+        assert g.ancestors(v, include_self=False) == _nodes(reach[:, v]) - {v}
+        assert partial.descendants(v) == _nodes(reach[v])
+
+    for t in range(d):
+        # common-ancestor definition: some a != t, y has a directed path into
+        # t and one into y that avoids t
+        cut = g.adj.copy()
+        cut[t, :] = False
+        cut[:, t] = False
+        reach_cut = _closure(cut)
+        for y in range(d):
+            if y == t:
+                continue
+            want = any(
+                reach[a, t] and reach_cut[a, y] for a in range(d) if a not in (t, y)
+            )
+            assert has_backdoor_path(g, t, y) == want, (t, y)
+
+    # an edge that would close a cycle is refused and stored reversed
+    for u, v in zip(*np.nonzero(reach & ~np.eye(d, dtype=bool))):
+        closed = PartialGraph(set(partial.nodes), set(partial.directed_edges))
+        assert not closed.add_directed_edge(int(v), int(u))
+        assert (u, v) in closed.directed_edges
+        assert (v, u) not in closed.directed_edges
 
 
 # ---------------------------------------------------------------------------

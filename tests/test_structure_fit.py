@@ -15,7 +15,6 @@ from hteselect.structure_fit import (
     binary_direction_loglik,
     d_separated,
     discover_colliders,
-    fisher_z,
     local_structure,
     oracle_adjustment,
     orient_reci,
@@ -36,7 +35,7 @@ CFG = CiTestConfig(alpha=0.05, max_cond=3)
 def test_identical_columns_dependent():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(200, 2))
-    p, indep = fisher_z(data, 0, 0, (), CFG)
+    p, indep = FisherZTester(data, CFG).test(0, 0, ())
     assert p == 0.0 and not indep
 
 
@@ -46,7 +45,7 @@ def test_fisher_z_calibration_on_independent_normals():
     trials = 2000
     for _ in range(trials):
         data = rng.normal(size=(100, 2))
-        _, indep = fisher_z(data, 0, 1, (), CFG)
+        _, indep = FisherZTester(data, CFG).test(0, 1, ())
         rejections += not indep
     rate = rejections / trials
     assert 0.03 <= rate <= 0.07
@@ -73,7 +72,7 @@ def test_chain_conditional_independence_detected():
 def test_sample_size_precondition():
     data = np.random.default_rng(2).normal(size=(5, 4))
     with pytest.raises(ValueError):
-        fisher_z(data, 0, 1, (2, 3), CFG)
+        FisherZTester(data, CFG).test(0, 1, (2, 3))
 
 
 # ---------------------------------------------------------------------------
