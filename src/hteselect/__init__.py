@@ -17,6 +17,7 @@ from .errors import (
     LengthMismatch,
     NotPositiveDefinite,
     NoValidPair,
+    NumericError,
     SingularSystem,
 )
 from .estimators import CateEstimator, fit_estimator

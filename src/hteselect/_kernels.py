@@ -9,6 +9,8 @@ ties at round-off level, break toward the lowest row index.
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import NumericError
+
 # perfbench/worker.py records this in its environment line
 HAS_NUMBA = False
 
@@ -27,11 +29,16 @@ def nn_opposite_arm(x, treated):
     Returns:
         (n,) int64 array of neighbor row indices; among equidistant
         neighbors the lowest row index wins.
+
+    Raises:
+        NumericError: a feature value is not finite.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.asarray(treated).astype(np.int8)
     if x.ndim != 2 or t.shape != (x.shape[0],):
         raise ValueError("x must be (n, k) and treated must be (n,)")
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite features")
     n = x.shape[0]
     out = np.empty(n, dtype=np.int64)
     idx = np.arange(n)

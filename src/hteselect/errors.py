@@ -39,3 +39,7 @@ class ConstantColumn(HteSelectError):
 
 class ConfigError(HteSelectError):
     """Invalid experiment or CLI configuration."""
+
+
+class NumericError(HteSelectError):
+    """Numeric inputs a computation cannot use (non-finite values, too few rows)."""

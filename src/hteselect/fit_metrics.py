@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._kernels import nn_opposite_arm
 from .errors import DegenerateArms, LengthMismatch
@@ -129,13 +128,25 @@ class RankSummary(NamedTuple):
     count: int
 
 
+def _mean_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks, ties sharing the mean of their positions.
+
+    Any NaN makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    below = (values[None, :] < values[:, None]).sum(axis=1)
+    tied = (values[None, :] == values[:, None]).sum(axis=1)
+    return below + (tied + 1) / 2.0
+
+
 def rank_methods(
     mse_by_scm: Mapping[object, Mapping[str, float]],
 ) -> tuple[dict[str, RankSummary], dict[object, dict[str, float]]]:
     """Rank methods within each SCM by ascending MSE and average across SCMs.
 
     Ties receive the mean of the tied rank positions, so ranks within one
-    SCM always sum to k(k+1)/2.
+    SCM always sum to k(k+1)/2; an SCM with a NaN MSE ranks every method NaN.
 
     Returns:
         (per-method summary, per-SCM rank assignment).
@@ -144,7 +155,7 @@ def rank_methods(
     collected: dict[str, list[float]] = {}
     for scm_id, method_mse in mse_by_scm.items():
         methods = list(method_mse)
-        ranks = rankdata([method_mse[m] for m in methods], method="average")
+        ranks = _mean_ranks(np.array([method_mse[m] for m in methods], dtype=np.float64))
         per_scm[scm_id] = {m: float(r) for m, r in zip(methods, ranks)}
         for m, r in zip(methods, ranks):
             collected.setdefault(m, []).append(float(r))

@@ -482,9 +482,9 @@ def report(rows: list[BenchmarkRow]) -> ReportSummary:
 # ---------------------------------------------------------------------------
 
 
-# optional top-level keys and their casts; an absent key keeps the field's
-# ExperimentConfig default
-_CONFIG_CASTS = {
+# optional top-level keys and their JSON types; an absent key keeps the
+# field's ExperimentConfig default
+_CONFIG_TYPES = {
     "replicates": int,
     "grid": dict,
     "split_ratio": float,
@@ -494,6 +494,15 @@ _CONFIG_CASTS = {
     "workers": int,
     "record_timing": bool,
 }
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` as ``kind`` if its JSON type fits: a bool only where a bool
+    is wanted, an integer also where a float is."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -511,7 +520,8 @@ def config_from_json(text: str) -> ExperimentConfig:
         config = ExperimentConfig(
             base=dict(payload["scm"]),
             methods=methods,
-            **{k: cast(payload[k]) for k, cast in _CONFIG_CASTS.items() if k in payload},
+            **{k: _typed(k, payload[k], kind) for k, kind in _CONFIG_TYPES.items()
+               if k in payload},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc

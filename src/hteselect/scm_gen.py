@@ -173,21 +173,43 @@ def sample_graph(spec: ScmSpec, rng: np.random.Generator) -> CausalGraph:
     return CausalGraph(order=np.arange(d), adj=adj, coef=coef)
 
 
+def _strict_closure(adj: np.ndarray) -> np.ndarray:
+    """``reach[u, v]`` iff a directed path of one or more edges leads u to v.
+
+    ``adj`` must be upper triangular (the causal order), so a node's row is
+    final once its children's rows are: one reverse pass of row ORs.
+    """
+    reach = adj.copy()
+    for v in range(adj.shape[0] - 2, -1, -1):
+        kids = adj[v]
+        if kids.any():
+            reach[v] |= reach[kids].any(axis=0)
+    return reach
+
+
+def backdoor_row(graph: CausalGraph, t: int) -> np.ndarray:
+    """``row[y]`` iff ``has_backdoor_path(graph, t, y)``, for every y at once.
+
+    Ancestors of t are read from the closure of the graph with t removed
+    (no path into t passes through t), and the same closure gives which of
+    them reach each y while avoiding t.
+    """
+    cut = graph.adj.copy()
+    cut[t, :] = False
+    cut[:, t] = False
+    reach = _strict_closure(cut)
+    into_t = graph.adj[:, t]
+    anc_t = into_t | reach[:, into_t].any(axis=1)
+    return reach[anc_t].any(axis=0)
+
+
 def has_backdoor_path(graph: CausalGraph, t: int, y: int) -> bool:
     """True iff some node has directed paths into both t and y, the one to y
     avoiding t (common-ancestor criterion; equivalent to an open backdoor
     path in a DAG when nothing is conditioned on)."""
     if t == y:
         raise ValueError("t and y must differ")
-    anc_t = graph.ancestors(t, include_self=False)
-    anc_t.discard(y)
-    if not anc_t:
-        return False
-    # reachability to y in the graph with t removed
-    adj = graph.adj.copy()
-    adj[t, :] = False
-    adj[:, t] = False
-    return bool(anc_t & reachable(y, lambda v: np.flatnonzero(adj[:, v]).tolist()))
+    return bool(backdoor_row(graph, t)[y])
 
 
 def _exact_hop_pairs(graph: CausalGraph, m: int) -> list[tuple[int, int]]:
@@ -228,7 +250,8 @@ def _lex_smallest_chain(graph: CausalGraph, t: int, y: int, m: int) -> list[int]
 def role_candidates(graph: CausalGraph, spec: ScmSpec) -> list[tuple[int, int]]:
     """(t, y) pairs with an exact-m-hop path matching the confounding flag."""
     pairs = _exact_hop_pairs(graph, spec.m)
-    return [(t, y) for t, y in pairs if has_backdoor_path(graph, t, y) == spec.gamma]
+    rows = {t: backdoor_row(graph, t) for t in dict.fromkeys(t for t, _ in pairs)}
+    return [(t, y) for t, y in pairs if rows[t][y] == spec.gamma]
 
 
 def select_roles(

@@ -26,14 +26,13 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import erfc, expit
 
-from .errors import ConstantColumn
+from .errors import ConstantColumn, NumericError
 from .scm_gen import CausalGraph, reachable
 
 logger = logging.getLogger(__name__)
@@ -41,6 +40,7 @@ logger = logging.getLogger(__name__)
 RECI_TIE_TOL = 1e-6
 CHILD_GATE = 0.02  # min relative residual gap to call a node a child
 LR_THRESHOLD = 0.5  # log-likelihood margin to call a treatment edge outgoing
+FIRST_BATCH = 8  # conditioning sets in first_independent's first batch
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,14 @@ class CiTestConfig:
 class CiTester(Protocol):
     def independent(self, i: int, j: int, cond: tuple[int, ...]) -> bool: ...
 
+    def first_independent(
+        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
+    ) -> int | None: ...
+
+
+def _key(i: int, j: int, cond: Iterable[int]) -> tuple:
+    return (min(i, j), max(i, j), tuple(sorted(cond)))
+
 
 class FisherZTester:
     """Partial-correlation independence test with a cached correlation matrix."""
@@ -76,45 +84,94 @@ class FisherZTester:
 
     def test(self, i: int, j: int, cond: tuple[int, ...] = ()) -> tuple[float, bool]:
         """Two-sided p-value and the independence verdict at level alpha."""
-        key = (min(i, j), max(i, j), tuple(sorted(cond)))
+        key = _key(i, j, cond)
         if key not in self._cache:
-            self._cache[key] = self._run(i, j, tuple(cond))
+            self._cache[key] = float(self._p_values(i, j, [tuple(cond)])[0])
         p = self._cache[key]
         return p, p > self.cfg.alpha
 
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return self.test(i, j, cond)[1]
 
-    def _run(self, i: int, j: int, cond: tuple[int, ...]) -> float:
-        n_cond = len(cond)
+    def first_independent(
+        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
+    ) -> int | None:
+        """Index of the first set in ``conds`` (all of one size) given which
+        i and j test independent, or None.
+
+        Same answer and same cache contents as calling ``independent`` on
+        each set in turn until one returns True: the sets are tested in
+        batches of FIRST_BATCH, then twice as many each time, and p-values
+        are cached only up to the returned index.
+        """
+        conds = iter(conds)
+        offset, size = 0, FIRST_BATCH
+        while batch := list(islice(conds, size)):
+            keys = [_key(i, j, cond) for cond in batch]
+            p = np.array([self._cache.get(key, 0.0) for key in keys])
+            todo = [k for k, key in enumerate(keys) if key not in self._cache]
+            if todo:
+                p[todo] = self._p_values(i, j, [batch[k] for k in todo])
+            hits = np.flatnonzero(p > self.cfg.alpha)
+            stop = int(hits[0]) + 1 if hits.size else len(batch)
+            self._cache.update(zip(keys[:stop], p[:stop].tolist()))
+            if hits.size:
+                return offset + int(hits[0])
+            offset += len(batch)
+            size *= 2
+        return None
+
+    def _p_values(self, i: int, j: int, conds: list[tuple[int, ...]]) -> np.ndarray:
+        """Fisher-z p-values of i and j given each of ``conds`` (one size).
+
+        All sets share one gathered stack of correlation sub-matrices and
+        one batched inverse.  A set whose sub-matrix is singular or whose
+        precision is ill-conditioned is logged and gets p = 0 (dependent).
+        """
+        sets = np.array(conds, dtype=np.intp).reshape(len(conds), -1)
+        count, n_cond = sets.shape
         if self.n <= n_cond + 3:
-            raise ValueError("need n > |cond| + 3 samples for the z transform")
+            raise NumericError("need n > |cond| + 3 samples for the z transform")
         if i == j:
-            return 0.0
+            return np.zeros(count)
         if n_cond == 0:
-            r = self.corr[i, j]
+            r = np.full(count, self.corr[i, j])
+            ok = np.ones(count, dtype=bool)
         else:
-            idx = [i, j, *cond]
-            sub = self.corr[np.ix_(idx, idx)]
+            idx = np.empty((count, n_cond + 2), dtype=np.intp)
+            idx[:, 0], idx[:, 1], idx[:, 2:] = i, j, sets
+            precision = _inverses(self.corr[idx[:, :, None], idx[:, None, :]])
+            denom = precision[:, 0, 0] * precision[:, 1, 1]
+            ok = denom > 0  # False for the NaN of a singular set
+            for k in np.flatnonzero(~ok):
+                if np.isnan(denom[k]):
+                    logger.warning(
+                        "singular conditioning set %s for (%d, %d); treating as dependent",
+                        conds[k], i, j,
+                    )
+                else:
+                    logger.warning(
+                        "ill-conditioned precision for (%d, %d | %s); treating as dependent",
+                        i, j, conds[k],
+                    )
+            r = -precision[:, 0, 1] / np.sqrt(np.where(ok, denom, 1.0))
+        r = np.clip(r, -0.9999999, 0.9999999)
+        z = 0.5 * np.log((1.0 + r) / (1.0 - r)) * math.sqrt(self.n - n_cond - 3)
+        return np.where(ok, erfc(np.abs(z) / math.sqrt(2.0)), 0.0)
+
+
+def _inverses(stack: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix in ``stack``; a singular one becomes all NaN."""
+    try:
+        return np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        out = np.full_like(stack, np.nan)
+        for k, matrix in enumerate(stack):
             try:
-                precision = np.linalg.inv(sub)
+                out[k] = np.linalg.inv(matrix)
             except np.linalg.LinAlgError:
-                logger.warning(
-                    "singular conditioning set %s for (%d, %d); treating as dependent",
-                    cond, i, j,
-                )
-                return 0.0
-            denom = precision[0, 0] * precision[1, 1]
-            if denom <= 0:
-                logger.warning(
-                    "ill-conditioned precision for (%d, %d | %s); treating as dependent",
-                    i, j, cond,
-                )
-                return 0.0
-            r = -precision[0, 1] / math.sqrt(denom)
-        r = min(0.9999999, max(-0.9999999, float(r)))
-        z = 0.5 * math.log((1.0 + r) / (1.0 - r)) * math.sqrt(self.n - n_cond - 3)
-        return float(2.0 * norm.sf(abs(z)))
+                pass
+        return out
 
 
 def d_separated(graph: CausalGraph, i: int, j: int, cond: Iterable[int]) -> bool:
@@ -148,6 +205,11 @@ class DSepOracle:
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return d_separated(self.graph, i, j, cond)
 
+    def first_independent(
+        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
+    ) -> int | None:
+        return next((k for k, c in enumerate(conds) if self.independent(i, j, c)), None)
+
 
 # ---------------------------------------------------------------------------
 # PC-set discovery and collider-based parent identification
@@ -163,19 +225,19 @@ def pc_simple(
     drops a survivor if it is independent of the target given any size-l
     subset of the other survivors.  Stops once survivors cannot supply a
     conditioning set or l exceeds max_cond.
+
+    One survivor's size-l sets go to ``first_independent`` as one call:
+    the survivor list only changes between calls, so this is the same
+    level-wise elimination as testing set by set (PC-simple; Bühlmann,
+    Kalisch & Maathuis, 2010).
     """
     survivors = sorted(c for c in set(candidates) if c != target)
-    survivors = [c for c in survivors if not tester.independent(c, target, ())]
-    level = 1
+    level = 0
     while level <= cfg.max_cond and len(survivors) > level:
         for c in list(survivors):
             others = [o for o in survivors if o != c]
-            if len(others) < level:
-                continue
-            for cond in combinations(others, level):
-                if tester.independent(c, target, cond):
-                    survivors.remove(c)
-                    break
+            if tester.first_independent(c, target, combinations(others, level)) is not None:
+                survivors.remove(c)
         level += 1
     return set(survivors)
 

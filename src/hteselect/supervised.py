@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
-from .errors import DegenerateArms, DimensionMismatch, SingularSystem
+from .errors import DegenerateArms, DimensionMismatch, NumericError, SingularSystem
 
 OUTCOME_LAMBDA = 1e-3
 PROPENSITY_LAMBDA = 1e-2
@@ -79,7 +79,7 @@ def _regression_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2 or y.shape != (x.shape[0],) or x.shape[0] < 1:
         raise ValueError("x must be (n, k) with matching y")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in regression inputs")
+        raise NumericError("non-finite values in regression inputs")
     return x, y
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from hteselect.errors import DegenerateArms, LengthMismatch
 from hteselect.fit_metrics import (
@@ -257,3 +258,19 @@ def test_ranks_sum_to_triangular_number():
         mse = {f"m{i}": float(rng.choice([1.0, 2.0, 2.0, 3.0])) for i in range(k)}
         _, per_scm = rank_methods({"s": mse})
         assert np.isclose(sum(per_scm["s"].values()), k * (k + 1) / 2)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0, 1.0, 3.0, 2.0, 1.0],  # ties
+        [np.inf, 1.0, np.inf, -np.inf, 0.5],  # infinities, tied and not
+        [4.2],  # a single method
+        [1.0, np.nan, 2.0],  # NaN: every rank NaN
+    ],
+)
+def test_rank_matches_scipy_rankdata(values):
+    methods = [f"m{i}" for i in range(len(values))]
+    _, per_scm = rank_methods({"s": dict(zip(methods, values))})
+    want = rankdata(values, method="average")
+    np.testing.assert_array_equal([per_scm["s"][m] for m in methods], want)

@@ -383,6 +383,9 @@ def test_config_json_absent_keys_take_dataclass_defaults():
         lambda p: p.update(replicates=0),
         lambda p: p["scm"].update(d=1),
         lambda p: p["methods"].append({"estimator": "T"}),
+        lambda p: p.update(record_timing="false"),
+        lambda p: p.update(replicates=2.9),
+        lambda p: p.update(replicates=True),
     ],
 )
 def test_config_errors_rejected(mutate):

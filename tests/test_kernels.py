@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hteselect import _kernels
+from hteselect.errors import NumericError
 
 
 def _brute_force(x, t):
@@ -65,5 +66,5 @@ def test_single_class_rejected():
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         _kernels.nn_opposite_arm(np.array([[0.0], [np.nan]]), np.array([0, 1]))

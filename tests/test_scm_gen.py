@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hteselect import scm_gen
 from hteselect.errors import InfeasibleSpec, NotPositiveDefinite, NoValidPair
+from hteselect.harness import ExperimentConfig, MethodSpec
 from hteselect.scm_gen import (
     CausalGraph,
     ScmSpec,
+    backdoor_row,
     dataset_from_csv,
     dataset_to_csv,
     generate,
@@ -128,6 +131,7 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
         assert g.ancestors(v, include_self=False) == _nodes(reach[:, v]) - {v}
         assert partial.descendants(v) == _nodes(reach[v])
 
+    backdoor = np.zeros((d, d), dtype=bool)
     for t in range(d):
         # common-ancestor definition: some a != t, y has a directed path into
         # t and one into y that avoids t
@@ -138,10 +142,19 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
         for y in range(d):
             if y == t:
                 continue
-            want = any(
+            backdoor[t, y] = any(
                 reach[a, t] and reach_cut[a, y] for a in range(d) if a not in (t, y)
             )
-            assert has_backdoor_path(g, t, y) == want, (t, y)
+            assert has_backdoor_path(g, t, y) == backdoor[t, y], (t, y)
+        assert np.array_equal(backdoor_row(g, t), backdoor[t]), t
+
+    # role candidates: exact-hop pairs filtered by the backdoor criterion
+    for m in range(min(3, d - 1)):
+        hops = np.linalg.matrix_power(g.adj.astype(np.int64), m + 1)
+        pairs = [(int(t), int(y)) for t, y in zip(*np.nonzero(hops))]
+        for gamma in (False, True):
+            want = [(t, y) for t, y in pairs if backdoor[t, y] == gamma]
+            assert role_candidates(g, _spec(d=d, m=m, gamma=gamma)) == want, (m, gamma)
 
     # an edge that would close a cycle is refused and stored reversed
     for u, v in zip(*np.nonzero(reach & ~np.eye(d, dtype=bool))):
@@ -199,6 +212,40 @@ def test_sample_or_retry_feasible_and_infeasible():
     assert attempts >= 1 and g.t_node is not None
     with pytest.raises(InfeasibleSpec):
         sample_or_retry(_spec(p_e=0.0, gamma=True, m=1), np.random.default_rng(0))
+
+
+def _pairwise_role_candidates(graph, spec):
+    """Role search with one ancestor walk per exact-hop pair."""
+
+    def backdoor(t, y):
+        cut = graph.adj.copy()
+        cut[t, :] = False
+        cut[:, t] = False
+        anc_y = scm_gen.reachable(y, lambda v: np.flatnonzero(cut[:, v]).tolist())
+        return bool((graph.ancestors(t, include_self=False) - {y}) & anc_y)
+
+    hops = np.linalg.matrix_power(graph.adj.astype(np.int64), spec.m + 1)
+    return [(int(t), int(y)) for t, y in zip(*np.nonzero(hops))
+            if backdoor(int(t), int(y)) == spec.gamma]
+
+
+def test_sample_or_retry_matches_pairwise_role_search(monkeypatch):
+    # the six SCMs of the perfbench discovery_wide panel (master seeds 0-5)
+    base = dict(d=60, p_e=0.2, sigma=0.2, rho=0.1, gamma=True, m=2, p_h=1,
+                m_p=False, n=10000)
+    specs = [ExperimentConfig(base=base, methods=(MethodSpec("None"),), master_seed=seed)
+             .spec_for_replicate(0) for seed in range(6)]
+
+    def sample_all():
+        out = []
+        for spec in specs:
+            g, attempts = sample_or_retry(spec, np.random.default_rng(spec.seed))
+            out.append((graph_to_json(g, spec), attempts))
+        return out
+
+    fast = sample_all()
+    monkeypatch.setattr(scm_gen, "role_candidates", _pairwise_role_candidates)
+    assert sample_all() == fast
 
 
 def test_sample_or_retry_success_rate():

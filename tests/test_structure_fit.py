@@ -1,9 +1,19 @@
 """Discovery pipeline: CI testing, PC sets, colliders, orientation, traversal."""
 
+import logging
+import math
+import os
+import subprocess
+import sys
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from hteselect.errors import ConstantColumn
+import hteselect
+
+from hteselect.errors import ConstantColumn, NumericError
 from hteselect.scm_gen import ScmSpec, generate, sample_or_retry
 from hteselect.structure_fit import (
     CiTestConfig,
@@ -71,8 +81,114 @@ def test_chain_conditional_independence_detected():
 
 def test_sample_size_precondition():
     data = np.random.default_rng(2).normal(size=(5, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         FisherZTester(data, CFG).test(0, 1, (2, 3))
+
+
+def _with_correlation(r, n, rng):
+    """Two columns whose sample correlation is r up to round-off."""
+    a, b = rng.normal(size=(2, n))
+    a = (a - a.mean()) / a.std()
+    b = b - b.mean()
+    b -= (b @ a) / n * a
+    b /= b.std()
+    return np.column_stack([a, r * a + math.sqrt(1.0 - r * r) * b])
+
+
+def test_p_value_matches_normal_tail_on_z_grid():
+    n = 100
+    rng = np.random.default_rng(5)
+    for target in np.linspace(0.0, 8.0, 161):
+        tester = FisherZTester(_with_correlation(math.tanh(target / math.sqrt(n - 3)), n, rng), CFG)
+        r = tester.corr[0, 1]
+        z = math.atanh(r) * math.sqrt(n - 3)
+        p, _ = tester.test(0, 1)
+        want = 2.0 * norm.sf(abs(z))
+        assert abs(p - want) <= 1e-12 * want, (target, p, want)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(hteselect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hteselect; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def _correlated_data(seed, n=300, d=10):
+    """Rows of a random linear-Gaussian model: some pairs dependent, some not."""
+    rng = np.random.default_rng(seed)
+    coef = np.triu(rng.uniform(-1.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.3), k=1)
+    data = np.zeros((n, d))
+    for v in range(d):
+        data[:, v] = data @ coef[:, v] + rng.normal(size=n)
+    return data
+
+
+def _scalar_first(tester, i, j, conds):
+    return next((k for k, c in enumerate(conds) if tester.independent(i, j, c)), None)
+
+
+def test_first_independent_matches_scalar_loop():
+    stops = []
+    for seed in range(4):
+        data = _correlated_data(seed)
+        batched, scalar = FisherZTester(data, CFG), FisherZTester(data, CFG)
+        for level in (1, 2, 3):
+            for i, j in combinations(range(data.shape[1]), 2):
+                others = [o for o in range(data.shape[1]) if o not in (i, j)]
+                conds = list(combinations(others, level))
+                got = batched.first_independent(i, j, iter(conds))
+                assert got == _scalar_first(scalar, i, j, conds), (seed, level, i, j)
+                stops.append(got)
+        assert batched._cache.keys() == scalar._cache.keys()
+        for key, p in scalar._cache.items():
+            assert batched._cache[key] == pytest.approx(p, rel=1e-12, abs=1e-300)
+    # the sweep reaches past the first batch and also finds no independent set
+    assert None in stops and any(k is not None and k >= 8 for k in stops)
+
+
+def _scalar_pc_simple(tester, target, candidates, cfg):
+    """pc_simple as a set-by-set loop over ``independent``."""
+    survivors = [c for c in sorted(candidates) if not tester.independent(c, target, ())]
+    level = 1
+    while level <= cfg.max_cond and len(survivors) > level:
+        for c in list(survivors):
+            others = [o for o in survivors if o != c]
+            if any(tester.independent(c, target, s) for s in combinations(others, level)):
+                survivors.remove(c)
+        level += 1
+    return set(survivors)
+
+
+def test_pc_simple_caches_exactly_the_scalar_keys():
+    for seed in range(4):
+        data = _correlated_data(seed, d=12)
+        for target in range(data.shape[1]):
+            candidates = [c for c in range(data.shape[1]) if c != target]
+            batched, scalar = FisherZTester(data, CFG), FisherZTester(data, CFG)
+            assert pc_simple(batched, target, candidates, CFG) == _scalar_pc_simple(
+                scalar, target, candidates, CFG
+            )
+            assert batched._cache.keys() == scalar._cache.keys()
+
+
+def test_singular_set_in_a_batch_is_dependent(caplog):
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(200, 5))
+    data[:, 1] += 0.4 * data[:, 0]
+    conds = [(2, 3), (3, 3), (2, 4), (3, 4)]  # (3, 3) repeats a column
+    tester = FisherZTester(data, CFG)
+    with caplog.at_level(logging.WARNING, logger="hteselect.structure_fit"):
+        assert tester.first_independent(0, 1, conds) is None
+    singular = [rec for rec in caplog.records if "singular" in rec.getMessage()]
+    assert len(singular) == 1 and "(3, 3)" in singular[0].getMessage()
+    assert tester.test(0, 1, (3, 3))[0] == 0.0
+    for cond in (c for c in conds if c != (3, 3)):
+        p = FisherZTester(data, CFG).test(0, 1, cond)[0]
+        assert 0.0 < p < CFG.alpha
+        assert tester.test(0, 1, cond)[0] == pytest.approx(p, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

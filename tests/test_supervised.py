@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hteselect.errors import DegenerateArms, DimensionMismatch, SingularSystem
+from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError, SingularSystem
 from hteselect.supervised import (
     LinearModel,
     Moments,
@@ -154,6 +154,15 @@ def test_dimension_mismatch():
     model = fit_ridge(np.ones((5, 2)), np.ones(5), lam=0.1)
     with pytest.raises(DimensionMismatch):
         predict(model, np.ones((5, 3)))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("bad", ["x", "y"])
+def test_non_finite_inputs_raise_numeric_error(lam, bad):
+    x, y = np.arange(6.0).reshape(3, 2), np.ones(3)
+    (x if bad == "x" else y)[1] = np.inf if bad == "x" else np.nan
+    with pytest.raises(NumericError):
+        fit_ridge(x, y, lam=lam)
 
 
 # ---------------------------------------------------------------------------
