@@ -18,16 +18,12 @@ from .errors import (
     NotPositiveDefinite,
     NoValidPair,
     NumericError,
-    SingularSystem,
 )
 from .estimators import CateEstimator, fit_estimator
 from .fit_metrics import (
-    cfcv,
     inclusion_error,
     mse_true,
-    nn_pehe,
     plugin_tau,
-    rank_methods,
     tau_risk,
 )
 from .harness import (

@@ -17,10 +17,6 @@ class NotPositiveDefinite(HteSelectError):
     """Noise covariance is numerically too close to singular."""
 
 
-class SingularSystem(HteSelectError):
-    """Unpenalized least squares on a rank-deficient design."""
-
-
 class DegenerateArms(HteSelectError):
     """A treatment arm required by an estimator is empty."""
 

@@ -5,12 +5,13 @@ The four heuristic metrics score a fitted effect estimator without ground
 truth: an outcome/propensity residual product form, nearest-neighbor
 imputed effects, reference-estimator imputed effects, and doubly robust
 imputed effects.  Each is a mean of squares, so values are nonnegative and
-zero exactly when the defining residuals vanish.
+zero exactly when the defining residuals vanish.  The three imputation
+metrics are one function, ``plugin_tau``, against different imputations.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,17 +59,10 @@ def nn_imputed_effects(x, y, t) -> np.ndarray:
     return (2.0 * t - 1.0) * (y - y[nn])
 
 
-def nn_pehe(tau_hat, x, y, t) -> float:
-    """Mean squared gap between matched-neighbor imputations and tau_hat."""
-    tau_tilde = nn_imputed_effects(x, y, t)
-    tau_hat = _as_vectors(tau_hat)[0]
-    if tau_hat.shape != tau_tilde.shape:
-        raise LengthMismatch("tau_hat length must match x rows")
-    return float(np.mean((tau_tilde - tau_hat) ** 2))
-
-
 def plugin_tau(tau_hat, tau_tilde) -> float:
-    """Mean squared gap to effects imputed by a reference estimator."""
+    """Mean squared gap to imputed effects: a reference estimator's
+    (PluginTau), ``nn_imputed_effects`` (NNPEHE) or
+    ``doubly_robust_effects`` (CFCV)."""
     tau_hat, tau_tilde = _as_vectors(tau_hat, tau_tilde)
     return float(np.mean((tau_tilde - tau_hat) ** 2))
 
@@ -84,15 +78,6 @@ def doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat) -> np.ndarray:
         + t * (y - m1_hat) / p_hat
         - (1.0 - t) * (y - m0_hat) / (1.0 - p_hat)
     )
-
-
-def cfcv(tau_hat, y, t, m1_hat, m0_hat, p_hat) -> float:
-    """Mean squared gap to doubly robust imputed effects."""
-    tau_hat = _as_vectors(tau_hat)[0]
-    tau_tilde = doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat)
-    if tau_hat.shape != tau_tilde.shape:
-        raise LengthMismatch("tau_hat length must match nuisance vectors")
-    return float(np.mean((tau_tilde - tau_hat) ** 2))
 
 
 def mse_true(tau_hat, tau) -> float:
@@ -128,39 +113,13 @@ class RankSummary(NamedTuple):
     count: int
 
 
-def _mean_ranks(values: np.ndarray) -> np.ndarray:
+def mean_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ascending ranks, ties sharing the mean of their positions.
 
-    Any NaN makes every rank NaN.
+    Ranks of k values always sum to k(k+1)/2; any NaN makes every rank NaN.
     """
     if np.isnan(values).any():
         return np.full(values.shape, np.nan)
     below = (values[None, :] < values[:, None]).sum(axis=1)
     tied = (values[None, :] == values[:, None]).sum(axis=1)
     return below + (tied + 1) / 2.0
-
-
-def rank_methods(
-    mse_by_scm: Mapping[object, Mapping[str, float]],
-) -> tuple[dict[str, RankSummary], dict[object, dict[str, float]]]:
-    """Rank methods within each SCM by ascending MSE and average across SCMs.
-
-    Ties receive the mean of the tied rank positions, so ranks within one
-    SCM always sum to k(k+1)/2; an SCM with a NaN MSE ranks every method NaN.
-
-    Returns:
-        (per-method summary, per-SCM rank assignment).
-    """
-    per_scm: dict[object, dict[str, float]] = {}
-    collected: dict[str, list[float]] = {}
-    for scm_id, method_mse in mse_by_scm.items():
-        methods = list(method_mse)
-        ranks = _mean_ranks(np.array([method_mse[m] for m in methods], dtype=np.float64))
-        per_scm[scm_id] = {m: float(r) for m, r in zip(methods, ranks)}
-        for m, r in zip(methods, ranks):
-            collected.setdefault(m, []).append(float(r))
-    summary = {
-        m: RankSummary(float(np.mean(v)), float(np.std(v)), len(v))
-        for m, v in collected.items()
-    }
-    return summary, per_scm

@@ -98,6 +98,9 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if not self.methods:
             raise ConfigError("at least one method is required")
+        ids = [m.method_id for m in self.methods]
+        if len(set(ids)) < len(ids):
+            raise ConfigError(f"duplicate methods in {ids}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
 
@@ -165,7 +168,6 @@ def hte_fs(
     estimator: str = "T",
     seed: int = 0,
     cfg: structure_fit.CiTestConfig | None = None,
-    direction: str = "forward",
 ) -> tuple[tuple[int, ...], dict]:
     """Greedy metric selection followed by structure-based pruning.
 
@@ -174,7 +176,7 @@ def hte_fs(
     estimation needs at least one column.
     """
     trace = hte_fit.select_features(
-        x, t, y, metric=metric, estimator=estimator, direction=direction, seed=seed
+        x, t, y, metric=metric, estimator=estimator, seed=seed
     )
     stage_one = trace.final_set
     k = np.asarray(x).shape[1]
@@ -358,10 +360,9 @@ def assign_ranks(rows: list[BenchmarkRow]) -> None:
         by_scm.setdefault(row.scm_id, []).append(row)
     for scm_rows in by_scm.values():
         valid = [r for r in scm_rows if not r.failed]
-        if valid:
-            _, per_scm = fit_metrics.rank_methods({"_": {r.method: r.mse for r in valid}})
-            for r in valid:
-                r.rank = per_scm["_"][r.method]
+        ranks = fit_metrics.mean_ranks(np.array([r.mse for r in valid], dtype=np.float64))
+        for r, rank in zip(valid, ranks):
+            r.rank = float(rank)
         worst = max((r.rank for r in valid), default=0.0)
         for r in scm_rows:
             if r.failed:
@@ -525,6 +526,7 @@ def config_from_json(text: str) -> ExperimentConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    # fail fast on unusable SCM parameters
-    config.spec_for_replicate(0)
+    # fail fast on unusable SCM parameters in any grid cell
+    for cell in range(len(config.grid_cells())):
+        config.spec_for_replicate(cell)
     return config

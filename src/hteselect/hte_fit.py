@@ -51,9 +51,6 @@ class SelectionTrace:
     metric: str
     direction: str
 
-    def accepted_scores(self) -> list[float]:
-        return [s.score for s in self.steps if s.accepted]
-
     def to_json(self) -> str:
         return json.dumps(
             {

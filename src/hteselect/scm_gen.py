@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterable
 
@@ -499,16 +498,3 @@ def dataset_from_csv(text: str) -> Dataset:
         tau=data[:, k + 2],
         post_treatment_mask=np.zeros(k, dtype=bool),
     )
-
-
-def validate_dataset(dataset: Dataset) -> None:
-    """Cheap invariant checks on a dataset's values and treatment classes."""
-    if not np.isfinite(dataset.x).all() or not np.isfinite(dataset.y).all():
-        raise ValueError("non-finite values in dataset")
-    if not np.isfinite(dataset.tau).all():
-        raise ValueError("non-finite ground-truth effects")
-    classes = np.unique(dataset.t)
-    if not np.array_equal(classes, np.array([0.0, 1.0])):
-        raise ValueError("treatment must contain both classes of {0, 1}")
-    if math.isnan(float(dataset.tau.sum())):
-        raise ValueError("tau contains NaN")

@@ -41,6 +41,9 @@ RECI_TIE_TOL = 1e-6
 CHILD_GATE = 0.02  # min relative residual gap to call a node a child
 LR_THRESHOLD = 0.5  # log-likelihood margin to call a treatment edge outgoing
 FIRST_BATCH = 8  # conditioning sets in first_independent's first batch
+# largest precision diagonal, 1/(1 - R^2) of a sub-matrix's worst column, that
+# still counts as invertible; beyond it the partial correlation is rounding noise
+MAX_PRECISION = 1e8
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,10 @@ class FisherZTester:
         """Fisher-z p-values of i and j given each of ``conds`` (one size).
 
         All sets share one gathered stack of correlation sub-matrices and
-        one batched inverse.  A set whose sub-matrix is singular or whose
-        precision is ill-conditioned is logged and gets p = 0 (dependent).
+        one batched inverse.  A set whose sub-matrix is singular (not
+        invertible, or a precision diagonal above ``MAX_PRECISION``) or
+        whose precision is ill-conditioned is logged and gets p = 0
+        (dependent).
         """
         sets = np.array(conds, dtype=np.intp).reshape(len(conds), -1)
         count, n_cond = sets.shape
@@ -141,10 +146,12 @@ class FisherZTester:
             idx = np.empty((count, n_cond + 2), dtype=np.intp)
             idx[:, 0], idx[:, 1], idx[:, 2:] = i, j, sets
             precision = _inverses(self.corr[idx[:, :, None], idx[:, None, :]])
+            worst = np.diagonal(precision, axis1=1, axis2=2).max(axis=1)
+            singular = ~(worst <= MAX_PRECISION)  # NaN for a singular inverse
             denom = precision[:, 0, 0] * precision[:, 1, 1]
-            ok = denom > 0  # False for the NaN of a singular set
+            ok = ~singular & (denom > 0)
             for k in np.flatnonzero(~ok):
-                if np.isnan(denom[k]):
+                if singular[k]:
                     logger.warning(
                         "singular conditioning set %s for (%d, %d); treating as dependent",
                         conds[k], i, j,
@@ -243,7 +250,7 @@ def pc_simple(
 
 
 def discover_colliders(
-    tester: CiTester, target: int, pc: Iterable[int], cfg: CiTestConfig
+    tester: CiTester, target: int, pc: Iterable[int]
 ) -> set[int]:
     """Parents of ``target`` found through collider signatures.
 
@@ -399,7 +406,7 @@ def local_structure(
     classified by the orienter.
     """
     pc = pc_simple(tester, target, candidates, cfg)
-    parents = discover_colliders(tester, target, pc, cfg)
+    parents = discover_colliders(tester, target, pc)
     children: set[int] = set()
     for member in sorted(pc - parents):
         if orienter.classify(target, member) == "child":

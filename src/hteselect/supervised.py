@@ -9,9 +9,8 @@ Ridge solves the centered normal equations of the standardized design,
 (Z'Z + lam*I) b = Z'y, by Cholesky; because Z is centered the intercept is
 the mean of y.  ``Moments`` holds Z'Z, Z'y and the column moments of one
 block of rows, so a ridge fit on any column subset of those rows is a
-sub-block solve that never touches the rows again.  ``lstsq`` runs only for
-lam == 0 (after a rank check on the design) and as the fallback when the
-Cholesky factorization fails.
+sub-block solve that never touches the rows again.  ``lstsq`` runs only as
+the fallback when the Cholesky factorization fails.
 
 Logistic regression is IRLS with step halving on the standardized design
 (``Standardized``), optionally started from standardized-space weights.
@@ -25,7 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
-from .errors import DegenerateArms, DimensionMismatch, NumericError, SingularSystem
+from .errors import DegenerateArms, DimensionMismatch, NumericError
 
 OUTCOME_LAMBDA = 1e-3
 PROPENSITY_LAMBDA = 1e-2
@@ -41,12 +40,10 @@ class LinearModel:
 
     ``weights[0]`` is the intercept, ``weights[1:]`` the per-feature slopes.
     ``mu``/``scale`` record the standardization used during fitting (needed
-    to evaluate the penalized objective and to recover standardized-space
-    weights, not for prediction).
+    to recover standardized-space weights, not for prediction).
     """
 
     weights: np.ndarray
-    lam: float
     kind: str  # "regression" or "logistic"
     feature_dim: int
     mu: np.ndarray
@@ -151,7 +148,6 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
     w_std = np.concatenate([[y_mean], slopes])
     return LinearModel(
         weights=_fold_back(w_std, mu, scale),
-        lam=lam,
         kind="regression",
         feature_dim=k,
         mu=mu,
@@ -160,35 +156,9 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
-    """Ridge regression on standardized features, intercept unpenalized.
-
-    For lam > 0 this is the ``Moments`` normal-equation solve over all
-    columns.  For lam == 0 the intercept-augmented design is rank-checked
-    and solved by ``lstsq``.
-
-    Raises:
-        SingularSystem: lam == 0 and the design is rank-deficient.
-    """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if lam > 0.0:
-        return Moments.of(x, y).ridge(np.arange(np.shape(x)[1]), lam)
-    x, y = _regression_inputs(x, y)
-    n, k = x.shape
-    z, mu, scale = _standardize(x)
-    design = np.hstack([np.ones((n, 1)), z])
-    rank = np.linalg.matrix_rank(design)
-    if rank < k + 1:
-        raise SingularSystem(f"rank-deficient design (rank {rank} < {k + 1}) with lam=0")
-    w_std, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return LinearModel(
-        weights=_fold_back(w_std, mu, scale),
-        lam=lam,
-        kind="regression",
-        feature_dim=k,
-        mu=mu,
-        scale=scale,
-    )
+    """Ridge regression on standardized features, intercept unpenalized:
+    the ``Moments`` normal-equation solve over all columns (lam > 0)."""
+    return Moments.of(x, y).ridge(np.arange(np.shape(x)[1]), lam)
 
 
 @dataclass(frozen=True)
@@ -208,6 +178,8 @@ class Standardized:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("x must be (n, k)")
+        if not np.isfinite(x).all():
+            raise NumericError("non-finite values in logistic features")
         z, mu, scale = _standardize(x)
         design = np.empty((x.shape[0], x.shape[1] + 1), order="F")
         design[:, 0] = 1.0
@@ -249,6 +221,7 @@ def fit_logistic(
 
     Raises:
         DegenerateArms: t does not contain both classes.
+        NumericError: ``x`` holds non-finite values.
     """
     std = x if isinstance(x, Standardized) else Standardized.of(x)
     t = np.asarray(t, dtype=np.float64)
@@ -291,7 +264,6 @@ def fit_logistic(
             break
     return LinearModel(
         weights=_fold_back(w, std.mu, std.scale),
-        lam=lam,
         kind="logistic",
         feature_dim=k,
         mu=std.mu,
@@ -315,14 +287,3 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     if model.kind == "logistic":
         return np.clip(expit(score), *PROB_CLIP)
     return score
-
-
-def ridge_objective(model: LinearModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Penalized least-squares objective at the model's weights.
-
-    The penalty applies to standardized-space slopes, matching what
-    ``fit_ridge`` minimized; used by the uniqueness property test.
-    """
-    resid = y - predict(model, x)
-    w_std_slopes = model.weights[1:] * model.scale
-    return float(resid @ resid + model.lam * (w_std_slopes @ w_std_slopes))

@@ -6,16 +6,25 @@ from scipy.stats import rankdata
 
 from hteselect.errors import DegenerateArms, LengthMismatch
 from hteselect.fit_metrics import (
-    cfcv,
     doubly_robust_effects,
     inclusion_error,
+    mean_ranks,
     mse_true,
     nn_imputed_effects,
-    nn_pehe,
     plugin_tau,
-    rank_methods,
     tau_risk,
 )
+from hteselect.harness import BenchmarkRow, assign_ranks, report
+
+
+def nn_pehe(tau_hat, x, y, t):
+    """The NNPEHE metric as the scorer computes it."""
+    return plugin_tau(tau_hat, nn_imputed_effects(x, y, t))
+
+
+def cfcv(tau_hat, y, t, m1_hat, m0_hat, p_hat):
+    """The CFCV metric as the scorer computes it."""
+    return plugin_tau(tau_hat, doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat))
 
 # ---------------------------------------------------------------------------
 # tau risk
@@ -133,6 +142,8 @@ def test_nn_pehe_matches_quadratic_scan_oracle():
 def test_nn_pehe_needs_both_arms():
     with pytest.raises(DegenerateArms):
         nn_pehe(np.zeros(3), np.zeros((3, 1)), np.zeros(3), np.ones(3))
+    with pytest.raises(LengthMismatch):  # tau_hat shorter than the rows
+        nn_pehe(np.zeros(2), np.zeros((3, 1)), np.zeros(3), np.array([0.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +188,8 @@ def test_cfcv_direct_substitution():
 def test_cfcv_rejects_out_of_range_propensity():
     with pytest.raises(ValueError):
         cfcv([0.0], [1.0], [1.0], [0.5], [0.2], [1.0])
+    with pytest.raises(LengthMismatch):  # tau_hat longer than the nuisances
+        cfcv([0.0, 0.0], [1.0], [1.0], [0.5], [0.2], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +235,19 @@ def test_metric_values_nonnegative():
 # ---------------------------------------------------------------------------
 
 
+def _row(scm_id, method, mse):
+    return BenchmarkRow(scm_id, method, "None", "T", "", 1, (0,), mse, 0.0, 0.0, False)
+
+
 def test_rank_single_scm():
-    summary, per_scm = rank_methods({"s0": {"a": 1.0, "b": 2.0, "c": 3.0}})
-    assert per_scm["s0"] == {"a": 1.0, "b": 2.0, "c": 3.0}
-    assert summary["a"].mean == 1.0
+    rows = [_row("s0", m, mse) for m, mse in {"a": 1.0, "b": 2.0, "c": 3.0}.items()]
+    assign_ranks(rows)
+    assert [r.rank for r in rows] == [1.0, 2.0, 3.0]
+    assert report(rows).rank_table["a"].mean == 1.0
 
 
 def test_rank_all_ties_share_mean():
-    _, per_scm = rank_methods({"s0": {"a": 5.0, "b": 5.0, "c": 5.0}})
-    assert per_scm["s0"] == {"a": 2.0, "b": 2.0, "c": 2.0}
+    np.testing.assert_array_equal(mean_ranks(np.array([5.0, 5.0, 5.0])), [2.0, 2.0, 2.0])
 
 
 def test_rank_matches_brute_force_over_five_scms():
@@ -239,25 +256,29 @@ def test_rank_matches_brute_force_over_five_scms():
     table = {
         f"s{i}": {m: float(rng.integers(1, 6)) for m in methods} for i in range(5)
     }
-    summary, per_scm = rank_methods(table)
+    rows = [_row(scm, m, mse) for scm, mse_map in table.items() for m, mse in mse_map.items()]
+    assign_ranks(rows)
+    per_scm = {(r.scm_id, r.method): r.rank for r in rows}
     for scm, mse_map in table.items():
         for m in methods:
             better = sum(1 for v in mse_map.values() if v < mse_map[m])
             equal = sum(1 for v in mse_map.values() if v == mse_map[m])
             expected = better + (equal + 1) / 2
-            assert per_scm[scm][m] == expected
+            assert per_scm[scm, m] == expected
+    summary = report(rows).rank_table
     for m in methods:
-        vals = [per_scm[s][m] for s in table]
+        vals = [per_scm[s, m] for s in table]
         assert np.isclose(summary[m].mean, np.mean(vals))
+        assert np.isclose(summary[m].sd, np.std(vals))
+        assert summary[m].count == len(table)
 
 
 def test_ranks_sum_to_triangular_number():
     rng = np.random.default_rng(10)
     for _ in range(10):
         k = int(rng.integers(2, 7))
-        mse = {f"m{i}": float(rng.choice([1.0, 2.0, 2.0, 3.0])) for i in range(k)}
-        _, per_scm = rank_methods({"s": mse})
-        assert np.isclose(sum(per_scm["s"].values()), k * (k + 1) / 2)
+        mse = np.array([float(rng.choice([1.0, 2.0, 2.0, 3.0])) for _ in range(k)])
+        assert np.isclose(mean_ranks(mse).sum(), k * (k + 1) / 2)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +291,5 @@ def test_ranks_sum_to_triangular_number():
     ],
 )
 def test_rank_matches_scipy_rankdata(values):
-    methods = [f"m{i}" for i in range(len(values))]
-    _, per_scm = rank_methods({"s": dict(zip(methods, values))})
     want = rankdata(values, method="average")
-    np.testing.assert_array_equal([per_scm["s"][m] for m in methods], want)
+    np.testing.assert_array_equal(mean_ranks(np.array(values)), want)

@@ -386,6 +386,8 @@ def test_config_json_absent_keys_take_dataclass_defaults():
         lambda p: p.update(record_timing="false"),
         lambda p: p.update(replicates=2.9),
         lambda p: p.update(replicates=True),
+        lambda p: p.update(grid={"d": [10, 2]}, replicates=2),  # bad second cell
+        lambda p: p["methods"].extend([{"selector": "OracleValid"}, {"selector": "None"}]),
     ],
 )
 def test_config_errors_rejected(mutate):

@@ -121,7 +121,7 @@ def test_accepted_scores_strictly_decrease():
 
     for select in (forward_select, backward_select):
         trace = select(noisy, cols)
-        accepted = trace.accepted_scores()
+        accepted = [s.score for s in trace.steps if s.accepted]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
 
 

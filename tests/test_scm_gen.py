@@ -25,7 +25,6 @@ from hteselect.scm_gen import (
     sample_or_retry,
     select_roles,
     true_ite,
-    validate_dataset,
 )
 from hteselect.structure_fit import PartialGraph
 
@@ -386,7 +385,8 @@ def test_interaction_effect_matches_symbolic_expansion():
 def test_counterfactual_consistency_and_mask():
     spec = _spec(d=10, p_e=0.4, gamma=True, m=1, p_h=1, n=800, seed=11)
     g, ds, _ = make_dataset(spec)
-    validate_dataset(ds)
+    assert np.isfinite(ds.x).all() and np.isfinite(ds.y).all() and np.isfinite(ds.tau).all()
+    np.testing.assert_array_equal(np.unique(ds.t), [0.0, 1.0])
     # factual rows equal the matching do() arm exactly
     rng = np.random.default_rng(spec.seed)
     g2, _ = sample_or_retry(spec, rng)

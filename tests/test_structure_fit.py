@@ -191,6 +191,20 @@ def test_singular_set_in_a_batch_is_dependent(caplog):
         assert tester.test(0, 1, cond)[0] == pytest.approx(p, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_duplicated_column_set_is_singular(seed, caplog):
+    # np.corrcoef rounds the copy's correlation to 1.0 on some seeds only;
+    # the verdict must not depend on that last bit
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(200, 5))
+    data[:, 4] = data[:, 3]
+    tester = FisherZTester(data, CFG)
+    with caplog.at_level(logging.WARNING, logger="hteselect.structure_fit"):
+        assert tester.test(0, 1, (3, 4)) == (0.0, False)
+    singular = [rec for rec in caplog.records if "singular" in rec.getMessage()]
+    assert len(singular) == 1 and "(3, 4)" in singular[0].getMessage()
+
+
 # ---------------------------------------------------------------------------
 # d-separation oracle
 # ---------------------------------------------------------------------------
@@ -279,7 +293,7 @@ def test_collider_discovery_monte_carlo():
         target = 0.8 * a + 0.8 * x + 0.5 * rng.normal(size=n)
         data = np.column_stack([a, x, target])
         tester = FisherZTester(data, CFG)
-        parents = discover_colliders(tester, 2, {0, 1}, CFG)
+        parents = discover_colliders(tester, 2, {0, 1})
         hits += parents == {0, 1}
     assert hits >= 45  # >= 90% of seeds
 
@@ -288,12 +302,12 @@ def test_collider_discovery_single_member_no_pairs():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(100, 2))
     tester = FisherZTester(data, CFG)
-    assert discover_colliders(tester, 1, {0}, CFG) == set()
+    assert discover_colliders(tester, 1, {0}) == set()
 
 
 def test_collider_discovery_oracle_multivariable(multivariable_graph):
     oracle = DSepOracle(multivariable_graph)
-    parents = discover_colliders(oracle, 2, {0, 1, 3, 5}, CFG)
+    parents = discover_colliders(oracle, 2, {0, 1, 3, 5})
     assert parents == {0, 1}  # A and X flagged; children B, D untouched
 
 

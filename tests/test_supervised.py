@@ -3,22 +3,24 @@
 import numpy as np
 import pytest
 
-from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError, SingularSystem
+from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError
 from hteselect.supervised import (
     LinearModel,
     Moments,
     fit_logistic,
     fit_ridge,
     predict,
-    ridge_objective,
     solve_ridge,
 )
+
+# a penalty small enough that ridge reproduces least squares to ~1e-12
+NEAR_ZERO_LAM = 1e-12
 
 
 def test_exact_line_recovered():
     x = np.array([[1.0], [2.0], [3.0]])
     y = np.array([2.0, 4.0, 6.0])
-    model = fit_ridge(x, y, lam=0.0)
+    model = fit_ridge(x, y, lam=NEAR_ZERO_LAM)
     assert abs(model.weights[0]) < 1e-10
     assert abs(model.weights[1] - 2.0) < 1e-10
 
@@ -99,15 +101,24 @@ def test_failed_cholesky_falls_back_to_lstsq():
     assert model.weights[0] == 0.5
 
 
-def test_singular_system_only_without_penalty():
+def test_ridge_needs_positive_penalty():
     y = np.array([1.0, 2.0, 3.0])
     for x in (
         np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),  # duplicated column
         np.array([[1.0, 4.0], [2.0, 4.0], [3.0, 4.0]]),  # constant column
     ):
-        with pytest.raises(SingularSystem):
-            fit_ridge(x, y, lam=0.0)
+        for lam in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                fit_ridge(x, y, lam=lam)
         fit_ridge(x, y, lam=1e-3)  # penalized solve is fine
+
+
+def _ridge_objective(model, x, y, lam):
+    """Penalized least squares at the model's weights; the penalty is on
+    standardized-space slopes, as ``fit_ridge`` minimizes it."""
+    resid = y - predict(model, x)
+    w_std_slopes = model.weights[1:] * model.scale
+    return float(resid @ resid + lam * (w_std_slopes @ w_std_slopes))
 
 
 def test_unique_minimizer_property():
@@ -115,26 +126,25 @@ def test_unique_minimizer_property():
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
     model = fit_ridge(x, y, lam=0.5)
-    base = ridge_objective(model, x, y)
+    base = _ridge_objective(model, x, y, 0.5)
     for j in range(len(model.weights)):
         for delta in (1e-3, -1e-3):
             bumped = LinearModel(
                 weights=model.weights.copy(),
-                lam=model.lam,
                 kind=model.kind,
                 feature_dim=model.feature_dim,
                 mu=model.mu,
                 scale=model.scale,
             )
             bumped.weights[j] += delta
-            assert ridge_objective(bumped, x, y) >= base
+            assert _ridge_objective(bumped, x, y, 0.5) >= base
 
 
 def test_prediction_reproduces_span_member():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 2))
     y = 1.5 + 2.0 * x[:, 0] - 0.5 * x[:, 1]
-    model = fit_ridge(x, y, lam=0.0)
+    model = fit_ridge(x, y, lam=NEAR_ZERO_LAM)
     assert np.allclose(predict(model, x), y, atol=1e-10)
 
 
@@ -144,7 +154,7 @@ def test_prediction_linear_in_weights():
     m1 = fit_ridge(x, rng.normal(size=20), lam=0.1)
     m2 = fit_ridge(x, rng.normal(size=20), lam=0.1)
     combo = LinearModel(
-        weights=m1.weights + m2.weights, lam=0.1, kind="regression",
+        weights=m1.weights + m2.weights, kind="regression",
         feature_dim=3, mu=m1.mu, scale=m1.scale,
     )
     assert np.allclose(predict(combo, x), predict(m1, x) + predict(m2, x), atol=1e-12)
@@ -156,13 +166,14 @@ def test_dimension_mismatch():
         predict(model, np.ones((5, 3)))
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.1])
-@pytest.mark.parametrize("bad", ["x", "y"])
+@pytest.mark.parametrize("lam", [0.1])
+@pytest.mark.parametrize("bad", ["x", "y", "logistic"])
 def test_non_finite_inputs_raise_numeric_error(lam, bad):
-    x, y = np.arange(6.0).reshape(3, 2), np.ones(3)
-    (x if bad == "x" else y)[1] = np.inf if bad == "x" else np.nan
+    x, y = np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 1.0])
+    (y if bad == "y" else x)[1] = np.nan if bad == "y" else np.inf
+    fit = fit_logistic if bad == "logistic" else fit_ridge
     with pytest.raises(NumericError):
-        fit_ridge(x, y, lam=lam)
+        fit(x, y, lam=lam)
 
 
 # ---------------------------------------------------------------------------
