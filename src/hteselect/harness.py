@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -145,7 +146,6 @@ class BenchmarkRow:
     mse: float
     tau_risk: float
     inclusion_error: float
-    ie_defined: bool
     rank: float = 0.0
     wall_millis: int = 0
     flags: tuple[str, ...] = ()
@@ -153,6 +153,10 @@ class BenchmarkRow:
     @property
     def failed(self) -> bool:
         return any(f.startswith("failed") for f in self.flags)
+
+    @property
+    def ie_defined(self) -> bool:
+        return "ie_undefined" not in self.flags and not self.failed
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +183,29 @@ def hte_fs(
         x, t, y, metric=metric, estimator=estimator, seed=seed
     )
     stage_one = trace.final_set
-    k = np.asarray(x).shape[1]
-    stacked = np.hstack(
-        [np.asarray(x, float), np.asarray(t, float)[:, None], np.asarray(y, float)[:, None]]
-    )
-    discovery = structure_fit.structure_fit(
-        stacked, t_col=k, y_col=k + 1, candidates=stage_one, cfg=cfg
-    )
+    discovery = _discover(x, t, y, stage_one, cfg)
     flags: list[str] = []
     selected = discovery.selected
     if not selected:
         selected = stage_one
         flags.append("fallback_stage_one")
     combined = {
-        "stage_one": json.loads(trace.to_json()),
-        "structure": json.loads(discovery.graph.to_json()),
+        "stage_one": trace.to_dict(),
+        "structure": discovery.graph.to_dict(),
         "forbidden": sorted(discovery.forbidden),
         "selected": list(selected),
         "flags": flags,
     }
     return tuple(selected), combined
+
+
+def _discover(x, t, y, candidates, cfg) -> structure_fit.StructureFitResult:
+    """``structure_fit`` on the columns of x followed by t and y."""
+    k = np.asarray(x).shape[1]
+    stacked = np.column_stack([np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)])
+    return structure_fit.structure_fit(
+        stacked, t_col=k, y_col=k + 1, candidates=candidates, cfg=cfg
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +235,11 @@ def _run_selector(
             metric=method.metric, estimator=method.estimator,
             direction=direction, seed=seed,
         )
-        return trace.final_set, json.loads(trace.to_json()), []
+        return trace.final_set, trace.to_dict(), []
     if method.selector == "StructureFit":
-        stacked = np.hstack([x_tr, t_tr[:, None], y_tr[:, None]])
-        result = structure_fit.structure_fit(
-            stacked, t_col=k, y_col=k + 1, candidates=all_cols, cfg=cfg
-        )
+        result = _discover(x_tr, t_tr, y_tr, all_cols, cfg)
         flags = [] if result.selected else ["empty_selection"]
-        return result.selected, json.loads(result.graph.to_json()), flags
+        return result.selected, result.graph.to_dict(), flags
     if method.selector == "HteFS":
         selected, combined = hte_fs(
             x_tr, t_tr, y_tr,
@@ -257,21 +261,33 @@ def _run_selector(
 # ---------------------------------------------------------------------------
 
 
-def _failed_row(scm_id: str, method: MethodSpec, flags, exc: Exception) -> BenchmarkRow:
+def _row(
+    scm_id: str,
+    method: MethodSpec,
+    flags,
+    selected: tuple[int, ...] = (),
+    mse: float = math.nan,
+    tau_risk: float = math.nan,
+    inclusion_error: float = 0.0,
+) -> BenchmarkRow:
+    """The result row of one cell; the defaults are those of a failed cell."""
     return BenchmarkRow(
         scm_id=scm_id,
         method=method.method_id,
         selector=method.selector,
         estimator=method.estimator,
         metric=method.metric if method.selector in _METRIC_SELECTORS else "",
-        n_selected=0,
-        selected=(),
-        mse=float("nan"),
-        tau_risk=float("nan"),
-        inclusion_error=0.0,
-        ie_defined=False,
-        flags=tuple(flags) + (f"failed:{type(exc).__name__}",),
+        n_selected=len(selected),
+        selected=tuple(selected),
+        mse=mse,
+        tau_risk=tau_risk,
+        inclusion_error=inclusion_error,
+        flags=tuple(flags),
     )
+
+
+def _failed(exc: Exception) -> str:
+    return f"failed:{type(exc).__name__}"
 
 
 def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[BenchmarkRow], dict]:
@@ -298,7 +314,7 @@ def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[Bench
         m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
         p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
     except HteSelectError as exc:
-        return [_failed_row(scm_id, method, (), exc) for method in config.methods], {}
+        return [_row(scm_id, method, [_failed(exc)]) for method in config.methods], {}
     cfg = structure_fit.CiTestConfig(alpha=config.alpha, max_cond=config.max_cond)
 
     rows: list[BenchmarkRow] = []
@@ -325,32 +341,14 @@ def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[Bench
             ie = fit_metrics.inclusion_error(selected, dataset.post_treatment_mask)
             if not ie.defined:
                 flags.append("ie_undefined")
-            row = BenchmarkRow(
-                scm_id=scm_id,
-                method=method.method_id,
-                selector=method.selector,
-                estimator=method.estimator,
-                metric=method.metric if method.selector in _METRIC_SELECTORS else "",
-                n_selected=len(selected),
-                selected=tuple(selected),
-                mse=mse,
-                tau_risk=risk,
-                inclusion_error=ie.value,
-                ie_defined=ie.defined,
-                flags=tuple(flags),
-            )
+            row = _row(scm_id, method, flags, selected, mse, risk, ie.value)
             traces[f"{scm_id}/{method.method_id}"] = trace
         except HteSelectError as exc:
-            row = _failed_row(scm_id, method, flags, exc)
+            row = _row(scm_id, method, [*flags, _failed(exc)])
         elapsed_ms = (time.perf_counter_ns() - started) // 1_000_000
         row.wall_millis = int(elapsed_ms) if config.record_timing else 0
         rows.append(row)
     return rows, traces
-
-
-def _replicate_worker(payload):
-    config, replicate = payload
-    return _run_replicate(config, replicate)
 
 
 def assign_ranks(rows: list[BenchmarkRow]) -> None:
@@ -371,12 +369,12 @@ def assign_ranks(rows: list[BenchmarkRow]) -> None:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[BenchmarkRow], dict]:
     """Execute every replicate and method cell; returns ranked rows + traces."""
-    payloads = [(config, r) for r in range(config.replicates)]
+    replicates = range(config.replicates)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_replicate_worker, payloads))
+            outcomes = list(pool.map(_run_replicate, itertools.repeat(config), replicates))
     else:
-        outcomes = [_run_replicate(config, r) for r in range(config.replicates)]
+        outcomes = [_run_replicate(config, r) for r in replicates]
     rows: list[BenchmarkRow] = []
     traces: dict = {}
     for rep_rows, rep_traces in outcomes:
@@ -420,8 +418,6 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
     reader = csv.DictReader(io.StringIO(text))
     rows = []
     for rec in reader:
-        flags = tuple(f for f in rec["flags"].split(";") if f)
-        selected = tuple(int(c) for c in rec["selected"].split(";") if c)
         rows.append(
             BenchmarkRow(
                 scm_id=rec["scm_id"],
@@ -430,16 +426,13 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
                 estimator=rec["estimator"],
                 metric=rec["metric"],
                 n_selected=int(rec["n_selected"]),
-                selected=selected,
+                selected=tuple(int(c) for c in rec["selected"].split(";") if c),
                 mse=float(rec["mse"]),
                 tau_risk=float(rec["tau_risk"]),
                 inclusion_error=float(rec["inclusion_error"]),
-                ie_defined="ie_undefined" not in flags and not any(
-                    f.startswith("failed") for f in flags
-                ),
                 rank=float(rec["rank"]),
                 wall_millis=int(rec["wall_millis"]),
-                flags=flags,
+                flags=tuple(f for f in rec["flags"].split(";") if f),
             )
         )
     return rows
@@ -513,11 +506,12 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "scm" not in payload:
         raise ConfigError("config must be an object with an 'scm' section")
+    unknown = sorted(set(payload) - {"scm", "methods", *_CONFIG_TYPES})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     try:
-        methods = tuple(
-            MethodSpec(**{k: m[k] for k in ("selector", "estimator", "metric") if k in m})
-            for m in payload.get("methods", [])
-        )
+        # an unknown method key is a TypeError that names it
+        methods = tuple(MethodSpec(**m) for m in payload.get("methods", []))
         config = ExperimentConfig(
             base=dict(payload["scm"]),
             methods=methods,

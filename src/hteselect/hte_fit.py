@@ -1,11 +1,12 @@
 """Metric-guided greedy feature selection, forward and backward.
 
-Forward selection seeds with the single best-scoring column and keeps
-appending the best strict improvement; backward selection starts from the
-full set and keeps removing the single most score-improving column.  Both
-operate through a score callable on column tuples, so the search logic is
-testable against scripted score tables, and both break ties toward the
-lowest column index.
+Both directions are one greedy loop over one-column moves: forward
+selection starts from the empty set and keeps adding the column whose
+addition scores best, backward selection starts from the full set and keeps
+removing the column whose removal scores best, each while the score
+strictly improves.  The loop works through a score callable on column
+tuples, so the search logic is testable against scripted score tables, and
+it breaks ties toward the lowest column index.
 
 ``SubsetScorer`` supplies the real score: it freezes a few inner train/
 validation splits per selection run, fits each metric's nuisance yardsticks
@@ -16,10 +17,9 @@ averaging the per-split metric.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,19 +51,14 @@ class SelectionTrace:
     metric: str
     direction: str
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "direction": self.direction,
-                "metric": self.metric,
-                "final_set": list(self.final_set),
-                "final_score": self.final_score,
-                "steps": [
-                    {"column": s.column, "score": s.score, "accepted": s.accepted}
-                    for s in self.steps
-                ],
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "direction": self.direction,
+            "metric": self.metric,
+            "final_set": list(self.final_set),
+            "final_score": self.final_score,
+            "steps": [asdict(step) for step in self.steps],
+        }
 
 
 def _improves(candidate: float, best: float) -> bool:
@@ -74,57 +69,62 @@ def _improves(candidate: float, best: float) -> bool:
     return best - candidate > REL_TOL * abs(best)
 
 
+def _greedy(
+    score: Callable[[tuple[int, ...]], float],
+    columns: Sequence[int],
+    direction: str,
+    metric: str,
+) -> SelectionTrace:
+    """Greedy search over one-column moves.
+
+    Forward starts from the empty set and each move adds a column; backward
+    starts from the full set and each move removes one.  A round scores
+    every move, keeps the lowest score (ties to the lowest column index) and
+    takes it only if it improves the best score by more than ``REL_TOL``
+    (relative).  The search stops when a round does not improve, no move is
+    left, or backward selection is down to one column.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    columns = sorted(int(c) for c in columns)
+    if not columns:
+        raise ValueError(f"{direction} selection needs at least one candidate column")
+    backward = direction == "backward"
+    current, best = (set(columns), score(tuple(columns))) if backward else (set(), math.inf)
+    keep = 1 if backward else 0  # backward never removes the last column
+    steps: list[SelectionStep] = []
+
+    while len(moves := [c for c in columns if (c in current) == backward]) > keep:
+        pick = None
+        for col in moves:
+            step = SelectionStep(col, score(tuple(sorted(current ^ {col}))), False)
+            steps.append(step)
+            if step.score < (math.inf if pick is None else pick.score):
+                pick = step
+        if pick is None or not _improves(pick.score, best):
+            break
+        pick.accepted = True
+        current ^= {pick.column}
+        best = pick.score
+
+    if not current:
+        raise HteSelectError("every singleton candidate failed to score")
+    return SelectionTrace(
+        steps=steps,
+        final_set=tuple(sorted(current)),
+        final_score=best,
+        metric=metric,
+        direction=direction,
+    )
+
+
 def forward_select(
     score: Callable[[tuple[int, ...]], float],
     columns: Sequence[int],
     metric: str = "custom",
 ) -> SelectionTrace:
-    """Greedy forward selection over ``columns``.
-
-    Seeds with the column whose singleton subset scores lowest, then
-    repeatedly appends the remaining column giving the largest strict
-    improvement, stopping when no candidate improves the best score by more
-    than ``REL_TOL`` (relative) or no columns remain.
-    """
-    columns = sorted(int(c) for c in columns)
-    if not columns:
-        raise ValueError("forward selection needs at least one candidate column")
-    steps: list[SelectionStep] = []
-
-    best_col, best_score = None, math.inf
-    for col in columns:
-        value = score((col,))
-        steps.append(SelectionStep(col, value, False))
-        if value < best_score:
-            best_col, best_score = col, value
-    if best_col is None:
-        raise HteSelectError("every singleton candidate failed to score")
-    chosen = [best_col]
-    _mark_accepted(steps, best_col, 0)
-
-    remaining = [c for c in columns if c != best_col]
-    while remaining:
-        round_start = len(steps)
-        cand_col, cand_score = None, math.inf
-        for col in remaining:
-            value = score(tuple(sorted(chosen + [col])))
-            steps.append(SelectionStep(col, value, False))
-            if value < cand_score:
-                cand_col, cand_score = col, value
-        if cand_col is None or not _improves(cand_score, best_score):
-            break
-        chosen.append(cand_col)
-        best_score = cand_score
-        _mark_accepted(steps, cand_col, round_start)
-        remaining.remove(cand_col)
-
-    return SelectionTrace(
-        steps=steps,
-        final_set=tuple(sorted(chosen)),
-        final_score=best_score,
-        metric=metric,
-        direction="forward",
-    )
+    """Greedy forward selection over ``columns`` (see ``_greedy``)."""
+    return _greedy(score, columns, "forward", metric)
 
 
 def backward_select(
@@ -132,47 +132,8 @@ def backward_select(
     columns: Sequence[int],
     metric: str = "custom",
 ) -> SelectionTrace:
-    """Greedy backward elimination over ``columns``.
-
-    Starts from the full set, then repeatedly removes the column whose
-    removal lowers the score the most, rescanning after every removal and
-    stopping when no removal strictly improves or one column remains.
-    """
-    columns = sorted(int(c) for c in columns)
-    if len(columns) < 2:
-        raise ValueError("backward selection needs at least two candidate columns")
-    steps: list[SelectionStep] = []
-    kept = list(columns)
-    best_score = score(tuple(kept))
-
-    while len(kept) > 1:
-        round_start = len(steps)
-        cand_col, cand_score = None, math.inf
-        for col in kept:
-            value = score(tuple(c for c in kept if c != col))
-            steps.append(SelectionStep(col, value, False))
-            if value < cand_score:
-                cand_col, cand_score = col, value
-        if cand_col is None or not _improves(cand_score, best_score):
-            break
-        kept.remove(cand_col)
-        best_score = cand_score
-        _mark_accepted(steps, cand_col, round_start)
-
-    return SelectionTrace(
-        steps=steps,
-        final_set=tuple(kept),
-        final_score=best_score,
-        metric=metric,
-        direction="backward",
-    )
-
-
-def _mark_accepted(steps: list[SelectionStep], column: int, round_start: int) -> None:
-    for step in steps[round_start:]:
-        if step.column == column:
-            step.accepted = True
-            return
+    """Greedy backward elimination over ``columns`` (see ``_greedy``)."""
+    return _greedy(score, columns, "backward", metric)
 
 
 class SubsetScorer:
@@ -351,9 +312,4 @@ def select_features(
 ) -> SelectionTrace:
     """Run one full metric-guided selection on a training partition."""
     scorer = SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=seed)
-    columns = range(np.asarray(x).shape[1])
-    if direction == "forward":
-        return forward_select(scorer, columns, metric=metric)
-    if direction == "backward":
-        return backward_select(scorer, columns, metric=metric)
-    raise ValueError("direction must be 'forward' or 'backward'")
+    return _greedy(scorer, range(np.asarray(x).shape[1]), direction, metric)

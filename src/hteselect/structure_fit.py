@@ -21,7 +21,6 @@ oracles, which is how exact-recovery tests run.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import deque
@@ -77,11 +76,13 @@ class FisherZTester:
 
     def __init__(self, data: np.ndarray, cfg: CiTestConfig):
         self.data = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(self.data).all():
+            raise NumericError("non-finite values in independence-test data")
         self.cfg = cfg
         self.n = self.data.shape[0]
         with np.errstate(invalid="ignore"):
             self.corr = np.corrcoef(self.data, rowvar=False)
-        self.corr = np.nan_to_num(self.corr, nan=0.0)
+        self.corr = np.nan_to_num(self.corr, nan=0.0)  # NaN rows: constant columns
         np.fill_diagonal(self.corr, 1.0)
         self._cache: dict = {}
 
@@ -448,13 +449,11 @@ class PartialGraph:
         """``node`` and every node downstream of it along directed edges."""
         return reachable(node, lambda v: [w for u, w in self.directed_edges if u == v])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nodes": sorted(self.nodes),
-                "directed_edges": sorted(list(e) for e in self.directed_edges),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "nodes": sorted(self.nodes),
+            "directed_edges": sorted(list(e) for e in self.directed_edges),
+        }
 
 
 class StructureFitResult(NamedTuple):

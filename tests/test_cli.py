@@ -8,7 +8,7 @@ import pytest
 from hteselect import harness, structure_fit
 from hteselect.cli import main
 from hteselect.harness import rows_from_csv
-from hteselect.scm_gen import dataset_from_csv, graph_from_json
+from hteselect.scm_gen import dataset_from_csv, dataset_to_csv, graph_from_json
 
 
 @pytest.fixture
@@ -97,6 +97,25 @@ def test_select_empty_selection_exits_two(simulated, monkeypatch):
     empty = structure_fit.StructureFitResult((), frozenset(), structure_fit.PartialGraph())
     monkeypatch.setattr(structure_fit, "structure_fit", lambda *a, **kw: empty)
     assert main(["select", "--data", str(data), "--selector", "StructureFit"]) == 2
+
+
+def test_select_backward_on_one_feature_dataset(tmp_path, capsys):
+    data, graph = tmp_path / "data.csv", tmp_path / "graph.json"
+    assert main(["simulate", "--d", "3", "--p-e", "1.0", "--gamma", "--n", "500",
+                 "--out-data", str(data), "--out-graph", str(graph)]) == 0
+    assert dataset_from_csv(data.read_text()).x.shape[1] == 1
+    capsys.readouterr()
+    assert main(["select", "--data", str(data), "--selector", "HteFitB"]) == 0
+    assert capsys.readouterr().out.split() == ["0"]
+
+
+def test_select_structure_fit_on_non_finite_data_exits_two(simulated, tmp_path):
+    data, _ = simulated
+    ds = dataset_from_csv(data.read_text())
+    ds.x[7, 0] = np.nan
+    bad = tmp_path / "nan.csv"
+    bad.write_text(dataset_to_csv(ds))
+    assert main(["select", "--data", str(bad), "--selector", "StructureFit"]) == 2
 
 
 def test_benchmark_and_report(tmp_path, capsys):

@@ -236,7 +236,7 @@ def test_metric_values_nonnegative():
 
 
 def _row(scm_id, method, mse):
-    return BenchmarkRow(scm_id, method, "None", "T", "", 1, (0,), mse, 0.0, 0.0, False)
+    return BenchmarkRow(scm_id, method, "None", "T", "", 1, (0,), mse, 0.0, 0.0)
 
 
 def test_rank_single_scm():

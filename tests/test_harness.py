@@ -49,8 +49,8 @@ def test_hte_fs_scripted_stage_composition(monkeypatch):
     class FakeTrace:
         final_set = (0, 1, 2)
 
-        def to_json(self):
-            return json.dumps({"final_set": [0, 1, 2]})
+        def to_dict(self):
+            return {"final_set": [0, 1, 2]}
 
     monkeypatch.setattr(harness.hte_fit, "select_features", lambda *a, **k: FakeTrace())
 
@@ -78,8 +78,8 @@ def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
     class FakeTrace:
         final_set = (1,)
 
-        def to_json(self):
-            return json.dumps({"final_set": [1]})
+        def to_dict(self):
+            return {"final_set": [1]}
 
     monkeypatch.setattr(harness.hte_fit, "select_features", lambda *a, **k: FakeTrace())
 
@@ -314,17 +314,27 @@ def test_report_excludes_undefined_inclusion_rows():
         BenchmarkRow(
             scm_id="s0", method="m", selector="None", estimator="T", metric="",
             n_selected=1, selected=(0,), mse=1.0, tau_risk=1.0,
-            inclusion_error=0.8, ie_defined=True, rank=1.0,
+            inclusion_error=0.8, rank=1.0,
         ),
         BenchmarkRow(
             scm_id="s1", method="m", selector="None", estimator="T", metric="",
             n_selected=1, selected=(0,), mse=1.0, tau_risk=1.0,
-            inclusion_error=0.0, ie_defined=False, rank=1.0,
+            inclusion_error=0.0, rank=1.0,
             flags=("ie_undefined",),
+        ),
+        BenchmarkRow(
+            scm_id="s2", method="m", selector="None", estimator="T", metric="",
+            n_selected=0, selected=(), mse=float("nan"), tau_risk=float("nan"),
+            inclusion_error=0.0, rank=1.0,
+            flags=("failed:DegenerateArms",),
         ),
     ]
     summary = report(rows)
     assert summary.inclusion["m"] == 0.8
+    back = rows_from_csv(rows_to_csv(rows))
+    assert [r.ie_defined for r in rows] == [True, False, False]
+    assert [r.ie_defined for r in back] == [True, False, False]
+    assert report(back).inclusion["m"] == 0.8
 
 
 def test_report_hand_aggregated_fixture():
@@ -336,14 +346,29 @@ def test_report_hand_aggregated_fixture():
                 BenchmarkRow(
                     scm_id=f"s{i}", method=m, selector="None", estimator="T",
                     metric="", n_selected=1, selected=(0,), mse=1.0,
-                    tau_risk=1.0, inclusion_error=0.0, ie_defined=True,
+                    tau_risk=1.0, inclusion_error=0.0,
                     rank=ranks[m][i],
                 )
             )
+    assert all(r.ie_defined for r in rows)
     summary = report(rows)
     assert summary.rank_table["a"].mean == 1.5
     assert summary.rank_table["b"].mean == 1.5
     assert "random half-selection" in summary.format()
+
+
+def test_backward_selection_on_one_feature_scm_keeps_every_row():
+    config = ExperimentConfig(
+        base=dict(d=3, p_e=1.0, sigma=0.2, rho=0.5, gamma=True, m=0, p_h=0,
+                  m_p=False, n=500),
+        methods=(MethodSpec("None"), MethodSpec("HteFitB")),
+        replicates=2,
+    )
+    rows, traces = run_experiment(config)
+    assert len(rows) == 4
+    assert not any(r.failed for r in rows)
+    assert all(r.selected == (0,) for r in rows)
+    assert traces["scm0000/HteFitB(TauRisk)+T"]["steps"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +413,8 @@ def test_config_json_absent_keys_take_dataclass_defaults():
         lambda p: p.update(replicates=True),
         lambda p: p.update(grid={"d": [10, 2]}, replicates=2),  # bad second cell
         lambda p: p["methods"].extend([{"selector": "OracleValid"}, {"selector": "None"}]),
+        lambda p: p.update(replicate=50),  # unknown top-level key
+        lambda p: p["methods"].append({"selector": "HteFitF", "metirc": "CFCV"}),
     ],
 )
 def test_config_errors_rejected(mutate):

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hteselect import fit_metrics
+from hteselect.errors import HteSelectError
 from hteselect.estimators import ESTIMATOR_KINDS, fit_estimator
 from hteselect.hte_fit import (
+    SelectionStep,
+    SelectionTrace,
     SubsetScorer,
+    _greedy,
+    _improves,
     backward_select,
     forward_select,
     select_features,
@@ -84,6 +91,149 @@ def test_backward_stops_at_single_column():
     )
     trace = backward_select(score, [0, 1, 2])
     assert len(trace.final_set) == 1
+
+
+def test_backward_single_column_keeps_it():
+    score = ScriptedScore({(0,): 1.5})
+    trace = backward_select(score, [0])
+    assert trace.final_set == (0,)
+    assert trace.final_score == score((0,))
+    assert trace.steps == []
+
+
+def test_empty_columns_and_unknown_direction_rejected():
+    for select in (forward_select, backward_select):
+        with pytest.raises(ValueError):
+            select(ScriptedScore({}), [])
+    with pytest.raises(ValueError):
+        _greedy(ScriptedScore({(0,): 1.0}), [0], "sideways", "custom")
+
+
+def test_forward_without_finite_singleton_raises():
+    with pytest.raises(HteSelectError):
+        forward_select(ScriptedScore({(0,): math.nan}), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# reference: separate forward and backward loops, which the one loop must match
+# ---------------------------------------------------------------------------
+
+
+def _mark_accepted(steps, column, round_start):
+    for step in steps[round_start:]:
+        if step.column == column:
+            step.accepted = True
+            return
+
+
+def _reference_forward(score, columns, metric="custom"):
+    columns = sorted(int(c) for c in columns)
+    if not columns:
+        raise ValueError("forward selection needs at least one candidate column")
+    steps = []
+
+    best_col, best_score = None, math.inf
+    for col in columns:
+        value = score((col,))
+        steps.append(SelectionStep(col, value, False))
+        if value < best_score:
+            best_col, best_score = col, value
+    if best_col is None:
+        raise HteSelectError("every singleton candidate failed to score")
+    chosen = [best_col]
+    _mark_accepted(steps, best_col, 0)
+
+    remaining = [c for c in columns if c != best_col]
+    while remaining:
+        round_start = len(steps)
+        cand_col, cand_score = None, math.inf
+        for col in remaining:
+            value = score(tuple(sorted(chosen + [col])))
+            steps.append(SelectionStep(col, value, False))
+            if value < cand_score:
+                cand_col, cand_score = col, value
+        if cand_col is None or not _improves(cand_score, best_score):
+            break
+        chosen.append(cand_col)
+        best_score = cand_score
+        _mark_accepted(steps, cand_col, round_start)
+        remaining.remove(cand_col)
+
+    return SelectionTrace(steps, tuple(sorted(chosen)), best_score, metric, "forward")
+
+
+def _reference_backward(score, columns, metric="custom"):
+    columns = sorted(int(c) for c in columns)
+    if len(columns) < 2:
+        raise ValueError("backward selection needs at least two candidate columns")
+    steps = []
+    kept = list(columns)
+    best_score = score(tuple(kept))
+
+    while len(kept) > 1:
+        round_start = len(steps)
+        cand_col, cand_score = None, math.inf
+        for col in kept:
+            value = score(tuple(c for c in kept if c != col))
+            steps.append(SelectionStep(col, value, False))
+            if value < cand_score:
+                cand_col, cand_score = col, value
+        if cand_col is None or not _improves(cand_score, best_score):
+            break
+        kept.remove(cand_col)
+        best_score = cand_score
+        _mark_accepted(steps, cand_col, round_start)
+
+    return SelectionTrace(steps, tuple(kept), best_score, metric, "backward")
+
+
+# ties, near-ties inside REL_TOL, failed (inf) and NaN scores
+_TABLE_VALUES = (0.0, 0.5, 1.0, 1.0 - 5e-7, 2.0, math.inf, math.nan)
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+def _run(select, table):
+    calls = []
+
+    def score(cols):
+        calls.append(tuple(cols))
+        return table[sum(1 << c for c in cols) - 1]
+
+    k = (len(table) + 1).bit_length() - 1
+    try:
+        return select(score, range(k)), calls
+    except (ValueError, HteSelectError) as exc:
+        return type(exc), calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.sampled_from(_TABLE_VALUES), min_size=2**k - 1, max_size=2**k - 1)
+    )
+)
+def test_merged_loop_matches_reference_loops(table):
+    # table[mask - 1] scores the subset whose column bitmask is mask
+    pairs = [(forward_select, _reference_forward)]
+    if len(table) >= 3:  # k >= 2: the reference backward loop needs two columns
+        pairs.append((backward_select, _reference_backward))
+    for select, reference in pairs:
+        got, got_calls = _run(select, table)
+        want, want_calls = _run(reference, table)
+        assert got_calls == want_calls
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert [(s.column, s.accepted) for s in got.steps] == [
+            (s.column, s.accepted) for s in want.steps
+        ]
+        assert all(_same_float(a.score, b.score) for a, b in zip(got.steps, want.steps))
+        assert got.final_set == want.final_set
+        assert _same_float(got.final_score, want.final_score)
+        assert got.direction == want.direction
 
 
 def test_evaluation_budget_quadratic():

@@ -85,6 +85,23 @@ def test_sample_size_precondition():
         FisherZTester(data, CFG).test(0, 1, (2, 3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_data_raises_numeric_error(bad):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=400)
+    data = np.column_stack([a, a + 0.5 * rng.normal(size=400), rng.normal(size=400)])
+    data[7, 0] = bad
+    with pytest.raises(NumericError):
+        FisherZTester(data, CFG)
+
+
+def test_constant_column_tests_independent():
+    data = np.random.default_rng(5).normal(size=(200, 3))
+    data[:, 2] = 1.0
+    p, indep = FisherZTester(data, CFG).test(0, 2, ())
+    assert p == 1.0 and indep
+
+
 def _with_correlation(r, n, rng):
     """Two columns whose sample correlation is r up to round-off."""
     a, b = rng.normal(size=(2, n))
@@ -505,9 +522,10 @@ def test_partial_graph_json():
 
     g = PartialGraph()
     g.add_directed_edge(3, 1)
-    payload = json.loads(g.to_json())
+    payload = g.to_dict()
     assert payload["nodes"] == [1, 3]
     assert payload["directed_edges"] == [[3, 1]]
+    assert json.loads(json.dumps(payload)) == payload
 
 
 # ---------------------------------------------------------------------------
