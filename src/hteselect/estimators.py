@@ -10,7 +10,8 @@ The module has three entry points.  ``prepare`` computes, once for a fixed
 set of rows, the row-block statistics an estimator kind needs: ridge
 ``Moments`` per block its outcome models are fit on, and ``Standardized``
 rows where a propensity model is fit by IRLS.  ``fit_columns`` then fits the
-estimator on any column subset from those statistics alone.
+estimator on any column subset from those statistics alone, optionally
+starting each propensity IRLS (``LOGISTIC_MODELS``) from given weights.
 ``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
 once per inner split and fits every candidate subset.
 """
@@ -29,6 +30,9 @@ from .supervised import LinearModel, Moments, Standardized, fit_logistic, solve_
 from .supervised import fit_ridge  # noqa: F401  (re-exported with fit_logistic)
 
 ESTIMATOR_KINDS = ("S", "T", "X", "DR")
+# the IRLS-fit models of each kind, by their name in ``CateEstimator.models``
+# (DR: the propensity fit on each cross-fitting fold)
+LOGISTIC_MODELS = {"S": (), "T": (), "X": ("propensity",), "DR": ("propensity0", "propensity1")}
 
 
 @dataclass
@@ -85,7 +89,7 @@ def _prepare_s(x, t, y) -> dict:
     return {"joint": Moments.of(_s_design(x, t), y)}
 
 
-def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+def _fit_s(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
     """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
     k = prep.n_features
     joint_cols = np.concatenate([cols, [k], k + 1 + cols])
@@ -100,7 +104,7 @@ def _predict_s(est: CateEstimator, x: np.ndarray) -> np.ndarray:
     return f1 - f0
 
 
-def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+def _fit_t(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
     """Separate ridge per arm; effect = f1(x) - f0(x)."""
     return CateEstimator(
         kind="T",
@@ -137,7 +141,7 @@ def _residual_ridge(
     )
 
 
-def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+def _fit_x(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
     """Two-stage construction with propensity-weighted effect models.
 
     Stage one fits per-arm outcome models.  Stage two regresses the imputed
@@ -157,7 +161,9 @@ def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
             "f0": f0,
             "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
             "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
-            "propensity": fit_logistic(blocks["rows"].columns(cols), blocks["t"]),
+            "propensity": fit_logistic(
+                blocks["rows"].columns(cols), blocks["t"], start=starts["propensity"]
+            ),
         },
     )
 
@@ -179,23 +185,28 @@ def _prepare_dr(x, t, y) -> dict:
     return {"folds": folds, "all": Moments.of(x)}
 
 
-def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
+def _fit_dr(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
     """Two-fold cross-fit doubly robust learner.
 
     Folds are assigned by row parity (deterministic).  Pseudo-outcomes on
     each fold use nuisance models fit on the other fold; the final stage is
     one ridge of the pseudo-outcomes on features over all rows, whose target
-    statistics accumulate fold by fold.
+    statistics accumulate fold by fold.  The propensity fit on fold f is
+    kept as ``propensity<f>``.
     """
     folds, whole = prep.blocks["folds"], prep.blocks["all"]
     mu, scale = whole.mu[cols], whole.scale[cols]
     z_phi = np.zeros(len(cols))
     phi_sum = 0.0
+    models = {}
     for current in (0, 1):
         fit, apply = folds[1 - current], folds[current]
         m1 = fit["f1"].ridge(cols)
         m0 = fit["f0"].ridge(cols)
-        prop = fit_logistic(fit["rows"].columns(cols), fit["t"])
+        name = f"propensity{1 - current}"
+        prop = models[name] = fit_logistic(
+            fit["rows"].columns(cols), fit["t"], start=starts[name]
+        )
         xa = apply["x"][:, cols]
         phi = doubly_robust_effects(
             apply["y"],
@@ -209,7 +220,7 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     effect = solve_ridge(
         whole.sub_gram(cols), z_phi, phi_sum / whole.n, mu, scale, supervised.OUTCOME_LAMBDA
     )
-    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect})
+    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect, **models})
 
 
 def _predict_dr(est: CateEstimator, x: np.ndarray) -> np.ndarray:
@@ -252,9 +263,16 @@ def prepare(kind: str, x, t, y) -> Prepared:
     return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
 
 
-def fit_columns(prep: Prepared, cols) -> CateEstimator:
-    """Fit the prepared estimator on feature columns ``cols``."""
-    return _FITTERS[prep.kind](prep, np.asarray(cols, dtype=np.intp))
+def fit_columns(prep: Prepared, cols, starts=None) -> CateEstimator:
+    """Fit the prepared estimator on feature columns ``cols``.
+
+    ``starts``, when given, holds one IRLS start per model named in
+    ``LOGISTIC_MODELS[prep.kind]``, in that order: standardized-space
+    weights (intercept first) for ``cols``, or None for a start from zero.
+    """
+    names = LOGISTIC_MODELS[prep.kind]
+    starts = dict(zip(names, [None] * len(names) if starts is None else starts))
+    return _FITTERS[prep.kind](prep, np.asarray(cols, dtype=np.intp), starts)
 
 
 def fit_estimator(kind: str, x, t, y) -> CateEstimator:

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import logging
 import math
 import time
 import zlib
@@ -28,6 +29,8 @@ import numpy as np
 from . import estimators, fit_metrics, hte_fit, structure_fit, supervised
 from .errors import ConfigError, HteSelectError
 from .scm_gen import ScmSpec, make_dataset
+
+logger = logging.getLogger(__name__)
 
 SELECTORS = (
     "None",
@@ -104,6 +107,9 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate methods in {ids}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
+        # fail fast on unusable SCM parameters in any grid cell
+        for cell in range(len(self.grid_cells())):
+            self.spec_for_replicate(cell)
 
     def grid_cells(self) -> list[dict]:
         """Cartesian product of grid overrides, applied over the base spec."""
@@ -291,30 +297,42 @@ def _failed(exc: Exception) -> str:
 
 
 def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[BenchmarkRow], dict]:
-    """Every method cell of one replicate.
+    """Every method cell of one replicate; never raises.
 
-    A failure while drawing the replicate's dataset or fitting its shared
-    held-out yardstick fails every cell of the replicate, each with its own
-    ``failed:<Error>`` row; a failure inside one method fails that cell only.
+    A package error inside one method's cell fails that cell only.  A
+    package error while drawing the replicate's dataset or fitting its
+    shared held-out yardstick, or an error of any other type anywhere, fails
+    every cell of the replicate, each with its own ``failed:<Error>`` row:
+    one replicate cannot lose the rows of the others (with ``workers > 1``
+    an exception would abort the pool's map).  Errors of other types are
+    logged with their traceback.
     """
-    spec = config.spec_for_replicate(replicate)
     scm_id = f"scm{replicate:04d}"
     try:
-        graph, dataset, _ = make_dataset(spec)
-        n = dataset.x.shape[0]
-        split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
-        order = split_rng.permutation(n)
-        cut = int(round(config.split_ratio * n))
-        train, test = order[:cut], order[cut:]
-        x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
-        x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
-        tau_te = dataset.tau[test]
-
-        # shared held-out yardstick for the reported risk metric
-        m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
-        p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
-    except HteSelectError as exc:
+        return _replicate_cells(config, replicate, scm_id)
+    except Exception as exc:
+        if not isinstance(exc, HteSelectError):
+            logger.exception("replicate %s failed", scm_id)
         return [_row(scm_id, method, [_failed(exc)]) for method in config.methods], {}
+
+
+def _replicate_cells(
+    config: ExperimentConfig, replicate: int, scm_id: str
+) -> tuple[list[BenchmarkRow], dict]:
+    """The rows and traces of ``_run_replicate``, raising what fails all cells."""
+    graph, dataset, _ = make_dataset(config.spec_for_replicate(replicate))
+    n = dataset.x.shape[0]
+    split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
+    order = split_rng.permutation(n)
+    cut = int(round(config.split_ratio * n))
+    train, test = order[:cut], order[cut:]
+    x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
+    x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
+    tau_te = dataset.tau[test]
+
+    # shared held-out yardstick for the reported risk metric
+    m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
+    p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
     cfg = structure_fit.CiTestConfig(alpha=config.alpha, max_cond=config.max_cond)
 
     rows: list[BenchmarkRow] = []
@@ -520,7 +538,4 @@ def config_from_json(text: str) -> ExperimentConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    # fail fast on unusable SCM parameters in any grid cell
-    for cell in range(len(config.grid_cells())):
-        config.spec_for_replicate(cell)
     return config

@@ -159,10 +159,12 @@ class SubsetScorer:
     rows.  ``estimators.prepare`` gives the estimator's Gram blocks, so each
     of its ridge fits is a Cholesky solve of a sub-block; for the
     residual-product metric one standardized copy of the inner-train rows
-    serves every propensity IRLS.  That IRLS is warm-started from the
-    weights of already-scored subsets one column away (see
-    ``_warm_start``); only the weights of the last three subset sizes scored
-    are kept.
+    serves every propensity IRLS.  Every propensity IRLS of a split (the
+    metric's and the estimator's, ``estimators.LOGISTIC_MODELS``) is
+    warm-started from the fits of already-scored subsets one column away
+    (see ``_warm_start``): a removal from the parent's weights projected
+    through its Hessian, an addition by extrapolation from its parents.
+    Only the fits of the last three subset sizes scored are kept.
     """
 
     def __init__(
@@ -194,8 +196,11 @@ class SubsetScorer:
                 raise HteSelectError("inner split lost a treatment arm")
             self.splits.append((tr, va))
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
-        # per-split propensity weights of scored subsets, for the subset size
-        # being scored and the two sizes scored before it
+        # IRLS fits per split: the estimator's propensities, then the metric's
+        self._n_estimator_fits = len(estimators.LOGISTIC_MODELS[estimator])
+        self._n_fits = self._n_estimator_fits + (metric == "TauRisk")
+        # per-split (weights, Hessian) of every IRLS fit of scored subsets,
+        # for the subset size being scored and the two sizes scored before it
         self._warm_size = 0
         self._warm: list[dict[frozenset, tuple]] = [{}, {}, {}]
 
@@ -238,42 +243,49 @@ class SubsetScorer:
         self.evaluations += 1
         cols = tuple(cols)
         idx = np.asarray(cols, dtype=np.intp)
-        starts = self._warm_start(cols) if self.metric == "TauRisk" else None
-        values, weights = [], []
+        starts = self._warm_start(cols) if self._n_fits else None
+        values, fits = [], []
         for split, stats in enumerate(self._split_stats):
+            start = [None] * self._n_fits if starts is None else starts[split]
             try:
                 if isinstance(stats["prepared"], HteSelectError):
                     raise stats["prepared"]
-                est = estimators.fit_columns(stats["prepared"], idx)
+                est = estimators.fit_columns(
+                    stats["prepared"], idx, start[: self._n_estimator_fits]
+                )
+                models = [est.models[name] for name in estimators.LOGISTIC_MODELS[self.estimator]]
                 x_va = stats["x_va"][:, idx]
                 tau_hat = est.predict(x_va)
                 if self.metric == "TauRisk":
                     p_model = supervised.fit_logistic(
-                        stats["rows"].columns(idx), stats["t_tr"],
-                        start=None if starts is None else starts[split],
+                        stats["rows"].columns(idx), stats["t_tr"], start=start[-1]
                     )
-                    weights.append(p_model.standardized_weights())
+                    models.append(p_model)
                     p_hat = supervised.predict(p_model, x_va)
                     values.append(fit_metrics.tau_risk(
                         tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"], p_hat
                     ))
                 else:
                     values.append(fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"]))
+                fits.append([(m.standardized_weights(), m.hessian) for m in models])
             except HteSelectError as exc:
                 logger.warning("candidate %s skipped: %s", cols, exc)
                 return math.inf
-        if weights:
-            self._warm[0][frozenset(cols)] = (cols, weights)
+        if self._n_fits:
+            self._warm[0][frozenset(cols)] = (cols, fits)
         return float(np.mean(values))
 
-    def _warm_start(self, cols: tuple[int, ...]) -> list[np.ndarray] | None:
-        """Per-split IRLS start weights for ``cols`` from scored neighbours.
+    def _warm_start(self, cols: tuple[int, ...]) -> list[list[np.ndarray]] | None:
+        """Per split, one IRLS start per fit for ``cols`` from scored neighbours.
 
-        Greedy rounds score S = G+a+c after G+a and G+c (forward) or
-        S = G-a-c after G-a and G-c (backward), and G before those.  With
-        both parents and G stored, the start is the additive extrapolation
-        w(P1) + w(P2) - w(G); with one parent it is that parent's weights.
-        A column a subset lacks contributes weight zero.
+        A greedy round removes one column from, or adds one to, the subsets
+        of the round before.  A removal S = P-c starts from the parent P's
+        weights projected through P's Hessian: the minimizer of P's
+        quadratic model with the weight of c held at zero
+        (``supervised.projected_start``).  An addition S = G+a+c, scored
+        after G+a and G+c and G before those, starts from the additive
+        extrapolation w(P1) + w(P2) - w(G) when all three are stored, else
+        from the first parent's weights with zero for the new column.
         """
         if len(cols) != self._warm_size:  # a new round
             self._warm_size = len(cols)
@@ -282,23 +294,36 @@ class SubsetScorer:
         parents = [key for key in self._warm[1] if len(target ^ key) == 1]
         if not parents:
             return None
-        start = _aligned_weights(self._warm[1][parents[0]], cols)
-        if len(parents) > 1:
-            first, second = parents[:2]
-            common = first & second if len(first) < len(target) else first | second
-            if common in self._warm[2]:
-                other = _aligned_weights(self._warm[1][second], cols)
-                base = _aligned_weights(self._warm[2][common], cols)
-                start = [a + b - g for a, b, g in zip(start, other, base)]
+        first = parents[0]
+        if len(first) > len(target):
+            return _projected_fits(self._warm[1][first], cols)
+        start = _aligned_weights(self._warm[1][first], cols)
+        if len(parents) > 1 and (common := first & parents[1]) in self._warm[2]:
+            other = _aligned_weights(self._warm[1][parents[1]], cols)
+            base = _aligned_weights(self._warm[2][common], cols)
+            start = [[a + b - g for a, b, g in zip(*split)] for split in zip(start, other, base)]
         return start
 
 
-def _aligned_weights(entry: tuple, cols: tuple[int, ...]) -> list[np.ndarray]:
-    """A stored subset's per-split weights laid out for the columns ``cols``."""
-    parent, weights = entry
+def _positions(parent: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
+    """Where the intercept and each of ``cols`` sit in the weights of
+    ``parent``; -1 for a column the parent lacks."""
     pos = {c: j for j, c in enumerate(parent, start=1)}
-    take = np.array([0] + [pos.get(c, -1) for c in cols])
-    return [np.where(take >= 0, w[take], 0.0) for w in weights]
+    return np.array([0] + [pos.get(c, -1) for c in cols])
+
+
+def _aligned_weights(entry: tuple, cols: tuple[int, ...]) -> list[list[np.ndarray]]:
+    """A stored subset's per-split weights laid out for the columns ``cols``."""
+    parent, fits = entry
+    take = _positions(parent, cols)
+    return [[np.where(take >= 0, w[take], 0.0) for w, _ in split] for split in fits]
+
+
+def _projected_fits(entry: tuple, cols: tuple[int, ...]) -> list[list[np.ndarray]]:
+    """A stored superset's per-split weights projected onto ``cols``."""
+    parent, fits = entry
+    keep = _positions(parent, cols)
+    return [[supervised.projected_start(w, h, keep) for w, h in split] for split in fits]
 
 
 def select_features(

@@ -13,7 +13,13 @@ sub-block solve that never touches the rows again.  ``lstsq`` runs only as
 the fallback when the Cholesky factorization fails.
 
 Logistic regression is IRLS with step halving on the standardized design
-(``Standardized``), optionally started from standardized-space weights.
+(``Standardized``), optionally started from standardized-space weights.  It
+stops in the quadratic regime of Newton's method: once a full Newton step is
+below ``_IRLS_QUAD_TOL`` the next one would be of the order of its square, so
+the step that would only confirm convergence is not taken.  The fitted model
+keeps the penalized Hessian of its last Newton iteration, from which a
+caller can project a start for the same fit on fewer columns
+(``projected_start``).
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ PROPENSITY_LAMBDA = 1e-2
 PROB_CLIP = (0.01, 0.99)
 
 _IRLS_TOL = 1e-8
+# a full Newton step below this leaves a next step of about its square
+_IRLS_QUAD_TOL = 1e-5
 _IRLS_MAX_ITER = 100
 
 
@@ -40,7 +48,9 @@ class LinearModel:
 
     ``weights[0]`` is the intercept, ``weights[1:]`` the per-feature slopes.
     ``mu``/``scale`` record the standardization used during fitting (needed
-    to recover standardized-space weights, not for prediction).
+    to recover standardized-space weights, not for prediction).  Logistic
+    models keep in ``hessian`` the standardized-space penalized Hessian of
+    the last IRLS iteration (intercept first); ridge models leave it None.
     """
 
     weights: np.ndarray
@@ -49,6 +59,7 @@ class LinearModel:
     mu: np.ndarray
     scale: np.ndarray
     converged: bool = True
+    hessian: np.ndarray | None = None
 
     def standardized_weights(self) -> np.ndarray:
         """The weights in the standardized space the model was fit in."""
@@ -214,10 +225,15 @@ def fit_logistic(
     first) when given, else from zero.  Step halving keeps the penalized
     log-likelihood nondecreasing across iterations, so the final iterate is
     also the best one; the probabilities of the accepted step feed the next
-    Newton step.  If the max weight change has not dropped below 1e-8 after
-    100 iterations, or no halved step keeps the objective from decreasing,
-    the model is returned with ``converged=False``.  ``objective_trace``,
-    when given, collects the per-iteration penalized log-likelihood.
+    Newton step.  The fit has converged when the max weight change of an
+    accepted step is below 1e-8, or when a full (not halved) Newton step is
+    below 1e-5: Newton's method then converges quadratically, so the step
+    that would follow is of the order of the square of that one.  If neither
+    holds after 100 iterations, or no halved step keeps the objective from
+    decreasing, the model is returned with ``converged=False``.  The model
+    keeps the penalized Hessian of the last iteration (``hessian``).
+    ``objective_trace``, when given, collects the per-iteration penalized
+    log-likelihood.
 
     Raises:
         DegenerateArms: t does not contain both classes.
@@ -259,7 +275,8 @@ def fit_logistic(
         w, p, cur_ll = cand, cand_p, cand_ll
         if objective_trace is not None:
             objective_trace.append(cur_ll)
-        if float(np.max(np.abs(stepsize * step))) < _IRLS_TOL:
+        change = float(np.max(np.abs(stepsize * step)))
+        if change < _IRLS_TOL or (stepsize == 1.0 and change < _IRLS_QUAD_TOL):
             converged = True
             break
     return LinearModel(
@@ -269,7 +286,26 @@ def fit_logistic(
         mu=std.mu,
         scale=std.scale,
         converged=converged,
+        hessian=hess,
     )
+
+
+def projected_start(weights: np.ndarray, hessian: np.ndarray, keep) -> np.ndarray:
+    """Start weights for a logistic fit on a subset of a fitted model's terms.
+
+    ``weights`` and ``hessian`` are a fitted model's standardized-space
+    weights and penalized Hessian; ``keep`` lists the positions retained
+    (0 for the intercept).  The result minimizes the model's quadratic
+    approximation of the objective around ``weights`` with every dropped
+    weight held at zero: w[K] + H[K,K]^-1 H[K,D] w[D].
+    """
+    keep = np.asarray(keep, dtype=np.intp)
+    dropped = np.ones(len(weights), dtype=bool)
+    dropped[keep] = False
+    drop = np.flatnonzero(dropped)
+    rows = hessian.take(keep, axis=0)
+    shift = rows.take(drop, axis=1) @ weights[drop]
+    return weights[keep] + _spd_solve(rows.take(keep, axis=1), shift)
 
 
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Pipeline composition, experiment determinism, ranking, reporting."""
 
 import json
+import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hteselect.errors import ConfigError
 from hteselect.harness import (
@@ -275,6 +279,76 @@ def test_degenerate_replicates_fail_each_cell():
             assert not any(f.startswith("failed") for f in flags[0] + flags[2])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_replicate_error_fails_only_that_replicate(monkeypatch, workers):
+    # the pool forks, so the patched selector is in the workers too
+    from hteselect import harness
+
+    config = _base_config(
+        replicates=3, record_timing=False, workers=workers,
+        methods=(MethodSpec("None", "T"), MethodSpec("HteFitF", "T"), MethodSpec("OracleValid")),
+    )
+    clean, _ = run_experiment(config)
+    bad_seeds = {
+        harness._derived_seed(config.master_seed, 1, 2, zlib.crc32(m.method_id.encode()))
+        for m in config.methods
+    }
+    original = harness._run_selector
+
+    def sabotaged(method, x_tr, t_tr, y_tr, graph, cfg, seed):
+        if seed in bad_seeds and method.selector == "HteFitF":
+            raise RuntimeError("injected bug")
+        return original(method, x_tr, t_tr, y_tr, graph, cfg, seed)
+
+    monkeypatch.setattr(harness, "_run_selector", sabotaged)
+    rows, _ = run_experiment(config)
+    assert [r.scm_id for r in rows] == [r.scm_id for r in clean]
+    for row, want in zip(rows, clean):
+        if row.scm_id == "scm0001":
+            assert row.flags == ("failed:RuntimeError",)
+        else:
+            assert row == want
+
+
+@st.composite
+def _scm_cells(draw):
+    d = draw(st.integers(3, 12))
+    return dict(
+        d=d,
+        p_e=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        sigma=draw(st.sampled_from([0.0, 0.2])),
+        rho=draw(st.sampled_from([0.1, 1.0])),
+        gamma=draw(st.booleans()),
+        m=draw(st.integers(0, min(2, d - 2))),
+        p_h=draw(st.integers(0, 2)),
+        m_p=draw(st.booleans()),
+        n=draw(st.one_of(st.integers(6, 40), st.integers(41, 400))),
+    )
+
+
+_PROPERTY_METHODS = (
+    MethodSpec("None", "S"),
+    MethodSpec("HteFitF", "X", "TauRisk"),
+    MethodSpec("HteFitB", "DR", "CFCV"),
+    MethodSpec("StructureFit", "T"),
+    MethodSpec("HteFS", "T", "NNPEHE"),
+    MethodSpec("OracleOSet", "T"),
+)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(cell=_scm_cells(), workers=st.sampled_from([1, 2]), master_seed=st.integers(0, 2**16))
+def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
+    config = ExperimentConfig(
+        base=cell, methods=_PROPERTY_METHODS, replicates=2, master_seed=master_seed,
+        workers=workers, record_timing=False,
+    )
+    rows, _ = run_experiment(config)
+    assert len(rows) == 2 * len(_PROPERTY_METHODS)
+    for row in rows:
+        assert row.failed or math.isfinite(row.mse), row
+
+
 def test_rank_invariance_under_constant_shift():
     rows, _ = run_experiment(_base_config(replicates=2))
     shifted = [
@@ -427,6 +501,11 @@ def test_config_errors_rejected(mutate):
     mutate(payload)
     with pytest.raises(ConfigError):
         config_from_json(json.dumps(payload))
+
+
+def test_config_built_in_code_checks_every_grid_cell():
+    with pytest.raises(ConfigError, match="d must be >= 3"):
+        _base_config(grid={"d": [10, 2]})
 
 
 def test_method_id_formats():

@@ -10,6 +10,7 @@ from hteselect.supervised import (
     fit_logistic,
     fit_ridge,
     predict,
+    projected_start,
     solve_ridge,
 )
 
@@ -243,3 +244,69 @@ def test_warm_start_reaches_cold_optimum():
 def test_single_class_rejected():
     with pytest.raises(DegenerateArms):
         fit_logistic(np.ones((5, 1)), np.ones(5), lam=0.1)
+
+
+def _newton_reference(x, t, lam, tol=1e-14):
+    """Plain penalized Newton iteration on the standardized design, run
+    until the step is below ``tol``; returns standardized-space weights."""
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    design = np.column_stack([np.ones(len(t)), z])
+    pen = lam * np.r_[0.0, np.ones(x.shape[1])]
+    w = np.zeros(x.shape[1] + 1)
+    for _ in range(200):
+        p = 1.0 / (1.0 + np.exp(-design @ w))
+        hess = design.T @ (design * (p * (1 - p))[:, None]) + np.diag(pen)
+        step = np.linalg.solve(hess, design.T @ (t - p) - pen * w)
+        w = w + step
+        if np.max(np.abs(step)) < tol:
+            return w
+    raise AssertionError("reference Newton loop did not converge")
+
+
+@pytest.mark.parametrize(
+    "seed,k,signal",
+    [(0, 1, 1.0), (1, 3, 1.0), (2, 8, 0.5), (3, 20, 0.4), (4, 20, 1.0), (5, 2, 6.0)],
+)
+def test_quadratic_stop_matches_newton_to_convergence(seed, k, signal):
+    # signal 6 on two columns is nearly separable: 41% of p within 1e-3 of 0 or 1
+    rng = np.random.default_rng(seed)
+    n = 1200
+    x = rng.normal(size=(n, k)) * rng.uniform(0.5, 3.0, size=k) + rng.normal(size=k)
+    z = signal * ((x - x.mean(axis=0)) / x.std(axis=0)) @ rng.choice([-1.0, 1.0], size=k)
+    t = (rng.random(n) < 1 / (1 + np.exp(-z))).astype(float)
+    model = fit_logistic(x, t, lam=1e-2)
+    assert model.converged
+    want = _newton_reference(x, t, 1e-2)
+    assert np.max(np.abs(model.standardized_weights() - want)) <= 1e-9
+
+
+def test_fit_logistic_records_penalized_hessian():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(300, 3))
+    t = (rng.random(300) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    model = fit_logistic(x, t, lam=1e-2)
+    z = (x - model.mu) / model.scale
+    design = np.column_stack([np.ones(300), z])
+    p = 1.0 / (1.0 + np.exp(-design @ model.standardized_weights()))
+    want = design.T @ (design * (p * (1 - p))[:, None]) + np.diag([0.0, 1e-2, 1e-2, 1e-2])
+    # the Hessian of the last iteration, taken one (tiny) step before the optimum
+    assert np.allclose(model.hessian, want, rtol=1e-4)
+    assert fit_ridge(x, t).hessian is None
+
+
+def test_projected_start_minimizes_quadratic_model_with_dropped_weight_zero():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(6, 6))
+    hess = a @ a.T + 0.5 * np.eye(6)
+    w = rng.normal(size=6)
+    keep = [0, 1, 2, 4, 5]
+    # Lagrange system of: min (v - w)' H (v - w) subject to v[3] = 0
+    kkt = np.zeros((7, 7))
+    kkt[:6, :6] = hess
+    kkt[3, 6] = kkt[6, 3] = 1.0
+    v = np.linalg.solve(kkt, np.r_[hess @ w, 0.0])[:6]
+    assert abs(v[3]) < 1e-12
+    assert np.allclose(projected_start(w, hess, keep), v[keep], rtol=0, atol=1e-12)
+    # the kept positions come back in the order given
+    shuffled = projected_start(w, hess, [5, 0, 2])
+    assert np.allclose(shuffled, projected_start(w, hess, [0, 2, 5])[[2, 0, 1]])
