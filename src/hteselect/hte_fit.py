@@ -159,12 +159,15 @@ class SubsetScorer:
     rows.  ``estimators.prepare`` gives the estimator's Gram blocks, so each
     of its ridge fits is a Cholesky solve of a sub-block; for the
     residual-product metric one standardized copy of the inner-train rows
-    serves every propensity IRLS.  Every propensity IRLS of a split (the
-    metric's and the estimator's, ``estimators.LOGISTIC_MODELS``) is
-    warm-started from the fits of already-scored subsets one column away
-    (see ``_warm_start``): a removal from the parent's weights projected
-    through its Hessian, an addition by extrapolation from its parents.
-    Only the fits of the last three subset sizes scored are kept.
+    serves every propensity IRLS.  The X estimator fits that same
+    propensity model (same rows, penalty and start), so with X the metric
+    takes the estimator's model instead of fitting it a second time.  Every
+    propensity IRLS of a split (the metric's and the estimator's,
+    ``estimators.LOGISTIC_MODELS``) is warm-started from the fits of
+    already-scored subsets one column away (see ``_warm_start``): a removal
+    from the parent's weights projected through its Hessian, an addition by
+    extrapolation from its parents.  Only the fits of the last three subset
+    sizes scored are kept.
     """
 
     def __init__(
@@ -195,10 +198,12 @@ class SubsetScorer:
             if len(set(t[tr])) < 2 or len(set(t[va])) < 2:
                 raise HteSelectError("inner split lost a treatment arm")
             self.splits.append((tr, va))
+        # X fits the TauRisk propensity itself (same rows, penalty and start)
+        self._own_propensity = metric == "TauRisk" and estimator != "X"
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
         # IRLS fits per split: the estimator's propensities, then the metric's
         self._n_estimator_fits = len(estimators.LOGISTIC_MODELS[estimator])
-        self._n_fits = self._n_estimator_fits + (metric == "TauRisk")
+        self._n_fits = self._n_estimator_fits + self._own_propensity
         # per-split (weights, Hessian) of every IRLS fit of scored subsets,
         # for the subset size being scored and the two sizes scored before it
         self._warm_size = 0
@@ -213,7 +218,7 @@ class SubsetScorer:
             stats["prepared"] = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
         except HteSelectError as exc:  # every subset fails alike on this split
             stats["prepared"] = exc
-        if self.metric == "TauRisk":
+        if self._own_propensity:
             stats["rows"], stats["t_tr"] = supervised.Standardized.of(x_tr), t_tr
         return stats
 
@@ -257,11 +262,11 @@ class SubsetScorer:
                 x_va = stats["x_va"][:, idx]
                 tau_hat = est.predict(x_va)
                 if self.metric == "TauRisk":
-                    p_model = supervised.fit_logistic(
-                        stats["rows"].columns(idx), stats["t_tr"], start=start[-1]
-                    )
-                    models.append(p_model)
-                    p_hat = supervised.predict(p_model, x_va)
+                    if self._own_propensity:  # else models[-1] is X's propensity
+                        models.append(supervised.fit_logistic(
+                            stats["rows"].columns(idx), stats["t_tr"], start=start[-1]
+                        ))
+                    p_hat = supervised.predict(models[-1], x_va)
                     values.append(fit_metrics.tau_risk(
                         tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"], p_hat
                     ))

@@ -13,13 +13,20 @@ sub-block solve that never touches the rows again.  ``lstsq`` runs only as
 the fallback when the Cholesky factorization fails.
 
 Logistic regression is IRLS with step halving on the standardized design
-(``Standardized``), optionally started from standardized-space weights.  It
-stops in the quadratic regime of Newton's method: once a full Newton step is
-below ``_IRLS_QUAD_TOL`` the next one would be of the order of its square, so
-the step that would only confirm convergence is not taken.  The fitted model
-keeps the penalized Hessian of its last Newton iteration, from which a
-caller can project a start for the same fit on fewer columns
-(``projected_start``).
+(``Standardized``), optionally started from standardized-space weights.  A
+Newton step is accepted by a concavity certificate: the penalized
+log-likelihood is concave, so a nonnegative product of the step with the
+gradient at its end point, which the next step needs anyway, proves the
+objective did not fall (both this test and the line search allow
+``_ASCENT_TOL``).  Only a step that fails the test, or leaves the
+probability clip of the evaluated objective, falls back to step halving on
+the log-likelihood itself; a requested objective trace costs one
+log-likelihood per iteration.  The loop stops in the quadratic regime of
+Newton's method: once a full Newton step is below ``_IRLS_QUAD_TOL`` the
+next one would be of the order of its square, so the step that would only
+confirm convergence is not taken.  The fitted model keeps the penalized
+Hessian of its last Newton iteration, from which a caller can project a
+start for the same fit on fewer columns (``projected_start``).
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ _IRLS_TOL = 1e-8
 # a full Newton step below this leaves a next step of about its square
 _IRLS_QUAD_TOL = 1e-5
 _IRLS_MAX_ITER = 100
+# probabilities are clipped to this range where the objective is evaluated
+_LOGLIK_CLIP = (1e-12, 1.0 - 1e-12)
+# an accepted step may lower the penalized log-likelihood by at most this
+_ASCENT_TOL = 1e-12
 
 
 @dataclass
@@ -155,7 +166,9 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
     if lam <= 0:
         raise ValueError("normal-equation ridge needs lam > 0")
     k = gram.shape[0]
-    slopes = _spd_solve(gram + lam * np.eye(k), zy)
+    system = gram.copy()
+    system.flat[:: k + 1] += lam
+    slopes = _spd_solve(system, zy)
     w_std = np.concatenate([[y_mean], slopes])
     return LinearModel(
         weights=_fold_back(w_std, mu, scale),
@@ -205,10 +218,18 @@ class Standardized:
         )
 
 
-def _penalized_loglik(p, treated, w, lam):
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    ll = float(np.log(np.where(treated, p, 1.0 - p)).sum())
+def _penalized_loglik(p, untreated, w, lam, buf) -> float:
+    """Clipped penalized log-likelihood, computed in place in the row-length
+    buffer ``buf``; ``untreated`` marks the rows with t = 0."""
+    q = np.clip(p, *_LOGLIK_CLIP, out=buf)
+    np.subtract(1.0, q, out=q, where=untreated)
+    ll = float(np.log(q, out=q).sum())
     return ll - 0.5 * lam * float(w[1:] @ w[1:])
+
+
+def _inside_clip(p) -> bool:
+    """True when ``_penalized_loglik`` clips none of the probabilities ``p``."""
+    return p.min() >= _LOGLIK_CLIP[0] and p.max() <= _LOGLIK_CLIP[1]
 
 
 def fit_logistic(
@@ -222,18 +243,29 @@ def fit_logistic(
 
     ``x`` is a feature matrix or an already ``Standardized`` design.  The
     iteration starts from the standardized-space weights ``start`` (intercept
-    first) when given, else from zero.  Step halving keeps the penalized
-    log-likelihood nondecreasing across iterations, so the final iterate is
-    also the best one; the probabilities of the accepted step feed the next
-    Newton step.  The fit has converged when the max weight change of an
-    accepted step is below 1e-8, or when a full (not halved) Newton step is
-    below 1e-5: Newton's method then converges quadratically, so the step
-    that would follow is of the order of the square of that one.  If neither
-    holds after 100 iterations, or no halved step keeps the objective from
+    first) when given, else from zero.  The probabilities and the gradient
+    at each accepted point feed the next Newton step, and no accepted step
+    lowers the penalized log-likelihood f by more than 1e-12, so the final
+    iterate is also the best one.
+
+    A full Newton step is accepted by a concavity certificate: f is concave,
+    so f(cand) - f(w) >= g(cand).(cand - w) for the penalized gradient g,
+    and a step with g(cand).step >= -1e-12 is taken without evaluating f.
+    When that test fails, or when a probability at w or at the candidate
+    lies outside the [1e-12, 1 - 1e-12] clip of the evaluated objective
+    (where the certificate does not bound it), the step is halved until the
+    clipped objective falls by no more than 1e-12.
+
+    The fit has converged when the max weight change of an accepted step is
+    below 1e-8, or when a full (not halved) Newton step is below 1e-5:
+    Newton's method then converges quadratically, so the step that would
+    follow is of the order of the square of that one.  If neither holds
+    after 100 iterations, or no halved step keeps the objective from
     decreasing, the model is returned with ``converged=False``.  The model
     keeps the penalized Hessian of the last iteration (``hessian``).
-    ``objective_trace``, when given, collects the per-iteration penalized
-    log-likelihood.
+    ``objective_trace``, when given, collects the clipped penalized
+    log-likelihood of every accepted iterate; that costs one evaluation of
+    it per iteration, and never changes which steps are taken.
 
     Raises:
         DegenerateArms: t does not contain both classes.
@@ -243,37 +275,56 @@ def fit_logistic(
     t = np.asarray(t, dtype=np.float64)
     if lam <= 0:
         raise ValueError("logistic fits require lam > 0")
-    classes = np.unique(t)
-    if not np.array_equal(classes, np.array([0.0, 1.0])):
+    untreated = t == 0.0
+    n_treated = int(np.count_nonzero(t == 1.0))
+    if not 0 < n_treated < len(t) or n_treated + int(np.count_nonzero(untreated)) != len(t):
         raise DegenerateArms("treatment vector must contain both 0 and 1")
-    design, treated = std.design, t == 1.0
+    design = std.design
     k = design.shape[1] - 1
     pen = lam * np.concatenate([[0.0], np.ones(k)])
+    pen_diag = np.diag(pen)
+    buf = np.empty(len(t))
 
     w = np.zeros(k + 1) if start is None else np.array(start, dtype=np.float64)
     if w.shape != (k + 1,):
         raise DimensionMismatch(f"start must have {k + 1} weights, got {w.shape}")
     p = expit(design @ w)
-    cur_ll = _penalized_loglik(p, treated, w, lam)
+    grad = design.T @ (t - p) - pen * w
+    inside = _inside_clip(p)
+    cur_ll = None  # f(w), computed only when a trace or a line search needs it
     converged = False
     for _ in range(_IRLS_MAX_ITER):
         weight = p * (1.0 - p) + 1e-10
-        grad = design.T @ (t - p) - pen * w
-        hess = (design * weight[:, None]).T @ design + np.diag(pen)
+        hess = (design * weight[:, None]).T @ design + pen_diag
         step = _spd_solve(hess, grad)
-        # halve until the penalized objective does not decrease
         stepsize = 1.0
-        for _ in range(30):
-            cand = w + stepsize * step
-            cand_p = expit(design @ cand)
-            cand_ll = _penalized_loglik(cand_p, treated, cand, lam)
-            if cand_ll >= cur_ll - 1e-12:
+        cand = w + step
+        cand_p = expit(design @ cand)
+        cand_grad = design.T @ (t - cand_p) - pen * cand
+        cand_inside = _inside_clip(cand_p)
+        if inside and cand_inside and float(cand_grad @ step) >= -_ASCENT_TOL:
+            cur_ll = None
+        else:  # halve until the clipped objective does not fall
+            if cur_ll is None:
+                cur_ll = _penalized_loglik(p, untreated, w, lam, buf)
+            for attempt in range(30):
+                if attempt:
+                    stepsize *= 0.5
+                    cand = w + stepsize * step
+                    cand_p = expit(design @ cand)
+                cand_ll = _penalized_loglik(cand_p, untreated, cand, lam, buf)
+                if cand_ll >= cur_ll - _ASCENT_TOL:
+                    break
+            else:  # no halved step keeps the objective: stop, not converged
                 break
-            stepsize *= 0.5
-        else:  # no halved step keeps the objective: stop, not converged
-            break
-        w, p, cur_ll = cand, cand_p, cand_ll
+            if stepsize != 1.0:
+                cand_grad = design.T @ (t - cand_p) - pen * cand
+                cand_inside = _inside_clip(cand_p)
+            cur_ll = cand_ll
+        w, p, grad, inside = cand, cand_p, cand_grad, cand_inside
         if objective_trace is not None:
+            if cur_ll is None:
+                cur_ll = _penalized_loglik(p, untreated, w, lam, buf)
             objective_trace.append(cur_ll)
         change = float(np.max(np.abs(stepsize * step)))
         if change < _IRLS_TOL or (stepsize == 1.0 and change < _IRLS_QUAD_TOL):

@@ -11,6 +11,7 @@ from hteselect import fit_metrics
 from hteselect.errors import HteSelectError
 from hteselect.estimators import ESTIMATOR_KINDS, fit_estimator
 from hteselect.hte_fit import (
+    N_SPLITS,
     SelectionStep,
     SelectionTrace,
     SubsetScorer,
@@ -434,6 +435,24 @@ def test_warm_started_propensity_fits_take_fewer_iterations(monkeypatch):
         for select in (forward_select, backward_select):
             select(SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=4), range(4))
         assert 0 < iterations["warm"] < 0.8 * iterations["cold"], (estimator, metric)
+
+
+def test_x_learner_propensity_serves_tau_risk(monkeypatch):
+    starts = []
+
+    def counting(original, x, t, lam, start):
+        starts.append(start)
+        return original(x, t, lam, None, start)
+
+    _patch_fit_logistic(monkeypatch, counting)
+    x, t, y = _confounded_data(7, n=500, noise_cols=2)
+    scorer = SubsetScorer(x, t, y, metric="TauRisk", estimator="X", seed=1)
+    # one IRLS fit per split, cold first and warm-started once neighbours are scored
+    for cols, warm in [((0,), False), ((1,), False), ((0, 1), True), ((0, 1, 2), True)]:
+        starts.clear()
+        assert math.isfinite(scorer(cols))
+        assert len(starts) == N_SPLITS, cols
+        assert all((s is not None) == warm for s in starts), cols
 
 
 def test_removal_starts_are_projected_through_the_parent_hessian(monkeypatch):

@@ -1,12 +1,19 @@
 """Ridge and logistic core against closed-form and brute-force oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
+from hteselect import supervised
 from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError
 from hteselect.supervised import (
     LinearModel,
     Moments,
+    Standardized,
     fit_logistic,
     fit_ridge,
     predict,
@@ -246,6 +253,24 @@ def test_single_class_rejected():
         fit_logistic(np.ones((5, 1)), np.ones(5), lam=0.1)
 
 
+@pytest.mark.parametrize(
+    "t", [[0, 1, 2, 1, 0, 1], [0, 1, np.nan, 1, 0, 1], [0, 1, 0.5, 1, 0, 1], [0, 0, 0, 0, 0, 0]]
+)
+def test_treatment_outside_zero_one_or_one_class_rejected(t):
+    x = np.arange(2.0 * len(t)).reshape(len(t), 2) % 5
+    with pytest.raises(DegenerateArms):
+        fit_logistic(x, np.asarray(t, dtype=np.float64), lam=0.1)
+
+
+def test_integer_and_bool_treatments_accepted():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(80, 2))
+    t = (rng.random(80) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    want = fit_logistic(x, t).weights
+    for coded in (t.astype(np.int64), t.astype(bool), t.astype(np.int8), -0.0 + t):
+        assert np.array_equal(fit_logistic(x, coded).weights, want)
+
+
 def _newton_reference(x, t, lam, tol=1e-14):
     """Plain penalized Newton iteration on the standardized design, run
     until the step is below ``tol``; returns standardized-space weights."""
@@ -263,21 +288,149 @@ def _newton_reference(x, t, lam, tol=1e-14):
     raise AssertionError("reference Newton loop did not converge")
 
 
+def _propensity_design(seed, k, signal, n=1200):
+    """Shifted, scaled normal features and treatments drawn from a logistic
+    model with ``signal`` per standardized column."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k)) * rng.uniform(0.5, 3.0, size=k) + rng.normal(size=k)
+    z = signal * ((x - x.mean(axis=0)) / x.std(axis=0)) @ rng.choice([-1.0, 1.0], size=k)
+    t = (rng.random(n) < 1 / (1 + np.exp(-z))).astype(float)
+    return x, t
+
+
 @pytest.mark.parametrize(
     "seed,k,signal",
     [(0, 1, 1.0), (1, 3, 1.0), (2, 8, 0.5), (3, 20, 0.4), (4, 20, 1.0), (5, 2, 6.0)],
 )
 def test_quadratic_stop_matches_newton_to_convergence(seed, k, signal):
     # signal 6 on two columns is nearly separable: 41% of p within 1e-3 of 0 or 1
-    rng = np.random.default_rng(seed)
-    n = 1200
-    x = rng.normal(size=(n, k)) * rng.uniform(0.5, 3.0, size=k) + rng.normal(size=k)
-    z = signal * ((x - x.mean(axis=0)) / x.std(axis=0)) @ rng.choice([-1.0, 1.0], size=k)
-    t = (rng.random(n) < 1 / (1 + np.exp(-z))).astype(float)
+    x, t = _propensity_design(seed, k, signal)
     model = fit_logistic(x, t, lam=1e-2)
     assert model.converged
     want = _newton_reference(x, t, 1e-2)
     assert np.max(np.abs(model.standardized_weights() - want)) <= 1e-9
+
+
+def _count_loglik_calls():
+    """Patch ``_penalized_loglik`` with a counting wrapper; returns the patch
+    and the list that grows by one per call."""
+    calls = []
+    original = supervised._penalized_loglik
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    return mock.patch.object(supervised, "_penalized_loglik", counting), calls
+
+
+@pytest.mark.parametrize("seed,k,signal", [(1, 3, 1.0), (4, 20, 1.0), (5, 2, 6.0)])
+def test_trace_never_changes_the_fit(seed, k, signal):
+    x, t = _propensity_design(seed, k, signal)
+    optimum = fit_logistic(x, t).standardized_weights()
+    warm = optimum + np.random.default_rng(seed).normal(scale=0.1, size=k + 1)
+    for start in (None, warm, -optimum):
+        trace: list = []
+        traced = fit_logistic(x, t, objective_trace=trace, start=start)
+        plain = fit_logistic(x, t, start=start)
+        assert trace
+        assert np.array_equal(traced.weights, plain.weights)
+        assert np.array_equal(traced.hessian, plain.hessian)
+        assert traced.converged == plain.converged
+
+
+def test_certified_steps_skip_the_objective():
+    x, t = _propensity_design(1, 3, 1.0)
+    patch, calls = _count_loglik_calls()
+    with patch:
+        assert fit_logistic(x, t).converged
+        assert not calls  # every Newton step certified by the gradient
+        trace: list = []
+        fit_logistic(x, t, objective_trace=trace)
+    assert len(calls) == len(trace) > 0  # a trace costs one evaluation per iteration
+
+
+def test_failed_certificate_falls_back_to_step_halving():
+    # nearly separable design started at the mirror image of its optimum:
+    # the first full Newton steps overshoot, so the certificate fails
+    x, t = _propensity_design(5, 2, 6.0)
+    cold = fit_logistic(x, t)
+    far = -cold.standardized_weights()
+    patch, calls = _count_loglik_calls()
+    with patch:
+        model = fit_logistic(x, t, start=far)
+    assert calls  # the fallback evaluated the objective
+    trace: list = []
+    fit_logistic(x, t, objective_trace=trace, start=far)
+    assert np.all(np.diff(trace) >= 0.0)
+    assert model.converged
+    assert np.max(np.abs(model.standardized_weights() - cold.standardized_weights())) <= 1e-9
+
+
+def _clipped_objective(std, t, w, lam):
+    """Penalized log-likelihood with probabilities clipped to [1e-12, 1 - 1e-12]."""
+    p = np.clip(expit(std.design @ w), 1e-12, 1.0 - 1e-12)
+    return float(np.log(np.where(t == 1.0, p, 1.0 - p)).sum()) - 0.5 * lam * float(w[1:] @ w[1:])
+
+
+def _assert_never_falls(values):
+    """No value is more than 1e-12 below the one before it, up to the
+    rounding of that comparison at the values' magnitude."""
+    values = np.asarray(values)
+    slack = 1e-12 + 4 * np.spacing(np.abs(values[:-1]))
+    assert np.all(np.diff(values) >= -slack)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(30, 400),
+    k=st.integers(1, 6),
+    signal=st.floats(0.0, 8.0),
+    start_scale=st.sampled_from([0.0, 0.5, 5.0, 40.0]),
+)
+def test_accepted_steps_keep_the_objective_nondecreasing(seed, n, k, signal, start_scale):
+    x, t = _propensity_design(seed, k, signal, n=n)
+    if t.min() == t.max():
+        return
+    start = np.random.default_rng(seed).normal(scale=start_scale, size=k + 1)
+    std = Standardized.of(x)
+    trace = [_clipped_objective(std, t, start, 1e-2)]  # the fit appends its iterates
+    fit_logistic(std, t, objective_trace=trace, start=start)
+    assert len(trace) > 1
+    _assert_never_falls(trace)
+
+
+def test_starts_beyond_the_probability_clip_never_lower_the_clipped_objective():
+    # heavy-tailed rows and large start weights put probabilities beyond the
+    # clip, where the gradient certificate does not bound the clipped objective
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n, k = int(rng.integers(4, 30)), int(rng.integers(1, 3))
+        x = rng.standard_cauchy(size=(n, k))
+        t = (rng.random(n) < 0.5).astype(float)
+        if t.min() == t.max():
+            continue
+        start = rng.normal(scale=float(rng.choice([5, 20, 60, 200])), size=k + 1)
+        lam = float(rng.choice([1e-3, 1e-2, 1.0]))
+        std = Standardized.of(x)
+        trace = [_clipped_objective(std, t, start, lam)]
+        fit_logistic(std, t, lam=lam, objective_trace=trace, start=start)
+        _assert_never_falls(trace)
+
+
+def test_solve_ridge_matches_explicit_penalty_matrix_bitwise():
+    rng = np.random.default_rng(10)
+    for k in (1, 3, 8):
+        moments = Moments.of(rng.normal(size=(60, k)) * rng.uniform(0.1, 5.0, size=k),
+                             rng.normal(size=60))
+        for lam in (1e-3, 0.7):
+            got = solve_ridge(moments.gram, moments.zy, moments.y_mean, moments.mu,
+                              moments.scale, lam)
+            slopes = supervised._spd_solve(moments.gram + lam * np.eye(k), moments.zy)
+            want = supervised._fold_back(np.r_[moments.y_mean, slopes], moments.mu,
+                                         moments.scale)
+            assert np.array_equal(got.weights, want)
 
 
 def test_fit_logistic_records_penalized_hessian():
