@@ -40,7 +40,6 @@ from .scm_gen import (
     Dataset,
     ScmSpec,
     generate,
-    has_backdoor_path,
     make_dataset,
     sample_graph,
     sample_noise,

@@ -187,7 +187,10 @@ def _strict_closure(adj: np.ndarray) -> np.ndarray:
 
 
 def backdoor_row(graph: CausalGraph, t: int) -> np.ndarray:
-    """``row[y]`` iff ``has_backdoor_path(graph, t, y)``, for every y at once.
+    """``row[y]`` iff some node has directed paths into both t and y, the one
+    to y avoiding t, for every y at once (common-ancestor criterion;
+    equivalent to an open backdoor path from t to y in a DAG when nothing is
+    conditioned on).  ``row[t]`` is False.
 
     Ancestors of t are read from the closure of the graph with t removed
     (no path into t passes through t), and the same closure gives which of
@@ -200,15 +203,6 @@ def backdoor_row(graph: CausalGraph, t: int) -> np.ndarray:
     into_t = graph.adj[:, t]
     anc_t = into_t | reach[:, into_t].any(axis=1)
     return reach[anc_t].any(axis=0)
-
-
-def has_backdoor_path(graph: CausalGraph, t: int, y: int) -> bool:
-    """True iff some node has directed paths into both t and y, the one to y
-    avoiding t (common-ancestor criterion; equivalent to an open backdoor
-    path in a DAG when nothing is conditioned on)."""
-    if t == y:
-        raise ValueError("t and y must differ")
-    return bool(backdoor_row(graph, t)[y])
 
 
 def _exact_hop_pairs(graph: CausalGraph, m: int) -> list[tuple[int, int]]:

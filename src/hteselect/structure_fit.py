@@ -29,10 +29,11 @@ from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
-from scipy.special import erfc, expit
+from scipy.special import erfc
 
 from .errors import ConstantColumn, NumericError
 from .scm_gen import CausalGraph, reachable
+from .supervised import fit_logistic, logistic_loglik
 
 logger = logging.getLogger(__name__)
 
@@ -321,27 +322,24 @@ def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray) -> float:
     plus Gaussian arms with pooled variance, versus a Gaussian margin with a
     logistic conditional.  Positive values favor the binary variable as the
     cause.
+
+    Raises:
+        DegenerateArms: ``binary`` does not hold both 0 and 1.
     """
     b = np.asarray(binary, float)
     c = np.asarray(cont, float)
+    model = fit_logistic(c[:, None], b, lam=1e-3)
     n = len(b)
-    p = min(max(float(b.mean()), 1e-12), 1.0 - 1e-12)
+    p = float(b.mean())
     ll_bern = float(b.sum()) * math.log(p) + float(n - b.sum()) * math.log(1.0 - p)
-    mu1 = c[b == 1].mean() if (b == 1).any() else 0.0
-    mu0 = c[b == 0].mean() if (b == 0).any() else 0.0
-    resid = c - np.where(b == 1, mu1, mu0)
+    resid = c - np.where(b == 1, c[b == 1].mean(), c[b == 0].mean())
     var_pool = max(float(resid.var()), 1e-12)
     ll_arms = -0.5 * n * math.log(2 * math.pi * var_pool) - 0.5 * n
     ll_forward = ll_bern + ll_arms
 
     var_c = max(float(c.var()), 1e-12)
     ll_margin = -0.5 * n * math.log(2 * math.pi * var_c) - 0.5 * n
-    from .supervised import fit_logistic
-
-    model = fit_logistic(c[:, None], b, lam=1e-3)
-    score = model.weights[0] + c * model.weights[1]
-    probs = np.clip(expit(score), 1e-12, 1.0 - 1e-12)
-    ll_logistic = float(b @ np.log(probs) + (1.0 - b) @ np.log(1.0 - probs))
+    ll_logistic = logistic_loglik(model.weights[0] + c * model.weights[1], b)
     return ll_forward - (ll_margin + ll_logistic)
 
 

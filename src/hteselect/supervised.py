@@ -18,9 +18,9 @@ Newton step is accepted by a concavity certificate: the penalized
 log-likelihood is concave, so a nonnegative product of the step with the
 gradient at its end point, which the next step needs anyway, proves the
 objective did not fall (both this test and the line search allow
-``_ASCENT_TOL``).  Only a step that fails the test, or leaves the
-probability clip of the evaluated objective, falls back to step halving on
-the log-likelihood itself; a requested objective trace costs one
+``_ASCENT_TOL``).  Only a step that fails the test falls back to step
+halving on the log-likelihood itself, evaluated exactly from the linear
+scores by ``logistic_loglik``; a requested objective trace costs one
 log-likelihood per iteration.  The loop stops in the quadratic regime of
 Newton's method: once a full Newton step is below ``_IRLS_QUAD_TOL`` the
 next one would be of the order of its square, so the step that would only
@@ -47,8 +47,6 @@ _IRLS_TOL = 1e-8
 # a full Newton step below this leaves a next step of about its square
 _IRLS_QUAD_TOL = 1e-5
 _IRLS_MAX_ITER = 100
-# probabilities are clipped to this range where the objective is evaluated
-_LOGLIK_CLIP = (1e-12, 1.0 - 1e-12)
 # an accepted step may lower the penalized log-likelihood by at most this
 _ASCENT_TOL = 1e-12
 
@@ -218,18 +216,15 @@ class Standardized:
         )
 
 
-def _penalized_loglik(p, untreated, w, lam, buf) -> float:
-    """Clipped penalized log-likelihood, computed in place in the row-length
-    buffer ``buf``; ``untreated`` marks the rows with t = 0."""
-    q = np.clip(p, *_LOGLIK_CLIP, out=buf)
-    np.subtract(1.0, q, out=q, where=untreated)
-    ll = float(np.log(q, out=q).sum())
-    return ll - 0.5 * lam * float(w[1:] @ w[1:])
+def logistic_loglik(score: np.ndarray, t: np.ndarray) -> float:
+    """Log-likelihood of 0/1 labels ``t`` under linear scores ``score``:
+    sum(t * s - log(1 + e^s)), exact for any finite score."""
+    return float(t @ score - np.logaddexp(0.0, score).sum())
 
 
-def _inside_clip(p) -> bool:
-    """True when ``_penalized_loglik`` clips none of the probabilities ``p``."""
-    return p.min() >= _LOGLIK_CLIP[0] and p.max() <= _LOGLIK_CLIP[1]
+def _penalized_loglik(s, t, w, lam) -> float:
+    """The objective of ``fit_logistic`` at weights ``w`` with scores s = design @ w."""
+    return logistic_loglik(s, t) - 0.5 * lam * float(w[1:] @ w[1:])
 
 
 def fit_logistic(
@@ -251,10 +246,8 @@ def fit_logistic(
     A full Newton step is accepted by a concavity certificate: f is concave,
     so f(cand) - f(w) >= g(cand).(cand - w) for the penalized gradient g,
     and a step with g(cand).step >= -1e-12 is taken without evaluating f.
-    When that test fails, or when a probability at w or at the candidate
-    lies outside the [1e-12, 1 - 1e-12] clip of the evaluated objective
-    (where the certificate does not bound it), the step is halved until the
-    clipped objective falls by no more than 1e-12.
+    When that test fails, the step is halved until f, computed exactly from
+    the linear scores, falls by no more than 1e-12.
 
     The fit has converged when the max weight change of an accepted step is
     below 1e-8, or when a full (not halved) Newton step is below 1e-5:
@@ -263,9 +256,9 @@ def fit_logistic(
     after 100 iterations, or no halved step keeps the objective from
     decreasing, the model is returned with ``converged=False``.  The model
     keeps the penalized Hessian of the last iteration (``hessian``).
-    ``objective_trace``, when given, collects the clipped penalized
-    log-likelihood of every accepted iterate; that costs one evaluation of
-    it per iteration, and never changes which steps are taken.
+    ``objective_trace``, when given, collects f at every accepted iterate;
+    that costs one evaluation of f per iteration, and never changes which
+    steps are taken.
 
     Raises:
         DegenerateArms: t does not contain both classes.
@@ -275,22 +268,20 @@ def fit_logistic(
     t = np.asarray(t, dtype=np.float64)
     if lam <= 0:
         raise ValueError("logistic fits require lam > 0")
-    untreated = t == 0.0
     n_treated = int(np.count_nonzero(t == 1.0))
-    if not 0 < n_treated < len(t) or n_treated + int(np.count_nonzero(untreated)) != len(t):
+    if not 0 < n_treated < len(t) or n_treated + int(np.count_nonzero(t == 0.0)) != len(t):
         raise DegenerateArms("treatment vector must contain both 0 and 1")
     design = std.design
     k = design.shape[1] - 1
     pen = lam * np.concatenate([[0.0], np.ones(k)])
     pen_diag = np.diag(pen)
-    buf = np.empty(len(t))
 
     w = np.zeros(k + 1) if start is None else np.array(start, dtype=np.float64)
     if w.shape != (k + 1,):
         raise DimensionMismatch(f"start must have {k + 1} weights, got {w.shape}")
-    p = expit(design @ w)
+    s = design @ w
+    p = expit(s)
     grad = design.T @ (t - p) - pen * w
-    inside = _inside_clip(p)
     cur_ll = None  # f(w), computed only when a trace or a line search needs it
     converged = False
     for _ in range(_IRLS_MAX_ITER):
@@ -299,32 +290,32 @@ def fit_logistic(
         step = _spd_solve(hess, grad)
         stepsize = 1.0
         cand = w + step
-        cand_p = expit(design @ cand)
+        cand_s = design @ cand
+        cand_p = expit(cand_s)
         cand_grad = design.T @ (t - cand_p) - pen * cand
-        cand_inside = _inside_clip(cand_p)
-        if inside and cand_inside and float(cand_grad @ step) >= -_ASCENT_TOL:
+        if float(cand_grad @ step) >= -_ASCENT_TOL:
             cur_ll = None
-        else:  # halve until the clipped objective does not fall
+        else:  # halve until the objective does not fall
             if cur_ll is None:
-                cur_ll = _penalized_loglik(p, untreated, w, lam, buf)
+                cur_ll = _penalized_loglik(s, t, w, lam)
             for attempt in range(30):
                 if attempt:
                     stepsize *= 0.5
                     cand = w + stepsize * step
-                    cand_p = expit(design @ cand)
-                cand_ll = _penalized_loglik(cand_p, untreated, cand, lam, buf)
+                    cand_s = design @ cand
+                cand_ll = _penalized_loglik(cand_s, t, cand, lam)
                 if cand_ll >= cur_ll - _ASCENT_TOL:
                     break
             else:  # no halved step keeps the objective: stop, not converged
                 break
             if stepsize != 1.0:
+                cand_p = expit(cand_s)
                 cand_grad = design.T @ (t - cand_p) - pen * cand
-                cand_inside = _inside_clip(cand_p)
             cur_ll = cand_ll
-        w, p, grad, inside = cand, cand_p, cand_grad, cand_inside
+        w, s, p, grad = cand, cand_s, cand_p, cand_grad
         if objective_trace is not None:
             if cur_ll is None:
-                cur_ll = _penalized_loglik(p, untreated, w, lam, buf)
+                cur_ll = _penalized_loglik(s, t, w, lam)
             objective_trace.append(cur_ll)
         change = float(np.max(np.abs(stepsize * step)))
         if change < _IRLS_TOL or (stepsize == 1.0 and change < _IRLS_QUAD_TOL):

@@ -17,7 +17,6 @@ from hteselect.scm_gen import (
     generate,
     graph_from_json,
     graph_to_json,
-    has_backdoor_path,
     make_dataset,
     role_candidates,
     sample_graph,
@@ -79,16 +78,16 @@ def test_adjacency_respects_causal_order():
 
 
 def test_backdoor_in_collider_graph(collider_graph):
-    assert has_backdoor_path(collider_graph, 1, 2)
+    assert backdoor_row(collider_graph, 1)[2]
 
 
 def test_no_backdoor_in_pure_chain():
     chain = build_graph(3, [(0, 1), (1, 2)])
-    assert not has_backdoor_path(chain, 0, 2)
+    assert not backdoor_row(chain, 0)[2]
 
 
 def test_backdoor_in_multivariable_graph(multivariable_graph):
-    assert has_backdoor_path(multivariable_graph, 2, 8)
+    assert backdoor_row(multivariable_graph, 2)[8]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,6 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
             backdoor[t, y] = any(
                 reach[a, t] and reach_cut[a, y] for a in range(d) if a not in (t, y)
             )
-            assert has_backdoor_path(g, t, y) == backdoor[t, y], (t, y)
         assert np.array_equal(backdoor_row(g, t), backdoor[t]), t
 
     # role candidates: exact-hop pairs filtered by the backdoor criterion
@@ -410,7 +408,7 @@ def test_role_correctness_for_both_gamma_values():
     for gamma, seed in [(True, 21), (False, 22)]:
         spec = _spec(d=10, p_e=0.35, gamma=gamma, m=1, seed=seed)
         g, _ = sample_or_retry(spec, np.random.default_rng(seed))
-        assert has_backdoor_path(g, g.t_node, g.y_node) == gamma
+        assert backdoor_row(g, g.t_node)[g.y_node] == gamma
 
 
 def test_heterogeneity_switch_off_gives_constant_tau():

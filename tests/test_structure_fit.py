@@ -13,7 +13,7 @@ from scipy.stats import norm
 
 import hteselect
 
-from hteselect.errors import ConstantColumn, NumericError
+from hteselect.errors import ConstantColumn, DegenerateArms, NumericError
 from hteselect.scm_gen import ScmSpec, generate, sample_or_retry
 from hteselect.structure_fit import (
     CiTestConfig,
@@ -391,6 +391,13 @@ def test_binary_likelihood_margin_orients_treatment_edges():
         parent_hits += binary_direction_loglik(t, x) <= 0.5
     assert child_hits >= int(0.8 * trials)
     assert parent_hits >= int(0.8 * trials)
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_binary_likelihood_margin_rejects_one_class(label):
+    cont = np.random.default_rng(0).normal(size=40)
+    with pytest.raises(DegenerateArms):
+        binary_direction_loglik(np.full(40, label), cont)
 
 
 # ---------------------------------------------------------------------------

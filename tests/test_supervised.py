@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from hteselect import supervised
 from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError
@@ -367,10 +366,11 @@ def test_failed_certificate_falls_back_to_step_halving():
     assert np.max(np.abs(model.standardized_weights() - cold.standardized_weights())) <= 1e-9
 
 
-def _clipped_objective(std, t, w, lam):
-    """Penalized log-likelihood with probabilities clipped to [1e-12, 1 - 1e-12]."""
-    p = np.clip(expit(std.design @ w), 1e-12, 1.0 - 1e-12)
-    return float(np.log(np.where(t == 1.0, p, 1.0 - p)).sum()) - 0.5 * lam * float(w[1:] @ w[1:])
+def _objective(std, t, w, lam):
+    """Penalized log-likelihood t.s - sum log(1 + e^s) - lam/2 |w[1:]|^2 of
+    the scores s = design @ w, by the formula the fit evaluates."""
+    s = std.design @ w
+    return float(t @ s - np.logaddexp(0.0, s).sum()) - 0.5 * lam * float(w[1:] @ w[1:])
 
 
 def _assert_never_falls(values):
@@ -395,15 +395,16 @@ def test_accepted_steps_keep_the_objective_nondecreasing(seed, n, k, signal, sta
         return
     start = np.random.default_rng(seed).normal(scale=start_scale, size=k + 1)
     std = Standardized.of(x)
-    trace = [_clipped_objective(std, t, start, 1e-2)]  # the fit appends its iterates
+    trace = [_objective(std, t, start, 1e-2)]  # the fit appends its iterates
     fit_logistic(std, t, objective_trace=trace, start=start)
     assert len(trace) > 1
     _assert_never_falls(trace)
 
 
-def test_starts_beyond_the_probability_clip_never_lower_the_clipped_objective():
-    # heavy-tailed rows and large start weights put probabilities beyond the
-    # clip, where the gradient certificate does not bound the clipped objective
+def test_far_starts_converge_without_lowering_the_objective():
+    # heavy-tailed rows and large start weights put linear scores far beyond
+    # where probabilities round to 0 or 1; the exact objective still sees
+    # every misfit row improve, so no fit stalls in step halving
     rng = np.random.default_rng(1)
     for _ in range(300):
         n, k = int(rng.integers(4, 30)), int(rng.integers(1, 3))
@@ -414,9 +415,12 @@ def test_starts_beyond_the_probability_clip_never_lower_the_clipped_objective():
         start = rng.normal(scale=float(rng.choice([5, 20, 60, 200])), size=k + 1)
         lam = float(rng.choice([1e-3, 1e-2, 1.0]))
         std = Standardized.of(x)
-        trace = [_clipped_objective(std, t, start, lam)]
-        fit_logistic(std, t, lam=lam, objective_trace=trace, start=start)
+        trace = [_objective(std, t, start, lam)]
+        model = fit_logistic(std, t, lam=lam, objective_trace=trace, start=start)
         _assert_never_falls(trace)
+        assert model.converged
+        cold = fit_logistic(std, t, lam=lam).standardized_weights()
+        assert np.allclose(model.standardized_weights(), cold, rtol=1e-8, atol=1e-8)
 
 
 def test_solve_ridge_matches_explicit_penalty_matrix_bitwise():
