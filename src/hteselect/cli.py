@@ -77,18 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    spec = ScmSpec(
-        d=args.d,
-        p_e=args.p_e,
-        sigma=args.sigma,
-        rho=args.rho,
-        gamma=args.gamma,
-        m=args.m,
-        p_h=args.p_h,
-        m_p=args.m_p,
-        n=args.n,
-        seed=args.seed,
-    )
+    spec = ScmSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScmSpec)})
     graph, dataset, attempts = make_dataset(spec)
     args.out_data.write_text(dataset_to_csv(dataset))
     args.out_graph.write_text(graph_to_json(graph, spec))

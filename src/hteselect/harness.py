@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import time
+import typing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,22 +44,6 @@ SELECTORS = (
     "OracleOSet",
 )
 _METRIC_SELECTORS = {"HteFitF", "HteFitB", "HteFS"}
-
-RESULT_COLUMNS = (
-    "scm_id",
-    "method",
-    "selector",
-    "estimator",
-    "metric",
-    "n_selected",
-    "selected",
-    "mse",
-    "tau_risk",
-    "inclusion_error",
-    "rank",
-    "wall_millis",
-    "flags",
-)
 
 
 @dataclass(frozen=True)
@@ -107,9 +92,24 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate methods in {ids}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        try:
+            self.ci_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if "seed" in self.base or "seed" in self.grid:
+            raise ConfigError("seed is derived from master_seed; set master_seed instead")
+        empty = sorted(k for k, values in self.grid.items() if not values)
+        if empty:
+            raise ConfigError(f"grid keys {empty} have no values")
         # fail fast on unusable SCM parameters in any grid cell
         for cell in range(len(self.grid_cells())):
             self.spec_for_replicate(cell)
+
+    def ci_config(self) -> structure_fit.CiTestConfig:
+        """The CI-test parameters every replicate's structure discovery uses."""
+        return structure_fit.CiTestConfig(alpha=self.alpha, max_cond=self.max_cond)
 
     def grid_cells(self) -> list[dict]:
         """Cartesian product of grid overrides, applied over the base spec."""
@@ -333,7 +333,7 @@ def _replicate_cells(
     # shared held-out yardstick for the reported risk metric
     m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
     p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
-    cfg = structure_fit.CiTestConfig(alpha=config.alpha, max_cond=config.max_cond)
+    cfg = config.ci_config()
 
     rows: list[BenchmarkRow] = []
     traces: dict = {}
@@ -407,52 +407,48 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[BenchmarkRow], dict]:
 # ---------------------------------------------------------------------------
 
 
+# the results CSV schema: BenchmarkRow's fields in order, with their types
+_ROW_TYPES = typing.get_type_hints(BenchmarkRow)
+
+
+def _cell(value, kind):
+    if kind is float:
+        return repr(float(value))
+    if typing.get_origin(kind) is tuple:
+        return ";".join(str(v) for v in value)
+    return value
+
+
+def _parse_cell(text: str, kind):
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in text.split(";") if v)
+    return kind(text)
+
+
 def rows_to_csv(rows: list[BenchmarkRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
+    writer.writerow(_ROW_TYPES)
     for r in rows:
-        writer.writerow(
-            [
-                r.scm_id,
-                r.method,
-                r.selector,
-                r.estimator,
-                r.metric,
-                r.n_selected,
-                ";".join(str(c) for c in r.selected),
-                repr(float(r.mse)),
-                repr(float(r.tau_risk)),
-                repr(float(r.inclusion_error)),
-                repr(float(r.rank)),
-                r.wall_millis,
-                ";".join(r.flags),
-            ]
-        )
+        writer.writerow([_cell(getattr(r, name), kind) for name, kind in _ROW_TYPES.items()])
     return buf.getvalue()
 
 
 def rows_from_csv(text: str) -> list[BenchmarkRow]:
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != list(_ROW_TYPES):
+        raise ConfigError(f"results CSV header must be {','.join(_ROW_TYPES)}")
     rows = []
     for rec in reader:
-        rows.append(
-            BenchmarkRow(
-                scm_id=rec["scm_id"],
-                method=rec["method"],
-                selector=rec["selector"],
-                estimator=rec["estimator"],
-                metric=rec["metric"],
-                n_selected=int(rec["n_selected"]),
-                selected=tuple(int(c) for c in rec["selected"].split(";") if c),
-                mse=float(rec["mse"]),
-                tau_risk=float(rec["tau_risk"]),
-                inclusion_error=float(rec["inclusion_error"]),
-                rank=float(rec["rank"]),
-                wall_millis=int(rec["wall_millis"]),
-                flags=tuple(f for f in rec["flags"].split(";") if f),
-            )
-        )
+        if not rec:
+            continue
+        try:
+            if len(rec) != len(_ROW_TYPES):
+                raise ValueError(f"{len(rec)} cells, expected {len(_ROW_TYPES)}")
+            rows.append(BenchmarkRow(*map(_parse_cell, rec, _ROW_TYPES.values())))
+        except ValueError as exc:
+            raise ConfigError(f"results CSV line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -497,14 +493,9 @@ def report(rows: list[BenchmarkRow]) -> ReportSummary:
 # optional top-level keys and their JSON types; an absent key keeps the
 # field's ExperimentConfig default
 _CONFIG_TYPES = {
-    "replicates": int,
-    "grid": dict,
-    "split_ratio": float,
-    "master_seed": int,
-    "alpha": float,
-    "max_cond": int,
-    "workers": int,
-    "record_timing": bool,
+    name: kind
+    for name, kind in typing.get_type_hints(ExperimentConfig).items()
+    if name not in ("base", "methods")
 }
 
 

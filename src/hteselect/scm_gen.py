@@ -479,11 +479,13 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 def dataset_from_csv(text: str) -> Dataset:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[-3:] != ["t", "y", "tau"]:
+    header = next(reader, None)
+    if header is None or header[-3:] != ["t", "y", "tau"]:
         raise ValueError("expected columns x0..x{k-1},t,y,tau")
     k = len(header) - 3
     rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)
     return Dataset(
         x=data[:, :k],

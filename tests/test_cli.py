@@ -171,3 +171,41 @@ def test_infeasible_spec_exits_two(tmp_path):
 
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.fixture
+def results_csv(tmp_path):
+    rows = [
+        harness.BenchmarkRow(
+            scm_id="scm0000", method="None+T", selector="None", estimator="T",
+            metric="", n_selected=2, selected=(0, 1), mse=0.5, tau_risk=0.25,
+            inclusion_error=0.0, rank=1.0, flags=("ie_undefined",),
+        )
+    ]
+    return harness.rows_to_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("scm_id", "scm", 1), "header"),
+        (lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n", "line 2: 12 cells"),
+        (lambda text: text + "scm0001,None+T,None,T,,one,0,0.5,0.25,0.0,1.0,0,\n", "line 3"),
+        (lambda text: "", "header"),
+    ],
+    ids=["wrong_header", "short_row", "bad_cell", "empty"],
+)
+def test_report_on_malformed_results_exits_one(edit, message, results_csv, tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    path.write_text(edit(results_csv))
+    assert main(["report", "--results", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("text", ["", "x0,t,y,tau\n"], ids=["empty", "header_only"])
+def test_select_on_dataset_without_rows_exits_one(text, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    assert main(["select", "--data", str(data), "--selector", "None"]) == 1
+    assert "config error" in capsys.readouterr().err

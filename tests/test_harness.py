@@ -1,5 +1,6 @@
 """Pipeline composition, experiment determinism, ranking, reporting."""
 
+import dataclasses
 import json
 import math
 import zlib
@@ -451,19 +452,44 @@ def test_backward_selection_on_one_feature_scm_keeps_every_row():
 
 
 def test_config_json_round_trip():
+    # every optional top-level key is set away from its default, so a key
+    # that the parser dropped or misrouted would show in the comparison
+    scm = {"d": 6, "p_e": 0.4, "sigma": 0.2, "rho": 0.5, "gamma": True,
+           "m": 1, "p_h": 0, "m_p": False, "n": 300}
     payload = {
-        "scm": {"d": 6, "p_e": 0.4, "sigma": 0.2, "rho": 0.5, "gamma": True,
-                "m": 1, "p_h": 0, "m_p": False, "n": 300},
+        "scm": scm,
         "methods": [
             {"selector": "None", "estimator": "T"},
-            {"selector": "HteFitF", "estimator": "T", "metric": "TauRisk"},
+            {"selector": "HteFitF", "estimator": "S", "metric": "CFCV"},
         ],
         "replicates": 2,
+        "grid": {"d": [6, 8], "m": [0, 1]},
+        "split_ratio": 0.7,
         "master_seed": 11,
+        "alpha": 0.01,
+        "max_cond": 2,
+        "workers": 2,
+        "record_timing": False,
     }
-    config = config_from_json(json.dumps(payload))
-    assert config.replicates == 2
-    assert config.methods[1].method_id == "HteFitF(TauRisk)+T"
+    expected = ExperimentConfig(
+        base=scm,
+        methods=(MethodSpec("None", "T"), MethodSpec("HteFitF", "S", "CFCV")),
+        replicates=2,
+        grid={"d": [6, 8], "m": [0, 1]},
+        split_ratio=0.7,
+        master_seed=11,
+        alpha=0.01,
+        max_cond=2,
+        workers=2,
+        record_timing=False,
+    )
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(expected, f.name) != f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(expected, f.name) != f.default_factory(), f.name
+    assert config_from_json(json.dumps(payload)) == expected
+    assert expected.methods[1].method_id == "HteFitF(CFCV)+S"
 
 
 def test_config_json_absent_keys_take_dataclass_defaults():
@@ -489,6 +515,13 @@ def test_config_json_absent_keys_take_dataclass_defaults():
         lambda p: p["methods"].extend([{"selector": "OracleValid"}, {"selector": "None"}]),
         lambda p: p.update(replicate=50),  # unknown top-level key
         lambda p: p["methods"].append({"selector": "HteFitF", "metirc": "CFCV"}),
+        lambda p: p.update(alpha=0.0),
+        lambda p: p.update(alpha=1.0),
+        lambda p: p.update(max_cond=-1),
+        lambda p: p.update(workers=0),
+        lambda p: p.update(grid={"d": [6, 8], "m": []}),  # no cells at all
+        lambda p: p["scm"].update(seed=3),  # seeds derive from master_seed
+        lambda p: p.update(grid={"seed": [1, 2]}),
     ],
 )
 def test_config_errors_rejected(mutate):
