@@ -17,6 +17,7 @@ import numpy as np
 
 from ._kernels import nn_opposite_arm
 from .errors import DegenerateArms, LengthMismatch
+from .supervised import _standardize
 
 METRIC_KINDS = ("TauRisk", "NNPEHE", "PluginTau", "CFCV")
 
@@ -52,10 +53,7 @@ def nn_imputed_effects(x, y, t) -> np.ndarray:
     y, t = _as_vectors(y, t)
     if not ((t == 1).any() and (t == 0).any()):
         raise DegenerateArms("matching needs both arms nonempty")
-    scale = x.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    z = (x - x.mean(axis=0)) / scale
-    nn = nn_opposite_arm(z, t)
+    nn = nn_opposite_arm(_standardize(x)[0], t)
     return (2.0 * t - 1.0) * (y - y[nn])
 
 

@@ -508,24 +508,44 @@ def _typed(key: str, value, kind: type):
     return kind(value)
 
 
+def _scm_values(section: str, values: dict, listed: bool) -> dict:
+    """``values`` (``scm`` parameters, or lists of them for ``grid``) checked
+    against ``ScmSpec``'s types; an unknown key is left for ``ScmSpec`` to
+    name."""
+    kinds = typing.get_type_hints(ScmSpec)
+    checked = {}
+    for key, value in values.items():
+        name = f"{section} {key}"
+        if key not in kinds:
+            checked[key] = value
+        elif listed:
+            checked[key] = [_typed(name, v, kinds[key]) for v in _typed(name, value, list)]
+        else:
+            checked[key] = _typed(name, value, kinds[key])
+    return checked
+
+
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "scm" not in payload:
-        raise ConfigError("config must be an object with an 'scm' section")
+    if not isinstance(payload, dict) or not isinstance(payload.get("scm"), dict):
+        raise ConfigError("config must be an object with an 'scm' object")
     unknown = sorted(set(payload) - {"scm", "methods", *_CONFIG_TYPES})
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
+    options = {k: _typed(k, payload[k], kind) for k, kind in _CONFIG_TYPES.items()
+               if k in payload}
+    if "grid" in options:
+        options["grid"] = _scm_values("grid", options["grid"], listed=True)
     try:
         # an unknown method key is a TypeError that names it
         methods = tuple(MethodSpec(**m) for m in payload.get("methods", []))
         config = ExperimentConfig(
-            base=dict(payload["scm"]),
+            base=_scm_values("scm", payload["scm"], listed=False),
             methods=methods,
-            **{k: _typed(k, payload[k], kind) for k, kind in _CONFIG_TYPES.items()
-               if k in payload},
+            **options,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc

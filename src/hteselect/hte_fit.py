@@ -165,9 +165,9 @@ class SubsetScorer:
     propensity IRLS of a split (the metric's and the estimator's,
     ``estimators.LOGISTIC_MODELS``) is warm-started from the fits of
     already-scored subsets one column away (see ``_warm_start``): a removal
-    from the parent's weights projected through its Hessian, an addition by
-    extrapolation from its parents.  Only the fits of the last three subset
-    sizes scored are kept.
+    from the parent's weights projected through its Hessian, an addition
+    from the parent's weights.  Only the fits of the round being scored and
+    the round before it are kept.
     """
 
     def __init__(
@@ -205,9 +205,9 @@ class SubsetScorer:
         self._n_estimator_fits = len(estimators.LOGISTIC_MODELS[estimator])
         self._n_fits = self._n_estimator_fits + self._own_propensity
         # per-split (weights, Hessian) of every IRLS fit of scored subsets,
-        # for the subset size being scored and the two sizes scored before it
+        # for the subset size being scored and the size scored before it
         self._warm_size = 0
-        self._warm: list[dict[frozenset, tuple]] = [{}, {}, {}]
+        self._warm: list[dict[frozenset, tuple]] = [{}, {}]
 
     def _prepare_split(self, x, t, y, tr, va) -> dict:
         """Validation rows, yardsticks and fitting statistics of one split."""
@@ -287,27 +287,19 @@ class SubsetScorer:
         of the round before.  A removal S = P-c starts from the parent P's
         weights projected through P's Hessian: the minimizer of P's
         quadratic model with the weight of c held at zero
-        (``supervised.projected_start``).  An addition S = G+a+c, scored
-        after G+a and G+c and G before those, starts from the additive
-        extrapolation w(P1) + w(P2) - w(G) when all three are stored, else
-        from the first parent's weights with zero for the new column.
+        (``supervised.projected_start``).  An addition S = P+c starts from
+        the first stored parent's weights with zero for the new column.
         """
         if len(cols) != self._warm_size:  # a new round
             self._warm_size = len(cols)
-            self._warm = [{}] + self._warm[:2]
+            self._warm = [{}, self._warm[0]]
         target = frozenset(cols)
-        parents = [key for key in self._warm[1] if len(target ^ key) == 1]
-        if not parents:
+        parent = next((key for key in self._warm[1] if len(target ^ key) == 1), None)
+        if parent is None:
             return None
-        first = parents[0]
-        if len(first) > len(target):
-            return _projected_fits(self._warm[1][first], cols)
-        start = _aligned_weights(self._warm[1][first], cols)
-        if len(parents) > 1 and (common := first & parents[1]) in self._warm[2]:
-            other = _aligned_weights(self._warm[1][parents[1]], cols)
-            base = _aligned_weights(self._warm[2][common], cols)
-            start = [[a + b - g for a, b, g in zip(*split)] for split in zip(start, other, base)]
-        return start
+        if len(parent) > len(target):
+            return _projected_fits(self._warm[1][parent], cols)
+        return _aligned_weights(self._warm[1][parent], cols)
 
 
 def _positions(parent: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:

@@ -447,8 +447,25 @@ def graph_to_json(graph: CausalGraph, spec: ScmSpec) -> str:
 
 
 def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
+    """Inverse of ``graph_to_json``.
+
+    Raises:
+        ValueError: the JSON is not an object holding every key that
+            ``graph_to_json`` writes, or a value has the wrong shape.
+    """
     payload = json.loads(text)
-    spec = ScmSpec(**payload["spec"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"graph JSON must be an object, got {type(payload).__name__}")
+    keys = ("spec", "order", "adj", "coef", "t_node", "y_node", "mediators", "hte_parents")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"graph JSON lacks keys {missing}")
+    if not (isinstance(payload["spec"], dict) and isinstance(payload["hte_parents"], dict)):
+        raise ValueError("graph JSON 'spec' and 'hte_parents' must be objects")
+    try:
+        spec = ScmSpec(**payload["spec"])
+    except TypeError as exc:  # an unknown or missing spec field
+        raise ValueError(f"graph JSON 'spec': {exc}") from exc
     d = spec.d
     graph = CausalGraph(
         order=np.array(payload["order"], dtype=np.int64),

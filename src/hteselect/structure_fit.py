@@ -68,12 +68,8 @@ class CiTester(Protocol):
     ) -> int | None: ...
 
 
-def _key(i: int, j: int, cond: Iterable[int]) -> tuple:
-    return (min(i, j), max(i, j), tuple(sorted(cond)))
-
-
 class FisherZTester:
-    """Partial-correlation independence test with a cached correlation matrix."""
+    """Partial-correlation independence test on a precomputed correlation matrix."""
 
     def __init__(self, data: np.ndarray, cfg: CiTestConfig):
         self.data = np.asarray(data, dtype=np.float64)
@@ -85,14 +81,10 @@ class FisherZTester:
             self.corr = np.corrcoef(self.data, rowvar=False)
         self.corr = np.nan_to_num(self.corr, nan=0.0)  # NaN rows: constant columns
         np.fill_diagonal(self.corr, 1.0)
-        self._cache: dict = {}
 
     def test(self, i: int, j: int, cond: tuple[int, ...] = ()) -> tuple[float, bool]:
         """Two-sided p-value and the independence verdict at level alpha."""
-        key = _key(i, j, cond)
-        if key not in self._cache:
-            self._cache[key] = float(self._p_values(i, j, [tuple(cond)])[0])
-        p = self._cache[key]
+        p = float(self._p_values(i, j, [tuple(cond)])[0])
         return p, p > self.cfg.alpha
 
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
@@ -104,22 +96,15 @@ class FisherZTester:
         """Index of the first set in ``conds`` (all of one size) given which
         i and j test independent, or None.
 
-        Same answer and same cache contents as calling ``independent`` on
-        each set in turn until one returns True: the sets are tested in
-        batches of FIRST_BATCH, then twice as many each time, and p-values
-        are cached only up to the returned index.
+        Same answer as calling ``independent`` on each set in turn until one
+        returns True.  The sets are tested in batches of FIRST_BATCH, then
+        twice as many each time, so a hit among the first sets computes few
+        p-values past it.
         """
         conds = iter(conds)
         offset, size = 0, FIRST_BATCH
         while batch := list(islice(conds, size)):
-            keys = [_key(i, j, cond) for cond in batch]
-            p = np.array([self._cache.get(key, 0.0) for key in keys])
-            todo = [k for k, key in enumerate(keys) if key not in self._cache]
-            if todo:
-                p[todo] = self._p_values(i, j, [batch[k] for k in todo])
-            hits = np.flatnonzero(p > self.cfg.alpha)
-            stop = int(hits[0]) + 1 if hits.size else len(batch)
-            self._cache.update(zip(keys[:stop], p[:stop].tolist()))
+            hits = np.flatnonzero(self._p_values(i, j, batch) > self.cfg.alpha)
             if hits.size:
                 return offset + int(hits[0])
             offset += len(batch)

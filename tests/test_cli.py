@@ -209,3 +209,22 @@ def test_select_on_dataset_without_rows_exits_one(text, tmp_path, capsys):
     data.write_text(text)
     assert main(["select", "--data", str(data), "--selector", "None"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: {}, "lacks keys ['spec'"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "t_node"}, "['t_node']"),
+        (lambda payload: [payload], "must be an object, got list"),
+        (lambda payload: dict(payload, spec=[]), "'spec' and 'hte_parents' must be objects"),
+    ],
+    ids=["empty", "no_t_node", "list", "spec_list"],
+)
+def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):
+    data, graph = simulated
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(edit(json.loads(graph.read_text()))))
+    assert main(["select", "--data", str(data), "--graph", str(path), "--selector", "None"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err

@@ -522,6 +522,11 @@ def test_config_json_absent_keys_take_dataclass_defaults():
         lambda p: p.update(grid={"d": [6, 8], "m": []}),  # no cells at all
         lambda p: p["scm"].update(seed=3),  # seeds derive from master_seed
         lambda p: p.update(grid={"seed": [1, 2]}),
+        lambda p: p["scm"].update(n=300.5),  # SCM values are type-checked
+        lambda p: p["scm"].update(d=6.5),
+        lambda p: p["scm"].update(gamma="no"),
+        lambda p: p["scm"].update(m_p=1),
+        lambda p: p.update(grid={"n": [300.5]}),
     ],
 )
 def test_config_errors_rejected(mutate):
