@@ -451,7 +451,9 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
 
     Raises:
         ValueError: the JSON is not an object holding every key that
-            ``graph_to_json`` writes, or a value has the wrong shape.
+            ``graph_to_json`` writes, a value has the wrong shape, a node
+            index is not an int in range(d), or ``order`` is not a
+            permutation of range(d).
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -467,16 +469,36 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     except TypeError as exc:  # an unknown or missing spec field
         raise ValueError(f"graph JSON 'spec': {exc}") from exc
     d = spec.d
+    order = _nodes(payload["order"], d, "order")
+    if sorted(order) != list(range(d)):
+        raise ValueError(f"graph JSON 'order' must be a permutation of range({d})")
+    hte_parents = {}
+    for key, value in payload["hte_parents"].items():
+        node = _node(int(key) if key.isdecimal() else key, d, "hte_parents")
+        hte_parents[node] = _nodes(value, d, "hte_parents")
     graph = CausalGraph(
-        order=np.array(payload["order"], dtype=np.int64),
+        order=np.array(order, dtype=np.int64),
         adj=np.array(payload["adj"], dtype=bool).reshape(d, d),
         coef=np.array(payload["coef"], dtype=np.float64).reshape(d, d),
-        t_node=payload["t_node"],
-        y_node=payload["y_node"],
-        mediators=tuple(payload["mediators"]),
-        hte_parents={int(k): tuple(v) for k, v in payload["hte_parents"].items()},
+        t_node=_node(payload["t_node"], d, "t_node"),
+        y_node=_node(payload["y_node"], d, "y_node"),
+        mediators=_nodes(payload["mediators"], d, "mediators"),
+        hte_parents=hte_parents,
     )
     return graph, spec
+
+
+def _node(value, d: int, what: str) -> int:
+    """``value`` if it is an int in range(d), else ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < d:
+        raise ValueError(f"graph JSON '{what}' holds {value!r}, not a node in range({d})")
+    return value
+
+
+def _nodes(values, d: int, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"graph JSON '{what}' must be a list of nodes")
+    return tuple(_node(v, d, what) for v in values)
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -495,6 +517,9 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
+    """Inverse of ``dataset_to_csv``; ValueError on a wrong header, no data
+    rows, rows whose length differs from the header's, or a ``t`` value other
+    than 0 or 1."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
@@ -504,6 +529,11 @@ def dataset_from_csv(text: str) -> Dataset:
     if not rows:
         raise ValueError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)
+    if data.shape[1] != len(header):
+        raise ValueError(f"dataset CSV rows hold {data.shape[1]} cells, the header {len(header)}")
+    bad = data[:, k][(data[:, k] != 0) & (data[:, k] != 1)]
+    if bad.size:
+        raise ValueError(f"dataset CSV column t must hold 0 or 1, found {float(bad[0])!r}")
     return Dataset(
         x=data[:, :k],
         t=data[:, k],

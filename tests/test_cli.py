@@ -211,6 +211,37 @@ def test_select_on_dataset_without_rows_exits_one(text, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _set_label(label):
+    def edit(lines):
+        cells = lines[2].split(",")
+        cells[-3] = label
+        return lines[:2] + [",".join(cells)] + lines[3:]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_label("2"), "column t must hold 0 or 1, found 2.0"),
+        (_set_label("0.5"), "column t must hold 0 or 1, found 0.5"),
+        (_set_label("-1"), "column t must hold 0 or 1, found -1.0"),
+        (_set_label("nan"), "column t must hold 0 or 1, found nan"),
+        (lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]], "the header"),
+        (lambda lines: lines[:1] + [r + ",0" for r in lines[1:]], "the header"),
+    ],
+    ids=["t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows"],
+)
+def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):
+    data, _ = simulated
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(edit(data.read_text().splitlines())) + "\n")
+    args = ["select", "--data", str(path), "--selector", "HteFitF", "--metric", "NNPEHE"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -218,8 +249,25 @@ def test_select_on_dataset_without_rows_exits_one(text, tmp_path, capsys):
         (lambda payload: {k: v for k, v in payload.items() if k != "t_node"}, "['t_node']"),
         (lambda payload: [payload], "must be an object, got list"),
         (lambda payload: dict(payload, spec=[]), "'spec' and 'hte_parents' must be objects"),
+        (lambda payload: dict(payload, t_node=99), "'t_node' holds 99, not a node in range(8)"),
+        (lambda payload: dict(payload, t_node="a"), "'t_node' holds 'a'"),
+        (lambda payload: dict(payload, y_node=True), "'y_node' holds True"),
+        (lambda payload: dict(payload, mediators=[42]), "'mediators' holds 42"),
+        (lambda payload: dict(payload, mediators=3), "'mediators' must be a list"),
+        (lambda payload: dict(payload, order=payload["order"][:-1]), "permutation of range(8)"),
+        (lambda payload: dict(payload, order=[0] * 8), "permutation of range(8)"),
+        (lambda payload: dict(payload, order=list(range(7)) + [8]), "'order' holds 8"),
+        (lambda payload: dict(payload, hte_parents={"9": [0]}), "'hte_parents' holds 9"),
+        (lambda payload: dict(payload, hte_parents={"a": [0]}), "'hte_parents' holds 'a'"),
+        (lambda payload: dict(payload, hte_parents={"1": [-1]}), "'hte_parents' holds -1"),
+        (lambda payload: dict(payload, hte_parents={"1": 0}), "'hte_parents' must be a list"),
     ],
-    ids=["empty", "no_t_node", "list", "spec_list"],
+    ids=[
+        "empty", "no_t_node", "list", "spec_list", "t_node_out_of_range", "t_node_str",
+        "y_node_bool", "mediator_out_of_range", "mediators_int", "order_truncated",
+        "order_repeated", "order_out_of_range", "hte_key_out_of_range", "hte_key_str",
+        "hte_parent_negative", "hte_parents_int",
+    ],
 )
 def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):
     data, graph = simulated

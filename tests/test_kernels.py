@@ -1,7 +1,11 @@
-"""The tree-based nearest-neighbor search must match a brute-force scan."""
+"""The blocked nearest-neighbor search must match a brute-force scan."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hteselect import _kernels
 from hteselect.errors import NumericError
@@ -59,10 +63,62 @@ def test_single_row_opposite_arm():
     assert _kernels.nn_opposite_arm(x, t).tolist() == [2, 2, 0, 2]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 120),
+    k=st.integers(1, 11),
+    layout=st.sampled_from(["normal", "thirds", "duplicates", "near_duplicates"]),
+    offset=st.booleans(),
+    one_row_arm=st.booleans(),
+    block=st.sampled_from([None, 1, 7, 64]),
+)
+def test_matches_brute_force_sweep(seed, n, k, layout, offset, one_row_arm, block):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    if layout == "thirds":
+        x = np.round(x * 3) / 3
+    t = rng.random(n) < 0.5
+    t[:2] = [True, False]
+    if one_row_arm:
+        t[:] = False
+        t[rng.integers(n)] = True
+    if layout in ("duplicates", "near_duplicates"):
+        # copy opposite-arm rows into about half of the control arm, so some
+        # units have one or more exactly or nearly equidistant neighbors
+        treated, control = np.flatnonzero(t), np.flatnonzero(~t)
+        dup = control[rng.random(control.size) < 0.5]
+        x[dup] = x[rng.choice(treated, size=dup.size)]
+        if layout == "near_duplicates":
+            x[dup] *= 1.0 + 1e-15 * rng.choice([-1.0, 0.0, 1.0], size=(dup.size, k))
+    if offset:
+        # |a|^2 and |b|^2 dwarf the distances, so the expanded form cancels
+        x += 1e6
+    with mock.patch.object(_kernels, "BLOCK_ENTRIES", block or _kernels.BLOCK_ENTRIES):
+        assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t))
+
+
+def test_arms_span_several_blocks_at_the_default_block_size():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(1500, 6))
+    t = rng.random(1500) < 0.5
+    rows_per_block = _kernels.BLOCK_ENTRIES // min(t.sum(), (~t).sum())
+    assert max(t.sum(), (~t).sum()) > 2 * rows_per_block
+    assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 0], [0, 1, 0.5, 1], [0, 1, -1, 0], [0, 1, np.nan, 1]])
+def test_labels_outside_zero_one_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        _kernels.nn_opposite_arm(np.arange(4.0)[:, None], np.array(labels))
+
+
 def test_single_class_rejected():
     x = np.zeros((4, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="opposite arm is empty"):
         _kernels.nn_opposite_arm(x, np.ones(4))
+    with pytest.raises(ValueError, match="opposite arm is empty"):
+        _kernels.nn_opposite_arm(x, np.zeros(4))
 
 
 def test_non_finite_rejected():
