@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import nn_opposite_arm
-from .errors import DegenerateArms, LengthMismatch
+from .errors import DegenerateArms, LengthMismatch, NumericError
 from .supervised import _standardize
 
 METRIC_KINDS = ("TauRisk", "NNPEHE", "PluginTau", "CFCV")
@@ -30,6 +30,12 @@ def _as_vectors(*arrays):
     return out
 
 
+def _check_propensities(p_hat):
+    # written so that a NaN propensity fails too
+    if not np.all((p_hat > 0.0) & (p_hat < 1.0)):
+        raise NumericError("propensities must lie strictly inside (0, 1)")
+
+
 def tau_risk(tau_hat, y, t, m_hat, p_hat) -> float:
     """Mean of ((y - m_hat) - (t - p_hat) * tau_hat)^2.
 
@@ -37,8 +43,7 @@ def tau_risk(tau_hat, y, t, m_hat, p_hat) -> float:
     propensity estimate, both from models fit on held-out data.
     """
     tau_hat, y, t, m_hat, p_hat = _as_vectors(tau_hat, y, t, m_hat, p_hat)
-    if np.any(p_hat <= 0.0) or np.any(p_hat >= 1.0):
-        raise ValueError("propensities must lie strictly inside (0, 1)")
+    _check_propensities(p_hat)
     resid = (y - m_hat) - (t - p_hat) * tau_hat
     return float(np.mean(resid**2))
 
@@ -68,8 +73,7 @@ def plugin_tau(tau_hat, tau_tilde) -> float:
 def doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat) -> np.ndarray:
     """AIPW imputations m1 - m0 + t(y - m1)/p - (1 - t)(y - m0)/(1 - p)."""
     y, t, m1_hat, m0_hat, p_hat = _as_vectors(y, t, m1_hat, m0_hat, p_hat)
-    if np.any(p_hat <= 0.0) or np.any(p_hat >= 1.0):
-        raise ValueError("propensities must lie strictly inside (0, 1)")
+    _check_propensities(p_hat)
     return (
         m1_hat
         - m0_hat

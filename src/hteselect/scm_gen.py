@@ -518,14 +518,18 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 def dataset_from_csv(text: str) -> Dataset:
     """Inverse of ``dataset_to_csv``; ValueError on a wrong header, no data
-    rows, rows whose length differs from the header's, or a ``t`` value other
-    than 0 or 1."""
+    rows, rows whose length differs from the header's, a ``t`` value other
+    than 0 or 1, or a non-finite ``x``, ``y`` or ``tau`` value."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
         raise ValueError("expected columns x0..x{k-1},t,y,tau")
     k = len(header) - 3
-    rows = [[float(v) for v in row] for row in reader if row]
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append([float(v) for v in row])
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)
@@ -534,6 +538,13 @@ def dataset_from_csv(text: str) -> Dataset:
     bad = data[:, k][(data[:, k] != 0) & (data[:, k] != 1)]
     if bad.size:
         raise ValueError(f"dataset CSV column t must hold 0 or 1, found {float(bad[0])!r}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(
+            f"dataset CSV line {lines[r]}, column {header[c]} holds {float(data[r, c])!r}, "
+            "not a finite number"
+        )
     return Dataset(
         x=data[:, :k],
         t=data[:, k],

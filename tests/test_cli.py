@@ -109,13 +109,15 @@ def test_select_backward_on_one_feature_dataset(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["0"]
 
 
-def test_select_structure_fit_on_non_finite_data_exits_two(simulated, tmp_path):
+def test_select_structure_fit_on_non_finite_data_exits_one(simulated, tmp_path, capsys):
     data, _ = simulated
     ds = dataset_from_csv(data.read_text())
     ds.x[7, 0] = np.nan
     bad = tmp_path / "nan.csv"
     bad.write_text(dataset_to_csv(ds))
-    assert main(["select", "--data", str(bad), "--selector", "StructureFit"]) == 2
+    assert main(["select", "--data", str(bad), "--selector", "StructureFit"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "line 9, column x0 holds nan" in err
 
 
 def test_benchmark_and_report(tmp_path, capsys):
@@ -211,10 +213,12 @@ def test_select_on_dataset_without_rows_exits_one(text, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def _set_label(label):
+def _set_cell(column, value):
+    """Edit one cell of the second data row (CSV line 3)."""
+
     def edit(lines):
         cells = lines[2].split(",")
-        cells[-3] = label
+        cells[column] = value
         return lines[:2] + [",".join(cells)] + lines[3:]
 
     return edit
@@ -223,14 +227,20 @@ def _set_label(label):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_set_label("2"), "column t must hold 0 or 1, found 2.0"),
-        (_set_label("0.5"), "column t must hold 0 or 1, found 0.5"),
-        (_set_label("-1"), "column t must hold 0 or 1, found -1.0"),
-        (_set_label("nan"), "column t must hold 0 or 1, found nan"),
+        (_set_cell(-3, "2"), "column t must hold 0 or 1, found 2.0"),
+        (_set_cell(-3, "0.5"), "column t must hold 0 or 1, found 0.5"),
+        (_set_cell(-3, "-1"), "column t must hold 0 or 1, found -1.0"),
+        (_set_cell(-3, "nan"), "column t must hold 0 or 1, found nan"),
         (lambda lines: lines[:1] + [r.rsplit(",", 1)[0] for r in lines[1:]], "the header"),
         (lambda lines: lines[:1] + [r + ",0" for r in lines[1:]], "the header"),
+        (_set_cell(-2, "nan"), "line 3, column y holds nan"),
+        (_set_cell(0, "inf"), "line 3, column x0 holds inf"),
+        (_set_cell(-1, "-inf"), "line 3, column tau holds -inf"),
     ],
-    ids=["t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows"],
+    ids=[
+        "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
+        "tau_minus_inf",
+    ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):
     data, _ = simulated

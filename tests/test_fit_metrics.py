@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from hteselect.errors import DegenerateArms, LengthMismatch
+from hteselect.errors import DegenerateArms, LengthMismatch, NumericError
 from hteselect.fit_metrics import (
     doubly_robust_effects,
     inclusion_error,
@@ -186,10 +186,20 @@ def test_cfcv_direct_substitution():
 
 
 def test_cfcv_rejects_out_of_range_propensity():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         cfcv([0.0], [1.0], [1.0], [0.5], [0.2], [1.0])
     with pytest.raises(LengthMismatch):  # tau_hat longer than the nuisances
         cfcv([0.0, 0.0], [1.0], [1.0], [0.5], [0.2], [0.5])
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, np.nan], ids=["zero", "one", "nan"])
+def test_propensity_guards_raise_numeric_error(p):
+    p_hat = np.array([0.5, p, 0.5])
+    ones = np.ones(3)
+    with pytest.raises(NumericError, match="strictly inside"):
+        tau_risk(ones, ones, ones, ones, p_hat)
+    with pytest.raises(NumericError, match="strictly inside"):
+        doubly_robust_effects(ones, ones, ones, ones, p_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -63,17 +63,21 @@ def test_single_row_opposite_arm():
     assert _kernels.nn_opposite_arm(x, t).tolist() == [2, 2, 0, 2]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(2, 120),
     k=st.integers(1, 11),
-    layout=st.sampled_from(["normal", "thirds", "duplicates", "near_duplicates"]),
+    layout=st.sampled_from(["normal", "thirds", "duplicates", "near_duplicates", "float32_duplicates"]),
     offset=st.booleans(),
+    scale=st.sampled_from([1.0, 1e20, 1e-30]),
+    constant_column=st.booleans(),
     one_row_arm=st.booleans(),
     block=st.sampled_from([None, 1, 7, 64]),
 )
-def test_matches_brute_force_sweep(seed, n, k, layout, offset, one_row_arm, block):
+def test_matches_brute_force_sweep(
+    seed, n, k, layout, offset, scale, constant_column, one_row_arm, block
+):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, k))
     if layout == "thirds":
@@ -83,19 +87,70 @@ def test_matches_brute_force_sweep(seed, n, k, layout, offset, one_row_arm, bloc
     if one_row_arm:
         t[:] = False
         t[rng.integers(n)] = True
-    if layout in ("duplicates", "near_duplicates"):
+    if layout in ("duplicates", "near_duplicates", "float32_duplicates"):
         # copy opposite-arm rows into about half of the control arm, so some
         # units have one or more exactly or nearly equidistant neighbors
         treated, control = np.flatnonzero(t), np.flatnonzero(~t)
         dup = control[rng.random(control.size) < 0.5]
         x[dup] = x[rng.choice(treated, size=dup.size)]
+        sign = rng.choice([-1.0, 0.0, 1.0], size=(dup.size, k))
         if layout == "near_duplicates":
-            x[dup] *= 1.0 + 1e-15 * rng.choice([-1.0, 0.0, 1.0], size=(dup.size, k))
+            x[dup] *= 1.0 + 1e-15 * sign
+        if layout == "float32_duplicates":
+            # 1e-9 to 1e-6 relative: float64 separates these, float32 cannot
+            x[dup] *= 1.0 + 10.0 ** rng.uniform(-9, -6, size=(dup.size, k)) * sign
+    if constant_column:
+        x[:, rng.integers(k)] = 0.7
     if offset:
         # |a|^2 and |b|^2 dwarf the distances, so the expanded form cancels
         x += 1e6
+    x *= scale  # float32 would overflow at 1e20 and underflow at 1e-30
     with mock.patch.object(_kernels, "BLOCK_ENTRIES", block or _kernels.BLOCK_ENTRIES):
         assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e20, 1e-30, 3e-160, 1e150])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_float32_distances_lie_within_half_the_slack(scale, offset):
+    rng = np.random.default_rng(17)
+    a = (rng.normal(size=(300, 7)) + offset) * scale
+    b = (rng.normal(size=(200, 7)) + offset) * scale
+    a[:, 3] = b[:, 3] = 0.5 * scale  # a constant column
+    a2, b2 = _kernels._prescale(a, b)
+    power = a2[0, 0] / a[0, 0]
+    assert np.frexp(power)[0] == 0.5 and np.array_equal(a2, a * power) and np.array_equal(b2, b * power)
+    norms = np.einsum("ij,ij->i", a2, a2).max() + np.einsum("ij,ij->i", b2, b2).max()
+    assert 1.0 <= norms < 4.0
+    lhs, rhs, slack = _kernels._operands(a2, b2)
+    got = np.matmul(lhs, rhs).astype(np.float64)
+    # float64 rounding here is about 2^-29 of the float32 bound
+    exact = np.einsum("ij,ij->i", b2, b2) - 2.0 * (a2 @ b2.T)
+    assert np.all(np.abs(got - exact) <= slack / 2)
+
+
+def test_nan_gaps_are_rescanned():
+    # without the prescale, float32 overflows at 1e20: inf - inf gaps are NaN
+    # and every such row must fall back to the exact scan
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(80, 5)) * 1e20
+    t = rng.random(80) < 0.5
+    with mock.patch.object(_kernels, "_prescale", lambda a, b: (a, b)), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        assert np.array_equal(_kernels.nn_opposite_arm(x, t), _brute_force(x, t))
+
+
+def test_standardized_gaussian_rescans_at_most_one_percent():
+    # the shape of a matching_tall validation split: two arms of about 2100
+    # rows, k = 10, standardized
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(4200, 10))
+    x = (x - x.mean(axis=0)) / x.std(axis=0)
+    t = rng.random(4200) < 0.5
+    with mock.patch.object(_kernels, "_rescan", wraps=_kernels._rescan) as rescan:
+        nn = _kernels.nn_opposite_arm(x, t)
+    assert rescan.call_count <= 0.01 * len(t)
+    assert np.array_equal(nn, _brute_force(x, t))
 
 
 def test_arms_span_several_blocks_at_the_default_block_size():
