@@ -9,10 +9,9 @@ first scaled by one power of two, which is exact, so that
 then neither overflow nor lose more than a negligible absolute amount to
 underflow.  Where a row's two smallest float32 distances lie within their
 rounding bound (``SLACK`` below), or their gap is NaN, the row is rescanned
-by exact float64 squared distance on the unscaled input, so the result
-equals an exact float64 scan wherever that scan's squared distances are
-finite: ties, including ties at round-off level, break toward the lowest
-row index.
+by exact float64 squared distance on the prescaled float64 copies, so the
+result equals an exact float64 scan of those copies, which cannot overflow:
+ties, including ties at round-off level, break toward the lowest row index.
 """
 
 import numpy as np
@@ -107,7 +106,8 @@ def _operands(a, b):
 
 def _nearest(a, b):
     """Row of ``b`` nearest to each row of ``a``; the lowest row on ties."""
-    lhs, rhs, slack = _operands(*_prescale(a, b))
+    a, b = _prescale(a, b)
+    lhs, rhs, slack = _operands(a, b)
     m, n = a.shape[0], b.shape[0]
     step = max(1, BLOCK_ENTRIES // n)
     buf = np.empty((min(step, m), n), dtype=np.float32)

@@ -6,6 +6,12 @@ parents, remaining PC members are oriented pairwise, and a breadth-first
 traversal from the treatment assembles a partial graph whose treatment
 descendants form the forbidden (post-treatment) set.
 
+PC-set discovery tests one level at a time.  Per conditioning set S, one
+Schur complement of C[S, S] gives the partial correlation of the target with
+every survivor; a pair whose verdict rounding could flip (a z near the
+alpha threshold, or a near-singular set) is decided by the exact test, which
+inverts that pair's own correlation sub-matrix.
+
 Pairwise orientation uses cubic-regression residual comparison for
 continuous pairs.  Pairs involving the binary treatment column are oriented
 by a generative likelihood ratio instead: residual comparison carries no
@@ -25,11 +31,11 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcinv
 
 from .errors import ConstantColumn, NumericError
 from .scm_gen import CausalGraph, reachable
@@ -40,10 +46,39 @@ logger = logging.getLogger(__name__)
 RECI_TIE_TOL = 1e-6
 CHILD_GATE = 0.02  # min relative residual gap to call a node a child
 LR_THRESHOLD = 0.5  # log-likelihood margin to call a treatment edge outgoing
-FIRST_BATCH = 8  # conditioning sets in first_independent's first batch
 # largest precision diagonal, 1/(1 - R^2) of a sub-matrix's worst column, that
 # still counts as invertible; beyond it the partial correlation is rounding noise
 MAX_PRECISION = 1e8
+R_CLIP = 0.9999999  # |partial correlation| cap before the z transform
+# conditioning sets per block of FisherZTester.eliminate: each of its largest
+# temporaries, about six alive at once, holds BLOCK_ENTRIES float64s (128 KB)
+BLOCK_ENTRIES = 1 << 14
+
+# ``eliminate`` must give each (set S, survivor c) pair the verdict of the
+# exact ``_p_value``, which inverts the n x n correlation matrix F of (c, T, S),
+# n = |S| + 2.  Both compute r = -P_cT / sqrt(P_cc P_TT) = R_cT / sqrt(R_cc R_TT)
+# (P = F^-1, R the Schur complement of S; W = max diag P, ||P||_2 <= n W) from
+# F + E for a small E, u = 2^-53:
+#   _p_value: LU with partial pivoting solved against I; column j of the
+#     inverse is exact for F + E_j, |E_j| <= gamma_3n |L||U| (Higham, Thm 9.4)
+#     <= 3.01 n u n 2^(n-1) (|F| <= 1, growth <= 2^(n-1)), ||E_j|| <= 3.01 n^3 2^(n-1) u;
+#   eliminate: a Cholesky sweep of (S, c, T) stopped after S, exact for
+#     |E| <= gamma_(|S|+1) (|G^T||G| + |R|) <= 2.01 (n - 1) u (rows of G have
+#     norm <= 1, |R| <= 1), ||E|| <= 2.01 n^2 u;
+#   both: np.corrcoef may leave F asymmetric by an ulp, ||E|| <= n u.
+# To first order dP = -P E P, so |dP_ij| <= sqrt(P_ii P_jj) ||P|| ||E||, and r
+# moves by at most 2 ||P|| ||E|| and each diag P by a relative ||P|| ||E||.
+# The two r thus differ by at most 2 n W (3.01 n^3 2^(n-1) + 2.01 n^2 + n) u,
+# times SLACK = 4 for second-order terms and for W computed by the
+# block-inverse identity, plus 8u for the final divisions and square roots:
+# eps below.  A pair is certified only if eps <= 1e-2 and W <= MAX_PRECISION / 2.
+# Through the z transform eps moves |z| by at most sqrt(dof) eps / (1 - r_m^2),
+# r_m the largest |r| in reach after the clip; the transform's own rounding in
+# both paths, and erfc and erfcinv at z* = sqrt(2) erfcinv(alpha), add at most
+# 16u (sqrt(dof) + |z| + 4 + z*^2).  A |z| farther than that band from z* has
+# the exact test's verdict; every other pair goes to ``_p_value``.
+SLACK = 4.0
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -63,9 +98,13 @@ class CiTestConfig:
 class CiTester(Protocol):
     def independent(self, i: int, j: int, cond: tuple[int, ...]) -> bool: ...
 
-    def first_independent(
-        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
-    ) -> int | None: ...
+    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]: ...
+
+
+def _fisher_z(r, dof: int):
+    """|z| of the Fisher transform of partial correlations r, dof = n - |S| - 3."""
+    r = np.clip(r, -R_CLIP, R_CLIP)
+    return np.abs(0.5 * np.log((1.0 + r) / (1.0 - r)) * math.sqrt(dof))
 
 
 class FisherZTester:
@@ -81,91 +120,128 @@ class FisherZTester:
             self.corr = np.corrcoef(self.data, rowvar=False)
         self.corr = np.nan_to_num(self.corr, nan=0.0)  # NaN rows: constant columns
         np.fill_diagonal(self.corr, 1.0)
+        self.z_alpha = math.sqrt(2.0) * float(erfcinv(cfg.alpha))
 
     def test(self, i: int, j: int, cond: tuple[int, ...] = ()) -> tuple[float, bool]:
         """Two-sided p-value and the independence verdict at level alpha."""
-        p = float(self._p_values(i, j, [tuple(cond)])[0])
+        p = self._p_value(i, j, tuple(cond))
         return p, p > self.cfg.alpha
 
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return self.test(i, j, cond)[1]
 
-    def first_independent(
-        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
-    ) -> int | None:
-        """Index of the first set in ``conds`` (all of one size) given which
-        i and j test independent, or None.
-
-        Same answer as calling ``independent`` on each set in turn until one
-        returns True.  The sets are tested in batches of FIRST_BATCH, then
-        twice as many each time, so a hit among the first sets computes few
-        p-values past it.
-        """
-        conds = iter(conds)
-        offset, size = 0, FIRST_BATCH
-        while batch := list(islice(conds, size)):
-            hits = np.flatnonzero(self._p_values(i, j, batch) > self.cfg.alpha)
-            if hits.size:
-                return offset + int(hits[0])
-            offset += len(batch)
-            size *= 2
-        return None
-
-    def _p_values(self, i: int, j: int, conds: list[tuple[int, ...]]) -> np.ndarray:
-        """Fisher-z p-values of i and j given each of ``conds`` (one size).
-
-        All sets share one gathered stack of correlation sub-matrices and
-        one batched inverse.  A set whose sub-matrix is singular (not
-        invertible, or a precision diagonal above ``MAX_PRECISION``) or
-        whose precision is ill-conditioned is logged and gets p = 0
-        (dependent).
-        """
-        sets = np.array(conds, dtype=np.intp).reshape(len(conds), -1)
-        count, n_cond = sets.shape
+    def _dof(self, n_cond: int) -> int:
         if self.n <= n_cond + 3:
             raise NumericError("need n > |cond| + 3 samples for the z transform")
+        return self.n - n_cond - 3
+
+    def _p_value(self, i: int, j: int, cond: tuple[int, ...]) -> float:
+        """Fisher-z p-value of i and j given ``cond`` from the inverse of their
+        correlation sub-matrix.  A singular sub-matrix (not invertible, or a
+        precision diagonal above ``MAX_PRECISION``) or an ill-conditioned
+        precision is logged and gets p = 0 (dependent)."""
+        dof = self._dof(len(cond))
         if i == j:
-            return np.zeros(count)
-        if n_cond == 0:
-            r = np.full(count, self.corr[i, j])
-            ok = np.ones(count, dtype=bool)
-        else:
-            idx = np.empty((count, n_cond + 2), dtype=np.intp)
-            idx[:, 0], idx[:, 1], idx[:, 2:] = i, j, sets
-            precision = _inverses(self.corr[idx[:, :, None], idx[:, None, :]])
-            worst = np.diagonal(precision, axis1=1, axis2=2).max(axis=1)
-            singular = ~(worst <= MAX_PRECISION)  # NaN for a singular inverse
-            denom = precision[:, 0, 0] * precision[:, 1, 1]
-            ok = ~singular & (denom > 0)
-            for k in np.flatnonzero(~ok):
-                if singular[k]:
-                    logger.warning(
-                        "singular conditioning set %s for (%d, %d); treating as dependent",
-                        conds[k], i, j,
-                    )
-                else:
-                    logger.warning(
-                        "ill-conditioned precision for (%d, %d | %s); treating as dependent",
-                        i, j, conds[k],
-                    )
-            r = -precision[:, 0, 1] / np.sqrt(np.where(ok, denom, 1.0))
-        r = np.clip(r, -0.9999999, 0.9999999)
-        z = 0.5 * np.log((1.0 + r) / (1.0 - r)) * math.sqrt(self.n - n_cond - 3)
-        return np.where(ok, erfc(np.abs(z) / math.sqrt(2.0)), 0.0)
-
-
-def _inverses(stack: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix in ``stack``; a singular one becomes all NaN."""
-    try:
-        return np.linalg.inv(stack)
-    except np.linalg.LinAlgError:
-        out = np.full_like(stack, np.nan)
-        for k, matrix in enumerate(stack):
+            return 0.0
+        r = self.corr[i, j]
+        if cond:
+            idx = [i, j, *cond]
             try:
-                out[k] = np.linalg.inv(matrix)
+                precision = np.linalg.inv(self.corr[np.ix_(idx, idx)])
             except np.linalg.LinAlgError:
-                pass
-        return out
+                precision = np.full((len(idx), len(idx)), np.nan)
+            singular = not np.diagonal(precision).max() <= MAX_PRECISION  # NaN too
+            denom = precision[0, 0] * precision[1, 1]
+            if singular or not denom > 0:
+                logger.warning("%s for (%d, %d) given %s; treating as dependent",
+                               "singular conditioning set" if singular
+                               else "ill-conditioned precision", i, j, cond)
+                return 0.0
+            r = -precision[0, 1] / np.sqrt(denom)
+        return float(erfc(_fisher_z(np.array([r]), dof) / math.sqrt(2.0))[0])
+
+    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
+        """One PC-simple level: the survivors that stay dependent on
+        ``target`` given every size-``level`` set of the survivors left when
+        each is tested, in order.  All (set, survivor) verdicts come from
+        ``_schur_verdicts``; a pair it cannot certify is decided by
+        ``_p_value`` when the in-order removal reaches it."""
+        k = len(survivors)
+        count = math.comb(k, level)
+        sets = np.fromiter(chain.from_iterable(combinations(range(k), level)),
+                           dtype=np.intp, count=count * level).reshape(count, level)
+        contains = np.zeros((k, count), dtype=bool)
+        contains[sets.T, np.arange(count)] = True
+        indep, unsure = self._schur_verdicts(target, survivors, sets)
+        alive = np.ones(count, dtype=bool)  # sets holding no removed survivor
+        kept = []
+        for c in range(k):
+            live = alive & ~contains[c]
+            if indep[c, live].any() or any(
+                self._p_value(survivors[c], target, tuple(survivors[m] for m in sets[s]))
+                > self.cfg.alpha for s in np.flatnonzero(live & unsure[c])
+            ):
+                alive &= ~contains[c]
+            else:
+                kept.append(survivors[c])
+        return kept
+
+    def _schur_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
+        """(independent, unsure) tables, survivors x sets, of each survivor
+        against ``target`` given each row of ``sets`` (survivor positions).
+
+        Per block of sets, one Cholesky sweep turns [C[S, S] | C[S, U + T] | I]
+        into [L^T | Y | L^-1], C[S, S] = L L^T: R = C[U + T, U + T] - Y^T Y,
+        and M = C[S, S]^-1 = L^-T L^-1 gives the precision diagonal through
+        P_SS = M + (M B) R2^-1 (M B)^T, R2 = R[(c, T), (c, T)],
+        B = C[S, (c, T)].  Entries of a survivor inside its set are not read.
+        """
+        count, level = sets.shape
+        k, n = len(survivors), level + 2
+        dof = self._dof(level)
+        cols = np.append(np.asarray(survivors, dtype=np.intp), target)
+        rounding = 2 * n * (3.01 * n**3 * 2.0 ** (n - 1) + 2.01 * n * n + n) * _U
+        indep, unsure = np.empty((2, k, count), dtype=bool)
+        step = max(1, BLOCK_ENTRIES // (max(level, 1) * (k + 1 + 2 * level)))
+        for start in range(0, count, step):
+            nodes = cols[sets[start : start + step]]
+            b = nodes.shape[0]
+            idx = np.concatenate([nodes, np.broadcast_to(cols, (b, k + 1))], axis=1)
+            aug = np.zeros((b, level, 2 * level + k + 1))
+            aug[:, :, : level + k + 1] = self.corr[nodes[:, :, None], idx[:, None, :]]
+            aug[:, range(level), range(level + k + 1, 2 * level + k + 1)] = 1.0
+            ok = np.ones(b, dtype=bool)
+            with np.errstate(all="ignore"):
+                for m in range(level):
+                    ok &= aug[:, m, m] > 0
+                    aug[:, m] /= np.sqrt(np.where(ok, aug[:, m, m], 1.0))[:, None]
+                    aug[:, m + 1 :] -= aug[:, m, m + 1 : level, None] * aug[:, m, None, :]
+                y, linv = aug[:, :, level : level + k + 1], aug[:, :, level + k + 1 :]
+                resid = 1.0 - np.einsum("bmu,bmu->bu", y, y)
+                r_cc, r_tt = resid[:, :k], resid[:, k:]
+                r_ct = self.corr[cols[:k], target] - np.einsum(
+                    "bmu,bm->bu", y[:, :, :k], y[:, :, k])
+                r = r_ct / np.sqrt(r_cc * r_tt)
+                det = 1.0 - r * r
+                mb = np.matmul(linv.transpose(0, 2, 1), y)  # M C[S, U + T]
+                mb_t = mb[:, :, k:] / np.sqrt(r_tt)[:, None]
+                mb_c = mb[:, :, :k] / np.sqrt(r_cc)[:, None] - r[:, None] * mb_t
+                mb_c /= np.sqrt(det)[:, None]
+                p_ss = (linv * linv).sum(axis=1)[:, :, None] + mb_t * mb_t + mb_c * mb_c
+                worst = np.maximum(p_ss.max(axis=1, initial=0.0),
+                                   1.0 / (np.minimum(r_cc, r_tt) * det))
+                eps = SLACK * worst * rounding + 8.0 * _U
+                z = _fisher_z(r, dof)
+                r_m = np.minimum(np.abs(r) + eps, R_CLIP)
+                band = math.sqrt(dof) * eps / (1.0 - r_m * r_m) + 16.0 * _U * (
+                    math.sqrt(dof) + z + 4.0 + self.z_alpha**2)
+                regular = (ok[:, None] & (np.minimum(r_cc, r_tt) > 0) & (det > 0)
+                           & (worst <= MAX_PRECISION / 2) & (eps <= 1e-2))
+                below = regular & (z < self.z_alpha - band)
+                above = regular & (z > self.z_alpha + band)
+            indep[:, start : start + step] = below.T
+            unsure[:, start : start + step] = ~(below | above).T
+        return indep, unsure
 
 
 def d_separated(graph: CausalGraph, i: int, j: int, cond: Iterable[int]) -> bool:
@@ -199,10 +275,13 @@ class DSepOracle:
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return d_separated(self.graph, i, j, cond)
 
-    def first_independent(
-        self, i: int, j: int, conds: Iterable[tuple[int, ...]]
-    ) -> int | None:
-        return next((k for k, c in enumerate(conds) if self.independent(i, j, c)), None)
+    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
+        kept = list(survivors)
+        for c in survivors:
+            others = [o for o in kept if o != c]
+            if any(self.independent(c, target, s) for s in combinations(others, level)):
+                kept.remove(c)
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +299,14 @@ def pc_simple(
     subset of the other survivors.  Stops once survivors cannot supply a
     conditioning set or l exceeds max_cond.
 
-    One survivor's size-l sets go to ``first_independent`` as one call:
-    the survivor list only changes between calls, so this is the same
-    level-wise elimination as testing set by set (PC-simple; Bühlmann,
-    Kalisch & Maathuis, 2010).
+    Each level is one ``tester.eliminate`` call (PC-simple; Bühlmann,
+    Kalisch & Maathuis, 2010): survivors are dropped in order, and a set
+    holding a survivor dropped earlier in the level is not tried.
     """
     survivors = sorted(c for c in set(candidates) if c != target)
     level = 0
     while level <= cfg.max_cond and len(survivors) > level:
-        for c in list(survivors):
-            others = [o for o in survivors if o != c]
-            if tester.first_independent(c, target, combinations(others, level)) is not None:
-                survivors.remove(c)
+        survivors = tester.eliminate(target, survivors, level)
         level += 1
     return set(survivors)
 

@@ -12,7 +12,11 @@ from hteselect.errors import NumericError
 
 
 def _brute_force(x, t):
-    """Exact squared distances to every opposite-arm row; lowest index wins."""
+    """Exact squared distances to every opposite-arm row of the kernel's
+    power-of-two prescaled copy of x; lowest index wins."""
+    arm = np.asarray(t) == 1
+    x = np.array(x, dtype=np.float64)
+    x[arm], x[~arm] = _kernels._prescale(x[arm], x[~arm])
     out = np.empty(len(t), dtype=np.int64)
     for i in range(len(t)):
         opp = np.flatnonzero(t != t[i])
@@ -61,6 +65,23 @@ def test_single_row_opposite_arm():
     x = np.array([[0.0], [5.0], [-3.0], [0.0]])
     t = np.array([0, 0, 1, 0])
     assert _kernels.nn_opposite_arm(x, t).tolist() == [2, 2, 0, 2]
+
+
+@pytest.mark.parametrize(
+    "x, t, want",
+    [
+        # squared differences of the unscaled input overflow to inf
+        ([1e300, 1e-300, -1e300, 0.0], [0, 1, 1, 0], [1, 3, 3, 1]),
+        # a float32 near-tie at that size, so row 2 is rescanned
+        ([1e300, -0.9999999999e300, 0.0], [1, 1, 0], [2, 2, 1]),
+    ],
+)
+def test_rescan_does_not_overflow(x, t, want):
+    x, t = np.array(x)[:, None], np.array(t)
+    with mock.patch.object(_kernels, "_rescan", wraps=_kernels._rescan) as rescan:
+        assert _kernels.nn_opposite_arm(x, t).tolist() == want
+    assert rescan.call_count == (len(t) == 3)
+    assert _brute_force(x, t).tolist() == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

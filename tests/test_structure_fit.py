@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import hteselect
@@ -143,26 +146,58 @@ def _correlated_data(seed, n=300, d=10):
     return data
 
 
-def _scalar_first(tester, i, j, conds):
-    return next((k for k, c in enumerate(conds) if tester.independent(i, j, c)), None)
+def _scalar_eliminate(tester, target, survivors, level):
+    """One PC-simple level as a set-by-set loop over the scalar ``test``."""
+    kept = list(survivors)
+    for c in survivors:
+        others = [o for o in kept if o != c]
+        if any(tester.test(c, target, s)[1] for s in combinations(others, level)):
+            kept.remove(c)
+    return kept
 
 
-def test_first_independent_matches_scalar_loop():
-    stops = []
-    for seed in range(4):
-        data = _correlated_data(seed)
-        batched, scalar = FisherZTester(data, CFG), FisherZTester(data, CFG)
-        for level in (1, 2, 3):
-            for i, j in combinations(range(data.shape[1]), 2):
-                others = [o for o in range(data.shape[1]) if o not in (i, j)]
-                conds = list(combinations(others, level))
-                got = batched.first_independent(i, j, iter(conds))
-                assert got == _scalar_first(scalar, i, j, conds), (seed, level, i, j)
-                stops.append(got)
-                for c, p in zip(conds, batched._p_values(i, j, conds)):
-                    assert p == pytest.approx(scalar.test(i, j, c)[0], rel=1e-12, abs=1e-300)
-    # the sweep reaches past the first batch and also finds no independent set
-    assert None in stops and any(k is not None and k >= 8 for k in stops)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(8, 300),
+    d=st.integers(3, 8),
+    level=st.integers(0, 3),
+    copies=st.integers(0, 3),
+    noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2]),
+    constant=st.booleans(),
+    edge=st.sampled_from([None, -1e-12, -1, 0, 1, 1e-12]),
+    block=st.sampled_from([None, 1, 40]),
+)
+def test_eliminate_matches_scalar_loop(seed, n, d, level, copies, noise, constant, edge, block):
+    # copied columns (plus noise, none for exact duplicates) give singular
+    # and near-singular sets; ``edge`` puts alpha 1e-12 or a few ulps away
+    # from the largest exact p-value of the first survivor, which decides it
+    rng = np.random.default_rng(seed)
+    data = _correlated_data(seed, n=n, d=d)
+    for col in rng.choice(d, size=min(copies, d - 1), replace=False):
+        data[:, col] = data[:, rng.integers(d)] + noise * rng.normal(size=n)
+    if constant:
+        data[:, rng.integers(d)] = 2.5
+    target = int(rng.integers(d))
+    survivors = [c for c in range(d) if c != target]
+    assume(len(survivors) > level and n > level + 3)
+    cfg = CFG
+    if edge is not None:
+        exact = FisherZTester(data, CFG)
+        p = max(exact.test(survivors[0], target, s)[0]
+                for s in combinations(survivors[1:], level))
+        assume(1e-11 < p < 1.0 - 1e-11)
+        alpha = p + edge if isinstance(edge, float) else p + edge * np.spacing(p)
+        cfg = CiTestConfig(alpha=alpha, max_cond=3)
+    logging.disable(logging.WARNING)
+    try:
+        default = hteselect.structure_fit.BLOCK_ENTRIES
+        with mock.patch("hteselect.structure_fit.BLOCK_ENTRIES", block or default):
+            got = FisherZTester(data, cfg).eliminate(target, survivors, level)
+        want = _scalar_eliminate(FisherZTester(data, cfg), target, survivors, level)
+    finally:
+        logging.disable(logging.NOTSET)
+    assert got == want
 
 
 def _scalar_pc_simple(tester, target, candidates, cfg):
@@ -189,21 +224,24 @@ def test_pc_simple_matches_scalar_loop():
             )
 
 
-def test_singular_set_in_a_batch_is_dependent(caplog):
+def test_singular_set_in_a_level_is_dependent(caplog):
     rng = np.random.default_rng(6)
-    data = rng.normal(size=(200, 5))
+    data = rng.normal(size=(200, 6))
     data[:, 1] += 0.4 * data[:, 0]
-    conds = [(2, 3), (3, 3), (2, 4), (3, 4)]  # (3, 3) repeats a column
+    data[:, 5] = data[:, 3]  # the set (3, 5) repeats a column
     tester = FisherZTester(data, CFG)
     with caplog.at_level(logging.WARNING, logger="hteselect.structure_fit"):
-        assert tester.first_independent(0, 1, conds) is None
-    singular = [rec for rec in caplog.records if "singular" in rec.getMessage()]
-    assert len(singular) == 1 and "(3, 3)" in singular[0].getMessage()
-    assert tester.test(0, 1, (3, 3))[0] == 0.0
-    for cond in (c for c in conds if c != (3, 3)):
-        p = FisherZTester(data, CFG).test(0, 1, cond)[0]
-        assert 0.0 < p < CFG.alpha
-        assert tester.test(0, 1, cond)[0] == pytest.approx(p, rel=1e-12)
+        # 2 is independent given (0, 3); 3 and 5 only meet sets holding
+        # their copy or 2, so they stay
+        assert tester.eliminate(1, [0, 2, 3, 5], 2) == [0, 3, 5]
+    singular = [rec.getMessage() for rec in caplog.records if "singular" in rec.getMessage()]
+    assert [m for m in singular if "(3, 5)" in m] == [
+        "singular conditioning set for (0, 1) given (3, 5); treating as dependent"
+    ]
+    assert _scalar_eliminate(FisherZTester(data, CFG), 1, [0, 2, 3, 5], 2) == [0, 3, 5]
+    assert tester.test(0, 1, (3, 5))[0] == 0.0
+    for cond in [(2, 3), (2, 5)]:
+        assert 0.0 < tester.test(0, 1, cond)[0] < CFG.alpha
 
 
 @pytest.mark.parametrize("seed", range(5))
