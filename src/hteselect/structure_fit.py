@@ -98,7 +98,10 @@ class CiTestConfig:
 class CiTester(Protocol):
     def independent(self, i: int, j: int, cond: tuple[int, ...]) -> bool: ...
 
-    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]: ...
+    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
+        """One PC-simple level: the survivors that stay dependent on ``target``
+        given every size-``level`` set of the survivors left when each is
+        tested, in order."""
 
 
 def _fisher_z(r, dof: int):
@@ -161,9 +164,7 @@ class FisherZTester:
         return float(erfc(_fisher_z(np.array([r]), dof) / math.sqrt(2.0))[0])
 
     def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
-        """One PC-simple level: the survivors that stay dependent on
-        ``target`` given every size-``level`` set of the survivors left when
-        each is tested, in order.  All (set, survivor) verdicts come from
+        """``CiTester.eliminate``.  All (set, survivor) verdicts come from
         ``_schur_verdicts``; a pair it cannot certify is decided by
         ``_p_value`` when the in-order removal reaches it."""
         k = len(survivors)

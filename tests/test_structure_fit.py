@@ -231,8 +231,8 @@ def test_singular_set_in_a_level_is_dependent(caplog):
     data[:, 5] = data[:, 3]  # the set (3, 5) repeats a column
     tester = FisherZTester(data, CFG)
     with caplog.at_level(logging.WARNING, logger="hteselect.structure_fit"):
-        # 2 is independent given (0, 3); 3 and 5 only meet sets holding
-        # their copy or 2, so they stay
+        # 2 is independent given (0, 3); 3 and 5 then meet only sets that
+        # hold their copy (singular, so dependent) or the removed 2
         assert tester.eliminate(1, [0, 2, 3, 5], 2) == [0, 3, 5]
     singular = [rec.getMessage() for rec in caplog.records if "singular" in rec.getMessage()]
     assert [m for m in singular if "(3, 5)" in m] == [
