@@ -8,10 +8,10 @@ two-fold cross-fit doubly robust learner (DR).  Each fit returns a
 
 The module has three entry points.  ``prepare`` computes, once for a fixed
 set of rows, the row-block statistics an estimator kind needs: ridge
-``Moments`` per block its outcome models are fit on, and ``Standardized``
-rows where a propensity model is fit by IRLS.  ``fit_columns`` then fits the
-estimator on any column subset from those statistics alone, optionally
-starting each propensity IRLS (``LOGISTIC_MODELS``) from given weights.
+``Moments`` per block its outcome models are fit on, and a ``LogisticBlock``
+where a propensity model is fit by IRLS.  ``fit_columns`` then fits the
+estimator on any column subset from those statistics alone; each
+propensity fit is warm-started by its block from the subsets fit before.
 ``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
 once per inner split and fits every candidate subset.
 """
@@ -26,13 +26,12 @@ import numpy as np
 from . import supervised
 from .errors import DegenerateArms, DimensionMismatch
 from .fit_metrics import doubly_robust_effects
-from .supervised import LinearModel, Moments, Standardized, fit_logistic, solve_ridge
-from .supervised import fit_ridge  # noqa: F401  (re-exported with fit_logistic)
+from .supervised import LinearModel, LogisticBlock, Moments, solve_ridge
+
+# unused here: perfbench/tests/test_tracing.py checks that tracing also wraps these bindings
+from .supervised import fit_logistic, fit_ridge  # noqa: F401
 
 ESTIMATOR_KINDS = ("S", "T", "X", "DR")
-# the IRLS-fit models of each kind, by their name in ``CateEstimator.models``
-# (DR: the propensity fit on each cross-fitting fold)
-LOGISTIC_MODELS = {"S": (), "T": (), "X": ("propensity",), "DR": ("propensity0", "propensity1")}
 
 
 @dataclass
@@ -89,7 +88,7 @@ def _prepare_s(x, t, y) -> dict:
     return {"joint": Moments.of(_s_design(x, t), y)}
 
 
-def _fit_s(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
+def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
     k = prep.n_features
     joint_cols = np.concatenate([cols, [k], k + 1 + cols])
@@ -104,7 +103,7 @@ def _predict_s(est: CateEstimator, x: np.ndarray) -> np.ndarray:
     return f1 - f0
 
 
-def _fit_t(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
+def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Separate ridge per arm; effect = f1(x) - f0(x)."""
     return CateEstimator(
         kind="T",
@@ -120,7 +119,7 @@ def _predict_t(est: CateEstimator, x: np.ndarray) -> np.ndarray:
 
 
 def _prepare_x(x, t, y) -> dict:
-    return dict(_arm_moments(x, t, y), rows=Standardized.of(x), t=t)
+    return dict(_arm_moments(x, t, y), propensity=LogisticBlock(x, t))
 
 
 def _residual_ridge(
@@ -141,7 +140,7 @@ def _residual_ridge(
     )
 
 
-def _fit_x(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
+def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Two-stage construction with propensity-weighted effect models.
 
     Stage one fits per-arm outcome models.  Stage two regresses the imputed
@@ -161,9 +160,7 @@ def _fit_x(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
             "f0": f0,
             "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
             "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
-            "propensity": fit_logistic(
-                blocks["rows"].columns(cols), blocks["t"], start=starts["propensity"]
-            ),
+            "propensity": blocks["propensity"].fit(cols),
         },
     )
 
@@ -181,11 +178,13 @@ def _prepare_dr(x, t, y) -> dict:
         xf, tf, yf = x[part::2], t[part::2], y[part::2]
         if not ((tf == 1).any() and (tf == 0).any()):
             raise DegenerateArms("cross-fitting fold lost a treatment arm")
-        folds.append(dict(_arm_moments(xf, tf, yf), x=xf, t=tf, y=yf, rows=Standardized.of(xf)))
+        folds.append(
+            dict(_arm_moments(xf, tf, yf), x=xf, t=tf, y=yf, propensity=LogisticBlock(xf, tf))
+        )
     return {"folds": folds, "all": Moments.of(x)}
 
 
-def _fit_dr(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
+def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Two-fold cross-fit doubly robust learner.
 
     Folds are assigned by row parity (deterministic).  Pseudo-outcomes on
@@ -203,10 +202,7 @@ def _fit_dr(prep: Prepared, cols: np.ndarray, starts: dict) -> CateEstimator:
         fit, apply = folds[1 - current], folds[current]
         m1 = fit["f1"].ridge(cols)
         m0 = fit["f0"].ridge(cols)
-        name = f"propensity{1 - current}"
-        prop = models[name] = fit_logistic(
-            fit["rows"].columns(cols), fit["t"], start=starts[name]
-        )
+        prop = models[f"propensity{1 - current}"] = fit["propensity"].fit(cols)
         xa = apply["x"][:, cols]
         phi = doubly_robust_effects(
             apply["y"],
@@ -263,16 +259,9 @@ def prepare(kind: str, x, t, y) -> Prepared:
     return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
 
 
-def fit_columns(prep: Prepared, cols, starts=None) -> CateEstimator:
-    """Fit the prepared estimator on feature columns ``cols``.
-
-    ``starts``, when given, holds one IRLS start per model named in
-    ``LOGISTIC_MODELS[prep.kind]``, in that order: standardized-space
-    weights (intercept first) for ``cols``, or None for a start from zero.
-    """
-    names = LOGISTIC_MODELS[prep.kind]
-    starts = dict(zip(names, [None] * len(names) if starts is None else starts))
-    return _FITTERS[prep.kind](prep, np.asarray(cols, dtype=np.intp), starts)
+def fit_columns(prep: Prepared, cols) -> CateEstimator:
+    """Fit the prepared estimator on feature columns ``cols``."""
+    return _FITTERS[prep.kind](prep, np.asarray(cols, dtype=np.intp))
 
 
 def fit_estimator(kind: str, x, t, y) -> CateEstimator:

@@ -157,17 +157,13 @@ class SubsetScorer:
 
     Subsets are fit from statistics computed once per split, not from raw
     rows.  ``estimators.prepare`` gives the estimator's Gram blocks, so each
-    of its ridge fits is a Cholesky solve of a sub-block; for the
-    residual-product metric one standardized copy of the inner-train rows
-    serves every propensity IRLS.  The X estimator fits that same
-    propensity model (same rows, penalty and start), so with X the metric
-    takes the estimator's model instead of fitting it a second time.  Every
-    propensity IRLS of a split (the metric's and the estimator's,
-    ``estimators.LOGISTIC_MODELS``) is warm-started from the fits of
-    already-scored subsets one column away (see ``_warm_start``): a removal
-    from the parent's weights projected through its Hessian, an addition
-    from the parent's weights.  Only the fits of the round being scored and
-    the round before it are kept.
+    of its ridge fits is a Cholesky solve of a sub-block, and its
+    ``supervised.LogisticBlock`` per propensity model.  The residual-product
+    metric holds one more block on the inner-train rows for its own
+    propensity, unless the estimator is X: X fits that same model (same
+    rows, penalty and start), so the metric takes the estimator's model
+    instead of fitting it a second time.  Each block warm-starts its IRLS
+    fits from the subsets one column away that it fit in the round before.
     """
 
     def __init__(
@@ -198,16 +194,7 @@ class SubsetScorer:
             if len(set(t[tr])) < 2 or len(set(t[va])) < 2:
                 raise HteSelectError("inner split lost a treatment arm")
             self.splits.append((tr, va))
-        # X fits the TauRisk propensity itself (same rows, penalty and start)
-        self._own_propensity = metric == "TauRisk" and estimator != "X"
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
-        # IRLS fits per split: the estimator's propensities, then the metric's
-        self._n_estimator_fits = len(estimators.LOGISTIC_MODELS[estimator])
-        self._n_fits = self._n_estimator_fits + self._own_propensity
-        # per-split (weights, Hessian) of every IRLS fit of scored subsets,
-        # for the subset size being scored and the size scored before it
-        self._warm_size = 0
-        self._warm: list[dict[frozenset, tuple]] = [{}, {}]
 
     def _prepare_split(self, x, t, y, tr, va) -> dict:
         """Validation rows, yardsticks and fitting statistics of one split."""
@@ -218,8 +205,8 @@ class SubsetScorer:
             stats["prepared"] = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
         except HteSelectError as exc:  # every subset fails alike on this split
             stats["prepared"] = exc
-        if self._own_propensity:
-            stats["rows"], stats["t_tr"] = supervised.Standardized.of(x_tr), t_tr
+        if self.metric == "TauRisk" and self.estimator != "X":  # else X's propensity serves
+            stats["propensity"] = supervised.LogisticBlock(x_tr, t_tr)
         return stats
 
     def _fit_yardstick(self, x_tr, t_tr, y_tr, stats) -> dict:
@@ -246,81 +233,29 @@ class SubsetScorer:
 
     def __call__(self, cols: tuple[int, ...]) -> float:
         self.evaluations += 1
-        cols = tuple(cols)
         idx = np.asarray(cols, dtype=np.intp)
-        starts = self._warm_start(cols) if self._n_fits else None
-        values, fits = [], []
-        for split, stats in enumerate(self._split_stats):
-            start = [None] * self._n_fits if starts is None else starts[split]
+        values = []
+        for stats in self._split_stats:
             try:
                 if isinstance(stats["prepared"], HteSelectError):
                     raise stats["prepared"]
-                est = estimators.fit_columns(
-                    stats["prepared"], idx, start[: self._n_estimator_fits]
-                )
-                models = [est.models[name] for name in estimators.LOGISTIC_MODELS[self.estimator]]
+                est = estimators.fit_columns(stats["prepared"], idx)
                 x_va = stats["x_va"][:, idx]
                 tau_hat = est.predict(x_va)
                 if self.metric == "TauRisk":
-                    if self._own_propensity:  # else models[-1] is X's propensity
-                        models.append(supervised.fit_logistic(
-                            stats["rows"].columns(idx), stats["t_tr"], start=start[-1]
-                        ))
-                    p_hat = supervised.predict(models[-1], x_va)
+                    propensity = est.models.get("propensity")
+                    if propensity is None:
+                        propensity = stats["propensity"].fit(idx)
                     values.append(fit_metrics.tau_risk(
-                        tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"], p_hat
+                        tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"],
+                        supervised.predict(propensity, x_va),
                     ))
                 else:
                     values.append(fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"]))
-                fits.append([(m.standardized_weights(), m.hessian) for m in models])
             except HteSelectError as exc:
-                logger.warning("candidate %s skipped: %s", cols, exc)
+                logger.warning("candidate %s skipped: %s", tuple(cols), exc)
                 return math.inf
-        if self._n_fits:
-            self._warm[0][frozenset(cols)] = (cols, fits)
         return float(np.mean(values))
-
-    def _warm_start(self, cols: tuple[int, ...]) -> list[list[np.ndarray]] | None:
-        """Per split, one IRLS start per fit for ``cols`` from scored neighbours.
-
-        A greedy round removes one column from, or adds one to, the subsets
-        of the round before.  A removal S = P-c starts from the parent P's
-        weights projected through P's Hessian: the minimizer of P's
-        quadratic model with the weight of c held at zero
-        (``supervised.projected_start``).  An addition S = P+c starts from
-        the first stored parent's weights with zero for the new column.
-        """
-        if len(cols) != self._warm_size:  # a new round
-            self._warm_size = len(cols)
-            self._warm = [{}, self._warm[0]]
-        target = frozenset(cols)
-        parent = next((key for key in self._warm[1] if len(target ^ key) == 1), None)
-        if parent is None:
-            return None
-        if len(parent) > len(target):
-            return _projected_fits(self._warm[1][parent], cols)
-        return _aligned_weights(self._warm[1][parent], cols)
-
-
-def _positions(parent: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """Where the intercept and each of ``cols`` sit in the weights of
-    ``parent``; -1 for a column the parent lacks."""
-    pos = {c: j for j, c in enumerate(parent, start=1)}
-    return np.array([0] + [pos.get(c, -1) for c in cols])
-
-
-def _aligned_weights(entry: tuple, cols: tuple[int, ...]) -> list[list[np.ndarray]]:
-    """A stored subset's per-split weights laid out for the columns ``cols``."""
-    parent, fits = entry
-    take = _positions(parent, cols)
-    return [[np.where(take >= 0, w[take], 0.0) for w, _ in split] for split in fits]
-
-
-def _projected_fits(entry: tuple, cols: tuple[int, ...]) -> list[list[np.ndarray]]:
-    """A stored superset's per-split weights projected onto ``cols``."""
-    parent, fits = entry
-    keep = _positions(parent, cols)
-    return [[supervised.projected_start(w, h, keep) for w, h in split] for split in fits]
 
 
 def select_features(

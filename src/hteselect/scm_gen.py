@@ -172,14 +172,15 @@ def sample_graph(spec: ScmSpec, rng: np.random.Generator) -> CausalGraph:
     return CausalGraph(order=np.arange(d), adj=adj, coef=coef)
 
 
-def _strict_closure(adj: np.ndarray) -> np.ndarray:
+def _strict_closure(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
     """``reach[u, v]`` iff a directed path of one or more edges leads u to v.
 
-    ``adj`` must be upper triangular (the causal order), so a node's row is
-    final once its children's rows are: one reverse pass of row ORs.
+    Every edge of ``adj`` must run forward in the causal ``order``, so a
+    node's row is final once its children's rows are: one pass of row ORs
+    in reverse order.
     """
     reach = adj.copy()
-    for v in range(adj.shape[0] - 2, -1, -1):
+    for v in order[::-1].tolist():
         kids = adj[v]
         if kids.any():
             reach[v] |= reach[kids].any(axis=0)
@@ -199,7 +200,7 @@ def backdoor_row(graph: CausalGraph, t: int) -> np.ndarray:
     cut = graph.adj.copy()
     cut[t, :] = False
     cut[:, t] = False
-    reach = _strict_closure(cut)
+    reach = _strict_closure(cut, graph.order)
     into_t = graph.adj[:, t]
     anc_t = into_t | reach[:, into_t].any(axis=1)
     return reach[anc_t].any(axis=0)
@@ -452,8 +453,9 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     Raises:
         ValueError: the JSON is not an object holding every key that
             ``graph_to_json`` writes, a value has the wrong shape, a node
-            index is not an int in range(d), or ``order`` is not a
-            permutation of range(d).
+            index is not an int in range(d), ``order`` is not a
+            permutation of range(d), ``adj`` or ``coef`` does not hold d*d
+            values, or an ``adj`` edge runs against ``order``.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -476,9 +478,18 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     for key, value in payload["hte_parents"].items():
         node = _node(int(key) if key.isdecimal() else key, d, "hte_parents")
         hte_parents[node] = _nodes(value, d, "hte_parents")
+    for key in ("adj", "coef"):
+        if not isinstance(payload[key], list) or len(payload[key]) != d * d:
+            raise ValueError(f"graph JSON '{key}' must be a list of d*d = {d * d} values")
+    adj = np.array(payload["adj"], dtype=bool).reshape(d, d)
+    position = np.argsort(order)  # of each node in the causal order
+    back = np.argwhere(adj & (position[:, None] >= position[None, :]))
+    if back.size:
+        i, j = back[0]
+        raise ValueError(f"graph JSON 'adj' edge {i} -> {j} runs against 'order'")
     graph = CausalGraph(
         order=np.array(order, dtype=np.int64),
-        adj=np.array(payload["adj"], dtype=bool).reshape(d, d),
+        adj=adj,
         coef=np.array(payload["coef"], dtype=np.float64).reshape(d, d),
         t_node=_node(payload["t_node"], d, "t_node"),
         y_node=_node(payload["y_node"], d, "y_node"),
@@ -518,8 +529,9 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 def dataset_from_csv(text: str) -> Dataset:
     """Inverse of ``dataset_to_csv``; ValueError on a wrong header, no data
-    rows, rows whose length differs from the header's, a ``t`` value other
-    than 0 or 1, or a non-finite ``x``, ``y`` or ``tau`` value."""
+    rows, a row whose length differs from the header's, a cell that is not a
+    number, a ``t`` value other than 0 or 1, or a non-finite ``x``, ``y`` or
+    ``tau`` value.  Errors in a row name its CSV line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
@@ -527,14 +539,29 @@ def dataset_from_csv(text: str) -> Dataset:
     k = len(header) - 3
     rows, lines = [], []
     for row in reader:
-        if row:
-            rows.append([float(v) for v in row])
-            lines.append(reader.line_num)
+        if not row:
+            continue
+        if len(row) != len(header):
+            where = (f"lacks column {header[len(row)]}" if len(row) < len(header)
+                     else f"runs past column {header[-1]}")
+            raise ValueError(
+                f"dataset CSV line {reader.line_num} {where}: {len(row)} cells, the header "
+                f"{len(header)}"
+            )
+        values = []
+        for name, cell in zip(header, row):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"dataset CSV line {reader.line_num}, column {name} holds {cell!r}, "
+                    "not a number"
+                ) from None
+        rows.append(values)
+        lines.append(reader.line_num)
     if not rows:
         raise ValueError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)
-    if data.shape[1] != len(header):
-        raise ValueError(f"dataset CSV rows hold {data.shape[1]} cells, the header {len(header)}")
     bad = data[:, k][(data[:, k] != 0) & (data[:, k] != 1)]
     if bad.size:
         raise ValueError(f"dataset CSV column t must hold 0 or 1, found {float(bad[0])!r}")

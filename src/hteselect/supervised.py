@@ -25,8 +25,10 @@ log-likelihood per iteration.  The loop stops in the quadratic regime of
 Newton's method: once a full Newton step is below ``_IRLS_QUAD_TOL`` the
 next one would be of the order of its square, so the step that would only
 confirm convergence is not taken.  The fitted model keeps the penalized
-Hessian of its last Newton iteration, from which a caller can project a
-start for the same fit on fewer columns (``projected_start``).
+Hessian of its last Newton iteration, from which a start for the same fit
+on fewer columns is projected (``projected_start``).  ``LogisticBlock`` is
+the logistic counterpart of ``Moments``: fits on column subsets of fixed
+rows, each warm-started from a stored fit one column away.
 """
 
 from __future__ import annotations
@@ -348,6 +350,49 @@ def projected_start(weights: np.ndarray, hessian: np.ndarray, keep) -> np.ndarra
     rows = hessian.take(keep, axis=0)
     shift = rows.take(drop, axis=1) @ weights[drop]
     return weights[keep] + _spd_solve(rows.take(keep, axis=1), shift)
+
+
+class LogisticBlock:
+    """Warm-started logistic fits of labels ``t`` on column subsets of ``x``.
+
+    ``fit(cols)`` fits on the ``Standardized`` rows restricted to ``cols``.
+    A greedy search scores subsets one column away from those of its round
+    before, so the fit starts from the first stored fit of a subset one
+    column away: for a removal, that parent's weights projected through its
+    Hessian (``projected_start``); for an addition, its weights with zero
+    for the new column.  Only the fits of the current subset size and of
+    the size before it are kept.  A fit is stored when it returns, so a
+    subset that its caller then abandons (say, a later split fails) still
+    serves as a parent.
+    """
+
+    def __init__(self, x, t: np.ndarray):
+        self.rows = Standardized.of(x)
+        self.t = t
+        self._size = 0
+        # by column set: (cols, standardized weights, Hessian) of this size, then the size before
+        self._fits: list[dict] = [{}, {}]
+
+    def fit(self, cols) -> LinearModel:
+        cols = np.asarray(cols, dtype=np.intp)
+        if len(cols) != self._size:  # a new round
+            self._size = len(cols)
+            self._fits = [{}, self._fits[0]]
+        listed = cols.tolist()
+        key = frozenset(listed)
+        start = None
+        for parent, (parent_cols, weights, hessian) in self._fits[1].items():
+            if len(key ^ parent) == 1:
+                pos = {c: j for j, c in enumerate(parent_cols, start=1)}
+                take = np.array([0] + [pos.get(c, -1) for c in listed])
+                if len(parent) > len(key):
+                    start = projected_start(weights, hessian, take)
+                else:
+                    start = np.where(take >= 0, weights[take], 0.0)
+                break
+        model = fit_logistic(self.rows.columns(cols), self.t, start=start)
+        self._fits[0][key] = (listed, model.standardized_weights(), model.hessian)
+        return model
 
 
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:

@@ -236,10 +236,16 @@ def _set_cell(column, value):
         (_set_cell(-2, "nan"), "line 3, column y holds nan"),
         (_set_cell(0, "inf"), "line 3, column x0 holds inf"),
         (_set_cell(-1, "-inf"), "line 3, column tau holds -inf"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "line 3 lacks column tau: 8 cells, the header 9"),
+        (lambda lines: lines[:2] + [lines[2] + ",0"] + lines[3:],
+         "line 3 runs past column tau: 10 cells, the header 9"),
+        (_set_cell(0, "abc"), "line 3, column x0 holds 'abc', not a number"),
+        (_set_cell(-2, ""), "line 3, column y holds '', not a number"),
     ],
     ids=[
         "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
-        "tau_minus_inf",
+        "tau_minus_inf", "one_short_row", "one_long_row", "x_not_a_number", "y_empty",
     ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):
@@ -250,6 +256,14 @@ def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_pat
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def _add_back_edge(payload):
+    """The graph with the reverse of its first edge added: a two-node cycle."""
+    adj, d = list(payload["adj"]), len(payload["order"])
+    i, j = divmod(adj.index(1), d)
+    adj[j * d + i] = 1
+    return dict(payload, adj=adj)
 
 
 @pytest.mark.parametrize(
@@ -271,12 +285,18 @@ def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_pat
         (lambda payload: dict(payload, hte_parents={"a": [0]}), "'hte_parents' holds 'a'"),
         (lambda payload: dict(payload, hte_parents={"1": [-1]}), "'hte_parents' holds -1"),
         (lambda payload: dict(payload, hte_parents={"1": 0}), "'hte_parents' must be a list"),
+        (lambda payload: dict(payload, adj=payload["adj"][:-1]), "'adj' must be a list of d*d"),
+        (lambda payload: dict(payload, coef=payload["coef"] + [0.0]), "'coef' must be a list"),
+        (lambda payload: dict(payload, adj=[payload["adj"]]), "'adj' must be a list of d*d"),
+        (_add_back_edge, "runs against 'order'"),
+        (lambda payload: dict(payload, order=payload["order"][::-1]), "runs against 'order'"),
     ],
     ids=[
         "empty", "no_t_node", "list", "spec_list", "t_node_out_of_range", "t_node_str",
         "y_node_bool", "mediator_out_of_range", "mediators_int", "order_truncated",
         "order_repeated", "order_out_of_range", "hte_key_out_of_range", "hte_key_str",
-        "hte_parent_negative", "hte_parents_int",
+        "hte_parent_negative", "hte_parents_int", "adj_short", "coef_long", "adj_nested",
+        "adj_cycle", "order_reversed",
     ],
 )
 def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):

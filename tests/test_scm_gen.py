@@ -109,6 +109,23 @@ def _nodes(row):
     return set(np.flatnonzero(row).tolist())
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(3, 10), p_e=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_backdoor_row_follows_a_permuted_causal_order(d, p_e, seed):
+    rng = np.random.default_rng(seed)
+    g = sample_graph(_spec(d=d, p_e=p_e), rng)
+    perm = rng.permutation(d)  # node v of g is node perm[v] of the renamed graph
+    adj = np.zeros_like(g.adj)
+    adj[np.ix_(perm, perm)] = g.adj
+    coef = np.zeros_like(g.coef)
+    coef[np.ix_(perm, perm)] = g.coef
+    renamed = CausalGraph(perm, adj, coef, t_node=int(perm[0]), y_node=int(perm[-1]))
+    # a graph file whose edges all run forward in a permuted order loads
+    loaded, _ = graph_from_json(graph_to_json(renamed, _spec(d=d, p_e=p_e)))
+    for t in range(d):
+        assert np.array_equal(backdoor_row(loaded, int(perm[t]))[perm], backdoor_row(g, t)), t
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(3, 12),

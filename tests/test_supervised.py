@@ -11,6 +11,7 @@ from hteselect import supervised
 from hteselect.errors import DegenerateArms, DimensionMismatch, NumericError
 from hteselect.supervised import (
     LinearModel,
+    LogisticBlock,
     Moments,
     Standardized,
     fit_logistic,
@@ -467,3 +468,59 @@ def test_projected_start_minimizes_quadratic_model_with_dropped_weight_zero():
     # the kept positions come back in the order given
     shuffled = projected_start(w, hess, [5, 0, 2])
     assert np.allclose(shuffled, projected_start(w, hess, [0, 2, 5])[[2, 0, 1]])
+
+
+def _recorded_block(monkeypatch):
+    """A LogisticBlock on four columns, and the ``start`` of each fit_logistic call."""
+    starts = []
+    original = supervised.fit_logistic
+
+    def recording(x, t, lam=supervised.PROPENSITY_LAMBDA, objective_trace=None, start=None):
+        starts.append(start)
+        return original(x, t, lam, objective_trace, start)
+
+    monkeypatch.setattr(supervised, "fit_logistic", recording)
+    x, t = _propensity_design(10, 4, 0.8, n=400)
+    return LogisticBlock(x, t), starts
+
+
+def test_logistic_block_first_fit_is_cold(monkeypatch):
+    block, starts = _recorded_block(monkeypatch)
+    model = block.fit([0, 2])
+    assert starts == [None]
+    cold = supervised.fit_logistic(block.rows.columns([0, 2]), block.t)
+    assert np.array_equal(model.weights, cold.weights)
+
+
+def test_logistic_block_addition_starts_from_zero_padded_parent(monkeypatch):
+    block, starts = _recorded_block(monkeypatch)
+    parent = block.fit([0, 2])
+    block.fit([0, 1, 2])
+    assert np.array_equal(starts[-1], np.insert(parent.standardized_weights(), 2, 0.0))
+
+
+def test_logistic_block_removal_starts_from_projected_parent(monkeypatch):
+    block, starts = _recorded_block(monkeypatch)
+    parent = block.fit([0, 1, 2])
+    block.fit([0, 2])
+    want = projected_start(parent.standardized_weights(), parent.hessian, [0, 1, 3])
+    assert np.array_equal(starts[-1], want)
+
+
+@pytest.mark.parametrize("order", [[(0, 1), (1, 2)], [(1, 2), (0, 1)]])
+def test_logistic_block_parent_is_first_stored_neighbour(order, monkeypatch):
+    block, starts = _recorded_block(monkeypatch)
+    first = block.fit(order[0])
+    block.fit(order[1])
+    block.fit([1])  # both subsets of size 2 are one column away
+    keep = [0, order[0].index(1) + 1]
+    want = projected_start(first.standardized_weights(), first.hessian, keep)
+    assert np.array_equal(starts[-1], want)
+
+
+def test_logistic_block_keeps_only_two_subset_sizes(monkeypatch):
+    block, starts = _recorded_block(monkeypatch)
+    for cols in ([0], [1, 2], [1, 2, 3], [0, 3]):
+        block.fit(cols)
+    # (0,) is one column from (0, 3), but fitting size 3 dropped the size-1 fits
+    assert starts[2] is not None and starts[3] is None
