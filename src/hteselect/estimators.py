@@ -14,6 +14,10 @@ estimator on any column subset from those statistics alone; each
 propensity fit is warm-started by its block from the subsets fit before.
 ``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
 once per inner split and fits every candidate subset.
+
+``CateEstimator.predict`` takes raw rows and original-unit weights, as a
+final estimator does; ``effects`` takes the ``Rows`` of ``Prepared.rows``,
+standardized once per model block, and the fits' own standardized weights.
 """
 
 from __future__ import annotations
@@ -33,13 +37,35 @@ from .supervised import fit_logistic, fit_ridge  # noqa: F401
 
 ESTIMATOR_KINDS = ("S", "T", "X", "DR")
 
+# by kind, the block each model of ``CateEstimator.effects`` is fit on (see Prepared.rows)
+_EFFECT_BLOCKS = {"S": {}, "T": {"f1": "f1", "f0": "f0"}, "DR": {"effect": "all"},
+                  "X": {"g1": "f1", "g0": "f0", "propensity": "propensity"}}
+
+
+class Rows:
+    """Fixed rows that fitted models predict on, by model name: ``z`` holds
+    the rows in the standardized space of each model's block, given by its
+    (mu, scale) in ``spaces`` (one column-major copy per block), for the fit's
+    own weights; other models predict on ``x`` in original units."""
+
+    def __init__(self, x: np.ndarray, spaces: dict | None = None):
+        self.x = x
+        self.z = {m: np.asfortranarray(supervised.standardize(x, *space))
+                  for m, space in (spaces or {}).items()}
+
+    def predict(self, model: LinearModel, name: str, cols=None) -> np.ndarray:
+        """Model ``name``'s prediction on these rows' columns ``cols`` (all if None)."""
+        z = self.z.get(name)
+        x = self.x if z is None else z
+        return supervised.predict(model, x if cols is None else x[:, cols], z is not None)
+
 
 @dataclass
 class CateEstimator:
     """A fitted effect estimator with its component models.
 
-    Prediction takes a matrix with exactly ``feature_dim`` columns, already
-    subset by the caller.
+    ``predict`` takes a raw matrix with exactly ``feature_dim`` columns,
+    already subset by the caller; ``effects`` takes ``Rows`` and ``cols``.
     """
 
     kind: str
@@ -49,10 +75,25 @@ class CateEstimator:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
-            raise DimensionMismatch(
-                f"{self.kind}-learner expects {self.feature_dim} columns"
-            )
-        return _PREDICTORS[self.kind](self, x)
+            raise DimensionMismatch(f"{self.kind}-learner expects {self.feature_dim} columns")
+        if self.kind == "S":  # f(x, 1) - f(x, 0), from the joint model as fit
+            ones, joint = np.ones(x.shape[0]), self.models["joint"]
+            f1, f0 = (supervised.predict(joint, _s_design(x, arm)) for arm in (ones, 1.0 - ones))
+            return f1 - f0
+        return self.effects(Rows(x))
+
+    def effects(self, rows: Rows, cols=None) -> np.ndarray:
+        """Per-unit effects on ``rows``, restricted to columns ``cols`` if given."""
+
+        def model(name: str) -> np.ndarray:
+            return rows.predict(self.models[name], name, cols)
+
+        if self.kind == "T":
+            return model("f1") - model("f0")
+        if self.kind == "X":
+            p = model("propensity")
+            return p * model("g0") + (1.0 - p) * model("g1")
+        return model("effect")  # DR, and S's treatment terms (see _fit_s)
 
 
 @dataclass(frozen=True)
@@ -66,6 +107,16 @@ class Prepared:
     kind: str
     n_features: int
     blocks: dict
+
+    def rows(self, x, **extra) -> Rows:
+        """Rows ``x`` for ``CateEstimator.effects``, and for the models of
+        the ``extra`` blocks under their keywords."""
+        blocks, k = {**self.blocks, **extra}, self.n_features
+        fit_on = dict(_EFFECT_BLOCKS[self.kind], **{name: name for name in extra})
+        spaces = {m: (blocks[b].mu, blocks[b].scale) for m, b in fit_on.items()}
+        if self.kind == "S":  # the effect's own space (see _fit_s)
+            spaces["effect"] = (np.zeros(k), blocks["joint"].scale[k + 1:])
+        return Rows(x, spaces)
 
 
 def _check_arms(t: np.ndarray) -> None:
@@ -84,42 +135,24 @@ def _s_design(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.hstack([x, tc, tc * x])
 
 
-def _prepare_s(x, t, y) -> dict:
-    return {"joint": Moments.of(_s_design(x, t), y)}
-
-
 def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
-    """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0)."""
-    k = prep.n_features
-    joint_cols = np.concatenate([cols, [k], k + 1 + cols])
-    model = prep.blocks["joint"].ridge(joint_cols)
-    return CateEstimator(kind="S", feature_dim=len(cols), models={"joint": model})
+    """One ridge model on [x, t, t*x]; effect = f(x, 1) - f(x, 0).
 
-
-def _predict_s(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    ones = np.ones(x.shape[0])
-    f1 = supervised.predict(est.models["joint"], _s_design(x, ones))
-    f0 = supervised.predict(est.models["joint"], _s_design(x, 1.0 - ones))
-    return f1 - f0
+    With tc = t - 1/2 that difference is the tc slope plus x times the tc*x
+    slopes (their centering cancels): the ``effect`` model, standardized by
+    the tc*x columns' scales alone.
+    """
+    k, c, joint = prep.n_features, len(cols), prep.blocks["joint"]
+    model = joint.ridge(np.concatenate([cols, [k], k + 1 + cols]))
+    w = np.concatenate([[model.w_std[c + 1] / joint.scale[k]], model.w_std[c + 2:]])
+    effect = LinearModel(w, "regression", c, np.zeros(c), joint.scale[k + 1 + cols])
+    return CateEstimator(kind="S", feature_dim=c, models={"joint": model, "effect": effect})
 
 
 def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Separate ridge per arm; effect = f1(x) - f0(x)."""
-    return CateEstimator(
-        kind="T",
-        feature_dim=len(cols),
-        models={arm: prep.blocks[arm].ridge(cols) for arm in ("f1", "f0")},
-    )
-
-
-def _predict_t(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    return supervised.predict(est.models["f1"], x) - supervised.predict(
-        est.models["f0"], x
-    )
-
-
-def _prepare_x(x, t, y) -> dict:
-    return dict(_arm_moments(x, t, y), propensity=LogisticBlock(x, t))
+    models = {arm: prep.blocks[arm].ridge(cols) for arm in ("f1", "f0")}
+    return CateEstimator(kind="T", feature_dim=len(cols), models=models)
 
 
 def _residual_ridge(
@@ -150,29 +183,14 @@ def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     per-arm moments.
     """
     blocks = prep.blocks
-    f1 = blocks["f1"].ridge(cols)
-    f0 = blocks["f0"].ridge(cols)
-    return CateEstimator(
-        kind="X",
-        feature_dim=len(cols),
-        models={
-            "f1": f1,
-            "f0": f0,
-            "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
-            "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
-            "propensity": blocks["propensity"].fit(cols),
-        },
-    )
+    f1, f0 = blocks["f1"].ridge(cols), blocks["f0"].ridge(cols)
+    models = {"f1": f1, "f0": f0, "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
+              "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
+              "propensity": blocks["propensity"].fit(cols)}
+    return CateEstimator(kind="X", feature_dim=len(cols), models=models)
 
 
-def _predict_x(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    p = supervised.predict(est.models["propensity"], x)
-    g1 = supervised.predict(est.models["g1"], x)
-    g0 = supervised.predict(est.models["g0"], x)
-    return p * g0 + (1.0 - p) * g1
-
-
-def _prepare_dr(x, t, y) -> dict:
+def _prepare_dr(x, t, y, scoring: bool) -> dict:
     folds = []
     for part in (0, 1):  # folds by row parity (deterministic)
         xf, tf, yf = x[part::2], t[part::2], y[part::2]
@@ -181,7 +199,13 @@ def _prepare_dr(x, t, y) -> dict:
         folds.append(
             dict(_arm_moments(xf, tf, yf), x=xf, t=tf, y=yf, propensity=LogisticBlock(xf, tf))
         )
-    return {"folds": folds, "all": Moments.of(x)}
+    whole = Moments.of(x)
+    for apply, fit in zip(folds, folds[::-1]):  # a fold's rows as the other fold's models see them
+        xa = apply["x"]
+        spaces = {name: (fit[name].mu, fit[name].scale) for name in ("f1", "f0", "propensity")}
+        apply["rows"] = Rows(xa, spaces if scoring else None)
+        apply["z_all"] = np.asfortranarray(supervised.standardize(xa, whole.mu, whole.scale))
+    return {"folds": folds, "all": whole}
 
 
 def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
@@ -194,59 +218,38 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     kept as ``propensity<f>``.
     """
     folds, whole = prep.blocks["folds"], prep.blocks["all"]
-    mu, scale = whole.mu[cols], whole.scale[cols]
     z_phi = np.zeros(len(cols))
     phi_sum = 0.0
     models = {}
     for current in (0, 1):
         fit, apply = folds[1 - current], folds[current]
-        m1 = fit["f1"].ridge(cols)
-        m0 = fit["f0"].ridge(cols)
-        prop = models[f"propensity{1 - current}"] = fit["propensity"].fit(cols)
-        xa = apply["x"][:, cols]
-        phi = doubly_robust_effects(
-            apply["y"],
-            apply["t"],
-            supervised.predict(m1, xa),
-            supervised.predict(m0, xa),
-            supervised.predict(prop, xa),
-        )
-        z_phi += ((xa - mu) / scale).T @ phi
+        nuisance = {arm: fit[arm].ridge(cols) for arm in ("f1", "f0")}
+        nuisance["propensity"] = models[f"propensity{1 - current}"] = fit["propensity"].fit(cols)
+        m1, m0, p = (apply["rows"].predict(model, name, cols) for name, model in nuisance.items())
+        phi = doubly_robust_effects(apply["y"], apply["t"], m1, m0, p)
+        z_phi += apply["z_all"][:, cols].T @ phi
         phi_sum += float(phi.sum())
-    effect = solve_ridge(
-        whole.sub_gram(cols), z_phi, phi_sum / whole.n, mu, scale, supervised.OUTCOME_LAMBDA
-    )
+    effect = solve_ridge(whole.sub_gram(cols), z_phi, phi_sum / whole.n, whole.mu[cols],
+                         whole.scale[cols], supervised.OUTCOME_LAMBDA)
     return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect, **models})
 
 
-def _predict_dr(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    return supervised.predict(est.models["effect"], x)
-
-
-_PREDICTORS: dict[str, Callable] = {
-    "S": _predict_s,
-    "T": _predict_t,
-    "X": _predict_x,
-    "DR": _predict_dr,
-}
-
 _PREPARERS: dict[str, Callable] = {
-    "S": _prepare_s,
-    "T": _arm_moments,
-    "X": _prepare_x,
+    "S": lambda x, t, y, scoring: {"joint": Moments.of(_s_design(x, t), y)},
+    "T": lambda x, t, y, scoring: _arm_moments(x, t, y),
+    "X": lambda x, t, y, scoring: dict(_arm_moments(x, t, y), propensity=LogisticBlock(x, t)),
     "DR": _prepare_dr,
 }
 
-_FITTERS: dict[str, Callable] = {
-    "S": _fit_s,
-    "T": _fit_t,
-    "X": _fit_x,
-    "DR": _fit_dr,
-}
+_FITTERS: dict[str, Callable] = {"S": _fit_s, "T": _fit_t, "X": _fit_x, "DR": _fit_dr}
 
 
-def prepare(kind: str, x, t, y) -> Prepared:
+def prepare(kind: str, x, t, y, scoring: bool = False) -> Prepared:
     """Row-block statistics for fitting ``kind`` on column subsets of x.
+
+    DR predicts each fold with the other fold's models: for ``scoring`` many
+    subsets, on the fold's rows standardized once here for each of them,
+    else in original units, as ``fit_estimator`` does.
 
     Raises:
         DegenerateArms: a treatment arm the estimator needs is empty,
@@ -256,7 +259,7 @@ def prepare(kind: str, x, t, y) -> Prepared:
         raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
     x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
     _check_arms(t)
-    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
+    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y, scoring))
 
 
 def fit_columns(prep: Prepared, cols) -> CateEstimator:

@@ -31,8 +31,9 @@ def _as_vectors(*arrays):
 
 
 def _check_propensities(p_hat):
-    # written so that a NaN propensity fails too
-    if not np.all((p_hat > 0.0) & (p_hat < 1.0)):
+    # min and max propagate NaN, so that a NaN propensity fails too
+    low = np.minimum.reduce(p_hat, initial=np.inf)
+    if not (low > 0.0 and np.maximum.reduce(p_hat, initial=-np.inf) < 1.0):
         raise NumericError("propensities must lie strictly inside (0, 1)")
 
 
@@ -43,9 +44,15 @@ def tau_risk(tau_hat, y, t, m_hat, p_hat) -> float:
     propensity estimate, both from models fit on held-out data.
     """
     tau_hat, y, t, m_hat, p_hat = _as_vectors(tau_hat, y, t, m_hat, p_hat)
+    return residual_risk(tau_hat, y - m_hat, t, p_hat)
+
+
+def residual_risk(tau_hat, y_resid, t, p_hat) -> float:
+    """``tau_risk`` from the residuals y - m_hat of float vectors whose
+    lengths are not checked again; the propensity guard still runs."""
     _check_propensities(p_hat)
-    resid = (y - m_hat) - (t - p_hat) * tau_hat
-    return float(np.mean(resid**2))
+    resid = y_resid - (t - p_hat) * tau_hat
+    return float(np.add.reduce(resid * resid) / resid.shape[0])  # np.mean, bit for bit
 
 
 def nn_imputed_effects(x, y, t) -> np.ndarray:

@@ -155,15 +155,15 @@ class SubsetScorer:
     when post-treatment columns are present.  Estimator failures score +inf
     and are skipped with a warning rather than aborting the search.
 
-    Subsets are fit from statistics computed once per split, not from raw
-    rows.  ``estimators.prepare`` gives the estimator's Gram blocks, so each
-    of its ridge fits is a Cholesky solve of a sub-block, and its
-    ``supervised.LogisticBlock`` per propensity model.  The residual-product
-    metric holds one more block on the inner-train rows for its own
-    propensity, unless the estimator is X: X fits that same model (same
-    rows, penalty and start), so the metric takes the estimator's model
-    instead of fitting it a second time.  Each block warm-starts its IRLS
-    fits from the subsets one column away that it fit in the round before.
+    Everything fixed per split is computed once: ``estimators.prepare``
+    gives the estimator's Gram blocks (each ridge fit is a Cholesky solve of
+    a sub-block) and a warm-started ``supervised.LogisticBlock`` per
+    propensity model; the residual-product metric holds one more block for
+    its own propensity, unless the estimator is X, whose propensity is that
+    same model.  ``Prepared.rows`` standardizes the validation rows once per
+    model block with that block's statistics, so a candidate's prediction is
+    a column gather and a matvec with the fit's own weights, and the metric
+    runs on the precomputed outcome residuals or imputed effects.
     """
 
     def __init__(
@@ -197,65 +197,60 @@ class SubsetScorer:
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
 
     def _prepare_split(self, x, t, y, tr, va) -> dict:
-        """Validation rows, yardsticks and fitting statistics of one split."""
-        x_tr, t_tr, y_tr = x[tr], t[tr], y[tr]
-        stats = {"x_va": x[va], "t_va": t[va], "y_va": y[va]}
-        stats.update(self._fit_yardstick(x_tr, t_tr, y_tr, stats))
-        try:
-            stats["prepared"] = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
-        except HteSelectError as exc:  # every subset fails alike on this split
-            stats["prepared"] = exc
+        """Yardsticks, fitting statistics and validation rows of one split."""
+        x_tr, t_tr, y_tr, x_va = x[tr], t[tr], y[tr], x[va]
+        stats = {"t_va": t[va]}
+        stats.update(self._fit_yardstick(x_tr, t_tr, y_tr, x_va, t[va], y[va]))
+        own = {}
         if self.metric == "TauRisk" and self.estimator != "X":  # else X's propensity serves
-            stats["propensity"] = supervised.LogisticBlock(x_tr, t_tr)
+            own["propensity"] = stats["propensity"] = supervised.LogisticBlock(x_tr, t_tr)
+        # T against PluginTau's T-learner predicts in raw units, bit for bit as a T refit would
+        as_yardstick = self.metric == "PluginTau" and self.estimator == "T"
+        try:
+            prepared = estimators.prepare(self.estimator, x_tr, t_tr, y_tr, scoring=True)
+            stats["rows"] = estimators.Rows(x_va) if as_yardstick else prepared.rows(x_va, **own)
+        except HteSelectError as exc:  # every subset fails alike on this split
+            prepared = exc
+        stats["prepared"] = prepared
         return stats
 
-    def _fit_yardstick(self, x_tr, t_tr, y_tr, stats) -> dict:
-        x_va = stats["x_va"]
+    def _fit_yardstick(self, x_tr, t_tr, y_tr, x_va, t_va, y_va) -> dict:
         if self.metric == "TauRisk":
             m_hat = supervised.fit_ridge(x_tr, y_tr)
-            return {"m_hat": supervised.predict(m_hat, x_va)}
+            return {"y_resid": y_va - supervised.predict(m_hat, x_va)}
         if self.metric == "NNPEHE":
-            return {"tau_tilde": fit_metrics.nn_imputed_effects(x_va, stats["y_va"], stats["t_va"])}
+            return {"tau_tilde": fit_metrics.nn_imputed_effects(x_va, y_va, t_va)}
         if self.metric == "PluginTau":
             ref = estimators.fit_estimator("T", x_tr, t_tr, y_tr)
             return {"tau_tilde": ref.predict(x_va)}
         arms = estimators.fit_estimator("T", x_tr, t_tr, y_tr)  # CFCV
         p_hat = supervised.fit_logistic(x_tr, t_tr)
-        return {
-            "tau_tilde": fit_metrics.doubly_robust_effects(
-                stats["y_va"],
-                stats["t_va"],
-                supervised.predict(arms.models["f1"], x_va),
-                supervised.predict(arms.models["f0"], x_va),
-                supervised.predict(p_hat, x_va),
-            )
-        }
+        m1, m0 = (supervised.predict(arms.models[arm], x_va) for arm in ("f1", "f0"))
+        p_va = supervised.predict(p_hat, x_va)
+        return {"tau_tilde": fit_metrics.doubly_robust_effects(y_va, t_va, m1, m0, p_va)}
 
     def __call__(self, cols: tuple[int, ...]) -> float:
         self.evaluations += 1
         idx = np.asarray(cols, dtype=np.intp)
-        values = []
-        for stats in self._split_stats:
-            try:
-                if isinstance(stats["prepared"], HteSelectError):
-                    raise stats["prepared"]
-                est = estimators.fit_columns(stats["prepared"], idx)
-                x_va = stats["x_va"][:, idx]
-                tau_hat = est.predict(x_va)
-                if self.metric == "TauRisk":
-                    propensity = est.models.get("propensity")
-                    if propensity is None:
-                        propensity = stats["propensity"].fit(idx)
-                    values.append(fit_metrics.tau_risk(
-                        tau_hat, stats["y_va"], stats["t_va"], stats["m_hat"],
-                        supervised.predict(propensity, x_va),
-                    ))
-                else:
-                    values.append(fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"]))
-            except HteSelectError as exc:
-                logger.warning("candidate %s skipped: %s", tuple(cols), exc)
-                return math.inf
-        return float(np.mean(values))
+        try:
+            values = [self._score(stats, idx) for stats in self._split_stats]
+        except HteSelectError as exc:
+            logger.warning("candidate %s skipped: %s", tuple(cols), exc)
+            return math.inf
+        return sum(values) / len(values)
+
+    def _score(self, stats: dict, idx: np.ndarray) -> float:
+        """The metric of one split for the estimator fit on columns ``idx``."""
+        if isinstance(stats["prepared"], HteSelectError):
+            raise stats["prepared"]
+        est = estimators.fit_columns(stats["prepared"], idx)
+        rows = stats["rows"]
+        tau_hat = est.effects(rows, idx)
+        if self.metric != "TauRisk":
+            return fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"])
+        propensity = est.models.get("propensity") or stats["propensity"].fit(idx)
+        p_hat = rows.predict(propensity, "propensity", idx)
+        return fit_metrics.residual_risk(tau_hat, stats["y_resid"], stats["t_va"], p_hat)
 
 
 def select_features(

@@ -455,7 +455,8 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
             ``graph_to_json`` writes, a value has the wrong shape, a node
             index is not an int in range(d), ``order`` is not a
             permutation of range(d), ``adj`` or ``coef`` does not hold d*d
-            values, or an ``adj`` edge runs against ``order``.
+            values, an ``adj`` edge runs against ``order``, ``y_node`` is
+            ``t_node``, or ``mediators`` lists either.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -487,15 +488,16 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     if back.size:
         i, j = back[0]
         raise ValueError(f"graph JSON 'adj' edge {i} -> {j} runs against 'order'")
-    graph = CausalGraph(
-        order=np.array(order, dtype=np.int64),
-        adj=adj,
-        coef=np.array(payload["coef"], dtype=np.float64).reshape(d, d),
-        t_node=_node(payload["t_node"], d, "t_node"),
-        y_node=_node(payload["y_node"], d, "y_node"),
-        mediators=_nodes(payload["mediators"], d, "mediators"),
-        hte_parents=hte_parents,
-    )
+    t_node, y_node = _node(payload["t_node"], d, "t_node"), _node(payload["y_node"], d, "y_node")
+    mediators = _nodes(payload["mediators"], d, "mediators")
+    if t_node == y_node:
+        raise ValueError(f"graph JSON 't_node' and 'y_node' are both node {t_node}")
+    for key in ("t_node", "y_node"):
+        if payload[key] in mediators:
+            raise ValueError(f"graph JSON 'mediators' lists the '{key}' {payload[key]}")
+    coef = np.array(payload["coef"], dtype=np.float64).reshape(d, d)
+    graph = CausalGraph(np.array(order, dtype=np.int64), adj, coef, t_node, y_node, mediators,
+                        hte_parents=hte_parents)
     return graph, spec
 
 

@@ -1,9 +1,11 @@
 """Minimal regression core: ridge least squares and IRLS logistic regression.
 
 Every estimator and fit metric in the package is built on these two fits.
-Features are standardized with statistics of the fitting rows only; the
-returned weights are folded back to original units so that prediction is a
-plain affine map.  The intercept is never penalized.
+Features are standardized with statistics of the fitting rows only, and a
+fitted ``LinearModel`` keeps its weights in that standardized space.  It
+folds them back to original units only when they are first asked for, so a
+model that predicts on rows standardized alike (``standardize``) never does.
+The intercept is never penalized.
 
 Ridge solves the centered normal equations of the standardized design,
 (Z'Z + lam*I) b = Z'y, by Cholesky; because Z is centered the intercept is
@@ -12,28 +14,20 @@ block of rows, so a ridge fit on any column subset of those rows is a
 sub-block solve that never touches the rows again.  ``lstsq`` runs only as
 the fallback when the Cholesky factorization fails.
 
-Logistic regression is IRLS with step halving on the standardized design
-(``Standardized``), optionally started from standardized-space weights.  A
-Newton step is accepted by a concavity certificate: the penalized
-log-likelihood is concave, so a nonnegative product of the step with the
-gradient at its end point, which the next step needs anyway, proves the
-objective did not fall (both this test and the line search allow
-``_ASCENT_TOL``).  Only a step that fails the test falls back to step
-halving on the log-likelihood itself, evaluated exactly from the linear
-scores by ``logistic_loglik``; a requested objective trace costs one
-log-likelihood per iteration.  The loop stops in the quadratic regime of
-Newton's method: once a full Newton step is below ``_IRLS_QUAD_TOL`` the
-next one would be of the order of its square, so the step that would only
-confirm convergence is not taken.  The fitted model keeps the penalized
-Hessian of its last Newton iteration, from which a start for the same fit
-on fewer columns is projected (``projected_start``).  ``LogisticBlock`` is
-the logistic counterpart of ``Moments``: fits on column subsets of fixed
-rows, each warm-started from a stored fit one column away.
+Logistic regression is IRLS on the standardized design (``Standardized``):
+steps are accepted by a concavity certificate or else halved on the exact
+log-likelihood, and the loop stops in Newton's quadratic regime (see
+``fit_logistic``).  The fitted model keeps the penalized Hessian of its last
+Newton iteration, from which a start for the same fit on fewer columns is
+projected (``projected_start``).  ``LogisticBlock`` is the logistic
+counterpart of ``Moments``: fits on column subsets of fixed rows, each
+warm-started from a stored fit one column away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -55,16 +49,16 @@ _ASCENT_TOL = 1e-12
 
 @dataclass
 class LinearModel:
-    """A fitted linear or logistic model in original feature units.
+    """A fitted linear or logistic model.
 
-    ``weights[0]`` is the intercept, ``weights[1:]`` the per-feature slopes.
-    ``mu``/``scale`` record the standardization used during fitting (needed
-    to recover standardized-space weights, not for prediction).  Logistic
-    models keep in ``hessian`` the standardized-space penalized Hessian of
-    the last IRLS iteration (intercept first); ridge models leave it None.
+    ``w_std`` are the fit's weights in the standardized space of its rows
+    (intercept first, then the slopes of the columns standardized by
+    ``mu``/``scale``); ``weights`` are the same model in original units,
+    folded back on first use.  Logistic models keep the standardized
+    penalized Hessian of the last IRLS iteration in ``hessian``.
     """
 
-    weights: np.ndarray
+    w_std: np.ndarray
     kind: str  # "regression" or "logistic"
     feature_dim: int
     mu: np.ndarray
@@ -72,17 +66,20 @@ class LinearModel:
     converged: bool = True
     hessian: np.ndarray | None = None
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _fold_back(self.w_std, self.mu, self.scale)
+
     def standardized_weights(self) -> np.ndarray:
         """The weights in the standardized space the model was fit in."""
-        slopes = self.weights[1:]
-        return np.concatenate([[self.weights[0] + float(slopes @ self.mu)], slopes * self.scale])
+        return self.w_std
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
-    return (x - mu) / scale, mu, scale
+    return standardize(x, mu, scale), mu, scale
 
 
 def _fold_back(w_std: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -168,15 +165,8 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
     k = gram.shape[0]
     system = gram.copy()
     system.flat[:: k + 1] += lam
-    slopes = _spd_solve(system, zy)
-    w_std = np.concatenate([[y_mean], slopes])
-    return LinearModel(
-        weights=_fold_back(w_std, mu, scale),
-        kind="regression",
-        feature_dim=k,
-        mu=mu,
-        scale=scale,
-    )
+    w_std = np.concatenate([[y_mean], _spd_solve(system, zy)])
+    return LinearModel(w_std, "regression", k, mu, scale)
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
@@ -319,19 +309,11 @@ def fit_logistic(
             if cur_ll is None:
                 cur_ll = _penalized_loglik(s, t, w, lam)
             objective_trace.append(cur_ll)
-        change = float(np.max(np.abs(stepsize * step)))
+        change = stepsize * float(np.abs(step).max())  # exact: stepsize is a power of two
         if change < _IRLS_TOL or (stepsize == 1.0 and change < _IRLS_QUAD_TOL):
             converged = True
             break
-    return LinearModel(
-        weights=_fold_back(w, std.mu, std.scale),
-        kind="logistic",
-        feature_dim=k,
-        mu=std.mu,
-        scale=std.scale,
-        converged=converged,
-        hessian=hess,
-    )
+    return LinearModel(w, "logistic", k, std.mu, std.scale, converged, hess)
 
 
 def projected_start(weights: np.ndarray, hessian: np.ndarray, keep) -> np.ndarray:
@@ -355,7 +337,8 @@ def projected_start(weights: np.ndarray, hessian: np.ndarray, keep) -> np.ndarra
 class LogisticBlock:
     """Warm-started logistic fits of labels ``t`` on column subsets of ``x``.
 
-    ``fit(cols)`` fits on the ``Standardized`` rows restricted to ``cols``.
+    ``fit(cols)`` fits on the ``Standardized`` rows restricted to ``cols``;
+    ``mu``/``scale`` are those rows' column statistics.
     A greedy search scores subsets one column away from those of its round
     before, so the fit starts from the first stored fit of a subset one
     column away: for a removal, that parent's weights projected through its
@@ -368,6 +351,7 @@ class LogisticBlock:
 
     def __init__(self, x, t: np.ndarray):
         self.rows = Standardized.of(x)
+        self.mu, self.scale = self.rows.mu, self.rows.scale
         self.t = t
         self._size = 0
         # by column set: (cols, standardized weights, Hessian) of this size, then the size before
@@ -395,8 +379,16 @@ class LogisticBlock:
         return model
 
 
-def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
+def standardize(x: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows ``x`` standardized by ``mu``/``scale``, as a fit does its own rows."""
+    return (np.asarray(x, dtype=np.float64) - mu) / scale
+
+
+def predict(model: LinearModel, x: np.ndarray, standardized: bool = False) -> np.ndarray:
     """Linear score, or clipped probability for logistic models.
+
+    ``x`` is in original units, or with ``standardized`` in the model's own
+    standardized space, for the fit's own weights.
 
     Raises:
         DimensionMismatch: column count differs from the fitted dimension.
@@ -406,7 +398,8 @@ def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.feature_dim} columns, got {x.shape[1] if x.ndim == 2 else 'non-2d'}"
         )
-    score = model.weights[0] + x @ model.weights[1:]
-    if model.kind == "logistic":
-        return np.clip(expit(score), *PROB_CLIP)
+    w = model.w_std if standardized else model.weights
+    score = w[0] + x @ w[1:]
+    if model.kind == "logistic":  # clipped to PROB_CLIP
+        return np.minimum(np.maximum(expit(score), PROB_CLIP[0]), PROB_CLIP[1])
     return score

@@ -23,7 +23,7 @@ from hteselect.structure_fit import (
     structure_fit,
 )
 
-from conftest import build_graph
+from graphs import build_graph
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -290,13 +290,17 @@ def _add_back_edge(payload):
         (lambda payload: dict(payload, adj=[payload["adj"]]), "'adj' must be a list of d*d"),
         (_add_back_edge, "runs against 'order'"),
         (lambda payload: dict(payload, order=payload["order"][::-1]), "runs against 'order'"),
+        (lambda payload: dict(payload, y_node=payload["t_node"]), "'y_node' are both node"),
+        (lambda payload: dict(payload, mediators=[payload["y_node"]]), "lists the 'y_node'"),
+        (lambda payload: dict(payload, mediators=[payload["t_node"]]), "lists the 't_node'"),
     ],
     ids=[
         "empty", "no_t_node", "list", "spec_list", "t_node_out_of_range", "t_node_str",
         "y_node_bool", "mediator_out_of_range", "mediators_int", "order_truncated",
         "order_repeated", "order_out_of_range", "hte_key_out_of_range", "hte_key_str",
         "hte_parent_negative", "hte_parents_int", "adj_short", "coef_long", "adj_nested",
-        "adj_cycle", "order_reversed",
+        "adj_cycle", "order_reversed", "y_node_is_t_node", "y_node_mediator",
+        "t_node_mediator",
     ],
 )
 def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):

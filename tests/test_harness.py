@@ -25,7 +25,7 @@ from hteselect.harness import (
 )
 from hteselect.scm_gen import ScmSpec, generate
 
-from conftest import build_graph
+from graphs import build_graph
 
 
 def _base_config(**kw):

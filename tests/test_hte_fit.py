@@ -1,5 +1,6 @@
 """Greedy selection: scripted score tables, complexity bounds, live data."""
 
+import logging
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hteselect import fit_metrics
+from hteselect import estimators, fit_metrics
 from hteselect.errors import HteSelectError
 from hteselect.estimators import ESTIMATOR_KINDS, fit_estimator
 from hteselect.hte_fit import (
@@ -384,20 +385,56 @@ def _row_refit_score(scorer, x, t, y, cols):
     return float(np.mean(values))
 
 
+# forward-like growth then backward-like removals, so that warm starts come
+# from one and from two parents, smaller and larger
+_SEQUENCE = [
+    (0,), (1,), (0, 1), (0, 2), (0, 1, 2),
+    (0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2), (1, 2, 3),
+]
+
+
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 @pytest.mark.parametrize("metric", ["TauRisk", "NNPEHE", "PluginTau", "CFCV"])
 def test_scorer_matches_row_refit_reference(kind, metric):
     x, t, y = _confounded_data(5, n=600, noise_cols=4)
     scorer = SubsetScorer(x, t, y, metric=metric, estimator=kind, seed=3)
-    # forward-like growth then backward-like removals, so that warm starts
-    # come from one and from two parents, smaller and larger
-    sequence = [
-        (0,), (1,), (0, 1), (0, 2), (0, 1, 2),
-        (0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2), (1, 2, 3),
-    ]
-    for cols in sequence:
+    for cols in _SEQUENCE:
         want = _row_refit_score(scorer, x, t, y, cols)
         assert abs(scorer(cols) - want) <= 1e-8 * abs(want), cols
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+@pytest.mark.parametrize("metric", ["TauRisk", "NNPEHE", "PluginTau", "CFCV"])
+def test_split_scores_match_raw_row_predictions(kind, metric):
+    """Each split's score, from rows standardized once per model block,
+    equals the same fit predicted on raw validation rows in original units.
+
+    The tolerance is relative to the score or, for the imputation metrics,
+    to the mean squares of the two effect vectors they compare: S and X on
+    every column nearly reproduce the PluginTau yardstick, and their score
+    of about 4e-11 is a difference of near-equal effects whose rounding
+    moves it by about 6e-12 of itself."""
+    x, t, y = _confounded_data(5, n=600, noise_cols=4)
+    scorer = SubsetScorer(x, t, y, metric=metric, estimator=kind, seed=3)
+    for cols in _SEQUENCE:
+        idx = np.array(cols)
+        for (tr, va), stats in zip(scorer.splits, scorer._split_stats):
+            got = scorer._score(stats, idx)
+            # the same fit again: each propensity block finds the same warm start
+            est = estimators.fit_columns(stats["prepared"], idx)
+            x_va = x[va][:, idx]
+            tau_hat = est.predict(x_va)
+            if metric == "TauRisk":
+                propensity = est.models.get("propensity") or stats["propensity"].fit(idx)
+                m_hat = predict(fit_ridge(x[tr], y[tr]), x[va])
+                want = fit_metrics.tau_risk(
+                    tau_hat, y[va], t[va], m_hat, predict(propensity, x_va)
+                )
+                size = abs(want)
+            else:
+                want = fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"])
+                size = max(abs(want), np.mean(tau_hat**2) + np.mean(stats["tau_tilde"] ** 2))
+            assert abs(got - want) <= 1e-12 * size, cols
 
 
 def _patch_fit_logistic(monkeypatch, wrapper):
@@ -485,3 +522,25 @@ def test_removal_starts_are_projected_through_the_parent_hessian(monkeypatch):
     backward_select(SubsetScorer(x, t, y, metric="TauRisk", estimator="DR", seed=6), range(5))
     assert len(closer) == len(projected) >= 5 * 3 * 3  # first round: 5 removals x 3 splits x 3 fits
     assert np.mean(closer) >= 0.75  # 0.87 on this data
+
+
+@pytest.mark.parametrize("estimator, metric", [("T", "TauRisk"), ("DR", "CFCV")])
+def test_nan_propensity_skips_the_candidate(estimator, metric, monkeypatch, caplog):
+    """NaN propensity weights, in the metric's own model (T with TauRisk) or
+    in the estimator's fold models (DR), fail the propensity guard: every
+    candidate scores inf with one warning, never a finite score."""
+    x, t, y = _confounded_data(7, n=500, noise_cols=2)
+    scorer = SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=1)
+
+    def nan_weights(original, x, t, lam, start):
+        model = original(x, t, lam, None, None)  # cold: a NaN parent gives no start
+        model.weights[:] = np.nan  # in original units
+        model.standardized_weights()[:] = np.nan  # and in the fit's own space
+        return model
+
+    _patch_fit_logistic(monkeypatch, nan_weights)
+    candidates = [(0,), (1,), (0, 1), (0, 1, 2)]
+    with caplog.at_level(logging.WARNING, logger="hteselect.hte_fit"):
+        assert [scorer(cols) for cols in candidates] == [math.inf] * len(candidates)
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert [m.split(" skipped")[0] for m in skipped] == [f"candidate {c}" for c in candidates]

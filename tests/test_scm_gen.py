@@ -27,7 +27,7 @@ from hteselect.scm_gen import (
 )
 from hteselect.structure_fit import PartialGraph
 
-from conftest import build_graph
+from graphs import build_graph
 
 
 def _spec(**kw):

@@ -35,7 +35,7 @@ from hteselect.structure_fit import (
     structure_fit,
 )
 
-from conftest import build_graph
+from graphs import build_graph
 
 CFG = CiTestConfig(alpha=0.05, max_cond=3)
 

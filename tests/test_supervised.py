@@ -138,13 +138,13 @@ def test_unique_minimizer_property():
     for j in range(len(model.weights)):
         for delta in (1e-3, -1e-3):
             bumped = LinearModel(
-                weights=model.weights.copy(),
+                w_std=model.w_std.copy(),
                 kind=model.kind,
                 feature_dim=model.feature_dim,
                 mu=model.mu,
                 scale=model.scale,
             )
-            bumped.weights[j] += delta
+            bumped.w_std[j] += delta
             assert _ridge_objective(bumped, x, y, 0.5) >= base
 
 
@@ -162,7 +162,7 @@ def test_prediction_linear_in_weights():
     m1 = fit_ridge(x, rng.normal(size=20), lam=0.1)
     m2 = fit_ridge(x, rng.normal(size=20), lam=0.1)
     combo = LinearModel(
-        weights=m1.weights + m2.weights, kind="regression",
+        w_std=m1.w_std + m2.w_std, kind="regression",
         feature_dim=3, mu=m1.mu, scale=m1.scale,
     )
     assert np.allclose(predict(combo, x), predict(m1, x) + predict(m2, x), atol=1e-12)
@@ -524,3 +524,16 @@ def test_logistic_block_keeps_only_two_subset_sizes(monkeypatch):
         block.fit(cols)
     # (0,) is one column from (0, 3), but fitting size 3 dropped the size-1 fits
     assert starts[2] is not None and starts[3] is None
+
+
+def test_models_keep_the_fits_own_weights_and_fold_back_lazily():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(80, 3)) * [1.0, 5.0, 0.2] + [0.0, 3.0, -1.0]
+    y = x @ [1.0, -0.5, 2.0] + rng.normal(size=80)
+    t = (rng.random(80) < 0.5).astype(float)
+    ridge, logistic = fit_ridge(x, y, lam=0.1), fit_logistic(x, t)
+    assert ridge.standardized_weights()[0] == y.mean()  # no round trip through original units
+    for model in (ridge, logistic):
+        w_std = model.standardized_weights()
+        assert w_std is model.standardized_weights() is model.w_std
+        assert np.array_equal(model.weights, supervised._fold_back(w_std, model.mu, model.scale))
