@@ -15,9 +15,9 @@ propensity fit is warm-started by its block from the subsets fit before.
 ``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
 once per inner split and fits every candidate subset.
 
-``CateEstimator.predict`` takes raw rows and original-unit weights, as a
-final estimator does; ``effects`` takes the ``Rows`` of ``Prepared.rows``,
-standardized once per model block, and the fits' own standardized weights.
+Every model predicts in its own standardized space: ``CateEstimator.effects``
+takes the ``Rows`` of ``Prepared.rows``, standardized once per model block,
+and ``CateEstimator.predict`` runs it on raw rows standardized alike.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .supervised import fit_logistic, fit_ridge  # noqa: F401
 ESTIMATOR_KINDS = ("S", "T", "X", "DR")
 
 # by kind, the block each model of ``CateEstimator.effects`` is fit on (see Prepared.rows)
-_EFFECT_BLOCKS = {"S": {}, "T": {"f1": "f1", "f0": "f0"}, "DR": {"effect": "all"},
+_EFFECT_BLOCKS = {"S": {"effect": "joint"}, "T": {"f1": "f1", "f0": "f0"}, "DR": {"effect": "all"},
                   "X": {"g1": "f1", "g0": "f0", "propensity": "propensity"}}
 
 
@@ -46,18 +46,16 @@ class Rows:
     """Fixed rows that fitted models predict on, by model name: ``z`` holds
     the rows in the standardized space of each model's block, given by its
     (mu, scale) in ``spaces`` (one column-major copy per block), for the fit's
-    own weights; other models predict on ``x`` in original units."""
+    own weights."""
 
-    def __init__(self, x: np.ndarray, spaces: dict | None = None):
-        self.x = x
+    def __init__(self, x: np.ndarray, spaces: dict):
         self.z = {m: np.asfortranarray(supervised.standardize(x, *space))
-                  for m, space in (spaces or {}).items()}
+                  for m, space in spaces.items()}
 
     def predict(self, model: LinearModel, name: str, cols=None) -> np.ndarray:
         """Model ``name``'s prediction on these rows' columns ``cols`` (all if None)."""
-        z = self.z.get(name)
-        x = self.x if z is None else z
-        return supervised.predict(model, x if cols is None else x[:, cols], z is not None)
+        z = self.z[name]
+        return supervised.predict_standardized(model, z if cols is None else z[:, cols])
 
 
 @dataclass
@@ -76,11 +74,8 @@ class CateEstimator:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise DimensionMismatch(f"{self.kind}-learner expects {self.feature_dim} columns")
-        if self.kind == "S":  # f(x, 1) - f(x, 0), from the joint model as fit
-            ones, joint = np.ones(x.shape[0]), self.models["joint"]
-            f1, f0 = (supervised.predict(joint, _s_design(x, arm)) for arm in (ones, 1.0 - ones))
-            return f1 - f0
-        return self.effects(Rows(x))
+        spaces = {m: (self.models[m].mu, self.models[m].scale) for m in _EFFECT_BLOCKS[self.kind]}
+        return self.effects(Rows(x, spaces))  # each effect model's own space
 
     def effects(self, rows: Rows, cols=None) -> np.ndarray:
         """Per-unit effects on ``rows``, restricted to columns ``cols`` if given."""
@@ -114,7 +109,7 @@ class Prepared:
         blocks, k = {**self.blocks, **extra}, self.n_features
         fit_on = dict(_EFFECT_BLOCKS[self.kind], **{name: name for name in extra})
         spaces = {m: (blocks[b].mu, blocks[b].scale) for m, b in fit_on.items()}
-        if self.kind == "S":  # the effect's own space (see _fit_s)
+        if self.kind == "S":  # derived from the joint block, in its own space (see _fit_s)
             spaces["effect"] = (np.zeros(k), blocks["joint"].scale[k + 1:])
         return Rows(x, spaces)
 
@@ -190,7 +185,7 @@ def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     return CateEstimator(kind="X", feature_dim=len(cols), models=models)
 
 
-def _prepare_dr(x, t, y, scoring: bool) -> dict:
+def _prepare_dr(x, t, y) -> dict:
     folds = []
     for part in (0, 1):  # folds by row parity (deterministic)
         xf, tf, yf = x[part::2], t[part::2], y[part::2]
@@ -203,7 +198,7 @@ def _prepare_dr(x, t, y, scoring: bool) -> dict:
     for apply, fit in zip(folds, folds[::-1]):  # a fold's rows as the other fold's models see them
         xa = apply["x"]
         spaces = {name: (fit[name].mu, fit[name].scale) for name in ("f1", "f0", "propensity")}
-        apply["rows"] = Rows(xa, spaces if scoring else None)
+        apply["rows"] = Rows(xa, spaces)
         apply["z_all"] = np.asfortranarray(supervised.standardize(xa, whole.mu, whole.scale))
     return {"folds": folds, "all": whole}
 
@@ -235,21 +230,20 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
 
 
 _PREPARERS: dict[str, Callable] = {
-    "S": lambda x, t, y, scoring: {"joint": Moments.of(_s_design(x, t), y)},
-    "T": lambda x, t, y, scoring: _arm_moments(x, t, y),
-    "X": lambda x, t, y, scoring: dict(_arm_moments(x, t, y), propensity=LogisticBlock(x, t)),
+    "S": lambda x, t, y: {"joint": Moments.of(_s_design(x, t), y)},
+    "T": _arm_moments,
+    "X": lambda x, t, y: dict(_arm_moments(x, t, y), propensity=LogisticBlock(x, t)),
     "DR": _prepare_dr,
 }
 
 _FITTERS: dict[str, Callable] = {"S": _fit_s, "T": _fit_t, "X": _fit_x, "DR": _fit_dr}
 
 
-def prepare(kind: str, x, t, y, scoring: bool = False) -> Prepared:
+def prepare(kind: str, x, t, y) -> Prepared:
     """Row-block statistics for fitting ``kind`` on column subsets of x.
 
-    DR predicts each fold with the other fold's models: for ``scoring`` many
-    subsets, on the fold's rows standardized once here for each of them,
-    else in original units, as ``fit_estimator`` does.
+    DR predicts each fold with the other fold's models, on the fold's rows
+    standardized once here for each of them.
 
     Raises:
         DegenerateArms: a treatment arm the estimator needs is empty,
@@ -259,7 +253,7 @@ def prepare(kind: str, x, t, y, scoring: bool = False) -> Prepared:
         raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
     x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
     _check_arms(t)
-    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y, scoring))
+    return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
 
 
 def fit_columns(prep: Prepared, cols) -> CateEstimator:

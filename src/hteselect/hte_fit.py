@@ -161,9 +161,10 @@ class SubsetScorer:
     propensity model; the residual-product metric holds one more block for
     its own propensity, unless the estimator is X, whose propensity is that
     same model.  ``Prepared.rows`` standardizes the validation rows once per
-    model block with that block's statistics, so a candidate's prediction is
-    a column gather and a matvec with the fit's own weights, and the metric
-    runs on the precomputed outcome residuals or imputed effects.
+    model block with that block's statistics, the space every fit on that
+    block predicts in, so a candidate's prediction is a column gather and a
+    matvec with the fit's own weights, and the metric runs on the
+    precomputed outcome residuals or imputed effects.
     """
 
     def __init__(
@@ -204,11 +205,9 @@ class SubsetScorer:
         own = {}
         if self.metric == "TauRisk" and self.estimator != "X":  # else X's propensity serves
             own["propensity"] = stats["propensity"] = supervised.LogisticBlock(x_tr, t_tr)
-        # T against PluginTau's T-learner predicts in raw units, bit for bit as a T refit would
-        as_yardstick = self.metric == "PluginTau" and self.estimator == "T"
         try:
-            prepared = estimators.prepare(self.estimator, x_tr, t_tr, y_tr, scoring=True)
-            stats["rows"] = estimators.Rows(x_va) if as_yardstick else prepared.rows(x_va, **own)
+            prepared = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
+            stats["rows"] = prepared.rows(x_va, **own)
         except HteSelectError as exc:  # every subset fails alike on this split
             prepared = exc
         stats["prepared"] = prepared

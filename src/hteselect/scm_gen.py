@@ -530,15 +530,18 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    """Inverse of ``dataset_to_csv``; ValueError on a wrong header, no data
-    rows, a row whose length differs from the header's, a cell that is not a
-    number, a ``t`` value other than 0 or 1, or a non-finite ``x``, ``y`` or
-    ``tau`` value.  Errors in a row name its CSV line."""
+    """Inverse of ``dataset_to_csv``; ValueError on a wrong header or one with
+    no feature column, no data rows, a row whose length differs from the
+    header's, a cell that is not a number, a ``t`` value other than 0 or 1,
+    or a non-finite ``x``, ``y`` or ``tau`` value.  Errors in a row name its
+    CSV line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
         raise ValueError("expected columns x0..x{k-1},t,y,tau")
     k = len(header) - 3
+    if not k:
+        raise ValueError(f"dataset CSV header {','.join(header)!r} has no feature column")
     rows, lines = [], []
     for row in reader:
         if not row:

@@ -2,9 +2,9 @@
 
 Every estimator and fit metric in the package is built on these two fits.
 Features are standardized with statistics of the fitting rows only, and a
-fitted ``LinearModel`` keeps its weights in that standardized space.  It
-folds them back to original units only when they are first asked for, so a
-model that predicts on rows standardized alike (``standardize``) never does.
+fitted ``LinearModel`` keeps its weights in that standardized space and
+predicts one way: its own weights on rows standardized by its own
+statistics (``predict``; ``predict_standardized`` for rows already so).
 The intercept is never penalized.
 
 Ridge solves the centered normal equations of the standardized design,
@@ -53,9 +53,10 @@ class LinearModel:
 
     ``w_std`` are the fit's weights in the standardized space of its rows
     (intercept first, then the slopes of the columns standardized by
-    ``mu``/``scale``); ``weights`` are the same model in original units,
-    folded back on first use.  Logistic models keep the standardized
-    penalized Hessian of the last IRLS iteration in ``hessian``.
+    ``mu``/``scale``), the weights every prediction applies; ``weights``
+    are the same model in original units, folded back on first use.
+    Logistic models keep the standardized penalized Hessian of the last
+    IRLS iteration in ``hessian``.
     """
 
     w_std: np.ndarray
@@ -69,10 +70,6 @@ class LinearModel:
     @cached_property
     def weights(self) -> np.ndarray:
         return _fold_back(self.w_std, self.mu, self.scale)
-
-    def standardized_weights(self) -> np.ndarray:
-        """The weights in the standardized space the model was fit in."""
-        return self.w_std
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,7 +263,6 @@ def fit_logistic(
     design = std.design
     k = design.shape[1] - 1
     pen = lam * np.concatenate([[0.0], np.ones(k)])
-    pen_diag = np.diag(pen)
 
     w = np.zeros(k + 1) if start is None else np.array(start, dtype=np.float64)
     if w.shape != (k + 1,):
@@ -278,7 +274,8 @@ def fit_logistic(
     converged = False
     for _ in range(_IRLS_MAX_ITER):
         weight = p * (1.0 - p) + 1e-10
-        hess = (design * weight[:, None]).T @ design + pen_diag
+        hess = (design * weight[:, None]).T @ design
+        hess.flat[k + 2 :: k + 2] += lam  # the slopes' penalty, not the intercept's
         step = _spd_solve(hess, grad)
         stepsize = 1.0
         cand = w + step
@@ -375,7 +372,7 @@ class LogisticBlock:
                     start = np.where(take >= 0, weights[take], 0.0)
                 break
         model = fit_logistic(self.rows.columns(cols), self.t, start=start)
-        self._fits[0][key] = (listed, model.standardized_weights(), model.hessian)
+        self._fits[0][key] = (listed, model.w_std, model.hessian)
         return model
 
 
@@ -384,22 +381,27 @@ def standardize(x: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) - mu) / scale
 
 
-def predict(model: LinearModel, x: np.ndarray, standardized: bool = False) -> np.ndarray:
-    """Linear score, or clipped probability for logistic models.
+def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """``predict_standardized`` on rows ``x`` in original units, standardized
+    by the fit's own ``mu``/``scale``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2 and x.shape[1] == model.feature_dim:  # else the dimension check raises
+        x = standardize(x, model.mu, model.scale)
+    return predict_standardized(model, x)
 
-    ``x`` is in original units, or with ``standardized`` in the model's own
-    standardized space, for the fit's own weights.
+
+def predict_standardized(model: LinearModel, z: np.ndarray) -> np.ndarray:
+    """Linear score, or clipped probability for logistic models, of rows
+    ``z`` in the model's standardized space, by the fit's own ``w_std``.
 
     Raises:
         DimensionMismatch: column count differs from the fitted dimension.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+    if z.ndim != 2 or z.shape[1] != model.feature_dim:
         raise DimensionMismatch(
-            f"expected {model.feature_dim} columns, got {x.shape[1] if x.ndim == 2 else 'non-2d'}"
+            f"expected {model.feature_dim} columns, got {z.shape[1] if z.ndim == 2 else 'non-2d'}"
         )
-    w = model.w_std if standardized else model.weights
-    score = w[0] + x @ w[1:]
+    score = model.w_std[0] + z @ model.w_std[1:]
     if model.kind == "logistic":  # clipped to PROB_CLIP
         return np.minimum(np.maximum(expit(score), PROB_CLIP[0]), PROB_CLIP[1])
     return score

@@ -242,10 +242,13 @@ def _set_cell(column, value):
          "line 3 runs past column tau: 10 cells, the header 9"),
         (_set_cell(0, "abc"), "line 3, column x0 holds 'abc', not a number"),
         (_set_cell(-2, ""), "line 3, column y holds '', not a number"),
+        (lambda lines: [",".join(line.split(",")[-3:]) for line in lines],
+         "header 't,y,tau' has no feature column"),
     ],
     ids=[
         "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
         "tau_minus_inf", "one_short_row", "one_long_row", "x_not_a_number", "y_empty",
+        "no_features",
     ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hteselect.errors import DegenerateArms, DimensionMismatch
-from hteselect.estimators import fit_estimator
+from hteselect.estimators import ESTIMATOR_KINDS, _s_design, fit_estimator, prepare
 from hteselect.fit_metrics import doubly_robust_effects
 from hteselect.supervised import fit_logistic, fit_ridge
 from hteselect.supervised import predict as lin_predict
@@ -50,6 +50,36 @@ def test_linear_heterogeneity_tracked(kind):
     tau_hat = est.predict(x)
     slope = np.polyfit(x[:, 0], tau_hat, 1)[0]
     assert abs(slope - 1.0) < 0.05
+
+
+def _offset(x):
+    """Columns on different scales, one far from zero."""
+    return x * [1.0, 4.0, 0.3] + [2.0, -1.0, 1e3]
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_predict_is_effects_on_prepared_rows(kind):
+    """``predict`` standardizes raw rows for each effect model by that
+    model's own statistics, ``Prepared.rows`` by those of the block it is
+    fit on: the same numbers, so the effects agree bit for bit."""
+    x, t, y, _ = _randomized(1_000, 13, "linear")
+    x_new = _offset(_randomized(300, 14)[0])
+    est = fit_estimator(kind, _offset(x), t, y)
+    rows = prepare(kind, _offset(x), t, y).rows(x_new)
+    assert np.array_equal(est.predict(x_new), est.effects(rows))
+
+
+def test_s_learner_effect_is_the_joint_model_difference():
+    """S's ``effect`` model is f(x, 1) - f(x, 0) of its ``joint`` ridge on
+    [x, t - 1/2, (t - 1/2) x]: the joint model predicted on both arms of
+    that design gives the same effects up to rounding."""
+    x, t, y, _ = _randomized(1_000, 15, "linear")
+    x = _offset(x)
+    est = fit_estimator("S", x, t, y)
+    joint, ones = est.models["joint"], np.ones(len(x))
+    want = lin_predict(joint, _s_design(x, ones)) - lin_predict(joint, _s_design(x, 1.0 - ones))
+    got = est.predict(x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sqrt(np.mean(got**2))
 
 
 def test_x_learner_close_to_t_learner_when_randomized():

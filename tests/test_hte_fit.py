@@ -407,7 +407,8 @@ def test_scorer_matches_row_refit_reference(kind, metric):
 @pytest.mark.parametrize("metric", ["TauRisk", "NNPEHE", "PluginTau", "CFCV"])
 def test_split_scores_match_raw_row_predictions(kind, metric):
     """Each split's score, from rows standardized once per model block,
-    equals the same fit predicted on raw validation rows in original units.
+    equals the same fit's ``predict`` on the raw validation rows, which
+    standardizes them for each model itself.
 
     The tolerance is relative to the score or, for the imputation metrics,
     to the mean squares of the two effect vectors they compare: S and X on
@@ -509,7 +510,7 @@ def test_removal_starts_are_projected_through_the_parent_hessian(monkeypatch):
         model = original(x, t, lam, None, start)
         match = [plain for s, plain in projected if s is start]
         if match:
-            optimum = model.standardized_weights()
+            optimum = model.w_std
             closer.append(
                 np.linalg.norm(start - optimum) < np.linalg.norm(match[0] - optimum)
             )
@@ -528,14 +529,14 @@ def test_removal_starts_are_projected_through_the_parent_hessian(monkeypatch):
 def test_nan_propensity_skips_the_candidate(estimator, metric, monkeypatch, caplog):
     """NaN propensity weights, in the metric's own model (T with TauRisk) or
     in the estimator's fold models (DR), fail the propensity guard: every
-    candidate scores inf with one warning, never a finite score."""
+    candidate scores inf with one warning, never a finite score.  Only the
+    fit's own weights ``w_std`` are set: every prediction applies them."""
     x, t, y = _confounded_data(7, n=500, noise_cols=2)
     scorer = SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=1)
 
     def nan_weights(original, x, t, lam, start):
         model = original(x, t, lam, None, None)  # cold: a NaN parent gives no start
-        model.weights[:] = np.nan  # in original units
-        model.standardized_weights()[:] = np.nan  # and in the fit's own space
+        model.w_std[:] = np.nan
         return model
 
     _patch_fit_logistic(monkeypatch, nan_weights)

@@ -235,7 +235,7 @@ def test_warm_start_reaches_cold_optimum():
     cold_trace: list = []
     cold = fit_logistic(x, t, lam=1e-2, objective_trace=cold_trace)
     # the scorer's warm start: a fit without column 3, its weight set to zero
-    parent = fit_logistic(x[:, :3], t, lam=1e-2).standardized_weights()
+    parent = fit_logistic(x[:, :3], t, lam=1e-2).w_std
     warm_trace: list = []
     warm = fit_logistic(
         x, t, lam=1e-2, objective_trace=warm_trace, start=np.append(parent, 0.0)
@@ -308,7 +308,7 @@ def test_quadratic_stop_matches_newton_to_convergence(seed, k, signal):
     model = fit_logistic(x, t, lam=1e-2)
     assert model.converged
     want = _newton_reference(x, t, 1e-2)
-    assert np.max(np.abs(model.standardized_weights() - want)) <= 1e-9
+    assert np.max(np.abs(model.w_std - want)) <= 1e-9
 
 
 def _count_loglik_calls():
@@ -327,7 +327,7 @@ def _count_loglik_calls():
 @pytest.mark.parametrize("seed,k,signal", [(1, 3, 1.0), (4, 20, 1.0), (5, 2, 6.0)])
 def test_trace_never_changes_the_fit(seed, k, signal):
     x, t = _propensity_design(seed, k, signal)
-    optimum = fit_logistic(x, t).standardized_weights()
+    optimum = fit_logistic(x, t).w_std
     warm = optimum + np.random.default_rng(seed).normal(scale=0.1, size=k + 1)
     for start in (None, warm, -optimum):
         trace: list = []
@@ -355,7 +355,7 @@ def test_failed_certificate_falls_back_to_step_halving():
     # the first full Newton steps overshoot, so the certificate fails
     x, t = _propensity_design(5, 2, 6.0)
     cold = fit_logistic(x, t)
-    far = -cold.standardized_weights()
+    far = -cold.w_std
     patch, calls = _count_loglik_calls()
     with patch:
         model = fit_logistic(x, t, start=far)
@@ -364,7 +364,7 @@ def test_failed_certificate_falls_back_to_step_halving():
     fit_logistic(x, t, objective_trace=trace, start=far)
     assert np.all(np.diff(trace) >= 0.0)
     assert model.converged
-    assert np.max(np.abs(model.standardized_weights() - cold.standardized_weights())) <= 1e-9
+    assert np.max(np.abs(model.w_std - cold.w_std)) <= 1e-9
 
 
 def _objective(std, t, w, lam):
@@ -420,8 +420,8 @@ def test_far_starts_converge_without_lowering_the_objective():
         model = fit_logistic(std, t, lam=lam, objective_trace=trace, start=start)
         _assert_never_falls(trace)
         assert model.converged
-        cold = fit_logistic(std, t, lam=lam).standardized_weights()
-        assert np.allclose(model.standardized_weights(), cold, rtol=1e-8, atol=1e-8)
+        cold = fit_logistic(std, t, lam=lam).w_std
+        assert np.allclose(model.w_std, cold, rtol=1e-8, atol=1e-8)
 
 
 def test_solve_ridge_matches_explicit_penalty_matrix_bitwise():
@@ -445,7 +445,7 @@ def test_fit_logistic_records_penalized_hessian():
     model = fit_logistic(x, t, lam=1e-2)
     z = (x - model.mu) / model.scale
     design = np.column_stack([np.ones(300), z])
-    p = 1.0 / (1.0 + np.exp(-design @ model.standardized_weights()))
+    p = 1.0 / (1.0 + np.exp(-design @ model.w_std))
     want = design.T @ (design * (p * (1 - p))[:, None]) + np.diag([0.0, 1e-2, 1e-2, 1e-2])
     # the Hessian of the last iteration, taken one (tiny) step before the optimum
     assert np.allclose(model.hessian, want, rtol=1e-4)
@@ -496,14 +496,14 @@ def test_logistic_block_addition_starts_from_zero_padded_parent(monkeypatch):
     block, starts = _recorded_block(monkeypatch)
     parent = block.fit([0, 2])
     block.fit([0, 1, 2])
-    assert np.array_equal(starts[-1], np.insert(parent.standardized_weights(), 2, 0.0))
+    assert np.array_equal(starts[-1], np.insert(parent.w_std, 2, 0.0))
 
 
 def test_logistic_block_removal_starts_from_projected_parent(monkeypatch):
     block, starts = _recorded_block(monkeypatch)
     parent = block.fit([0, 1, 2])
     block.fit([0, 2])
-    want = projected_start(parent.standardized_weights(), parent.hessian, [0, 1, 3])
+    want = projected_start(parent.w_std, parent.hessian, [0, 1, 3])
     assert np.array_equal(starts[-1], want)
 
 
@@ -514,7 +514,7 @@ def test_logistic_block_parent_is_first_stored_neighbour(order, monkeypatch):
     block.fit(order[1])
     block.fit([1])  # both subsets of size 2 are one column away
     keep = [0, order[0].index(1) + 1]
-    want = projected_start(first.standardized_weights(), first.hessian, keep)
+    want = projected_start(first.w_std, first.hessian, keep)
     assert np.array_equal(starts[-1], want)
 
 
@@ -532,8 +532,27 @@ def test_models_keep_the_fits_own_weights_and_fold_back_lazily():
     y = x @ [1.0, -0.5, 2.0] + rng.normal(size=80)
     t = (rng.random(80) < 0.5).astype(float)
     ridge, logistic = fit_ridge(x, y, lam=0.1), fit_logistic(x, t)
-    assert ridge.standardized_weights()[0] == y.mean()  # no round trip through original units
+    assert ridge.w_std[0] == y.mean()  # no round trip through original units
     for model in (ridge, logistic):
-        w_std = model.standardized_weights()
-        assert w_std is model.standardized_weights() is model.w_std
-        assert np.array_equal(model.weights, supervised._fold_back(w_std, model.mu, model.scale))
+        assert np.array_equal(
+            model.weights, supervised._fold_back(model.w_std, model.mu, model.scale)
+        )
+
+
+@pytest.mark.parametrize("kind", ["regression", "logistic"])
+def test_predict_matches_the_original_unit_formula(kind):
+    """``predict`` standardizes rows by the fit's own statistics and applies
+    its own weights: the original-unit model weights[0] + x @ weights[1:]
+    (expit and clip for logistic), up to rounding relative to |w|.|x|, also
+    with a column offset by 1e6."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(300, 3)) * [1.0, 5.0, 0.2] + [0.0, 1e6, -1.0]
+    t = (rng.random(300) < 1 / (1 + np.exp(-x[:, 0]))).astype(float)
+    y = x[:, 0] - 0.5 * (x[:, 1] - 1e6) + rng.normal(size=300)
+    model = fit_ridge(x, y, lam=0.1) if kind == "regression" else fit_logistic(x, t)
+    w = model.weights
+    want = w[0] + x @ w[1:]
+    if kind == "logistic":
+        want = np.clip(1.0 / (1.0 + np.exp(-want)), *supervised.PROB_CLIP)
+    size = abs(w[0]) + np.abs(x) @ np.abs(w[1:])
+    assert np.all(np.abs(predict(model, x) - want) <= 1e-14 * size)
