@@ -83,6 +83,9 @@ def _greedy(
     takes it only if it improves the best score by more than ``REL_TOL``
     (relative).  The search stops when a round does not improve, no move is
     left, or backward selection is down to one column.
+
+    Raises:
+        HteSelectError: no subset the search tried has a finite score.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -107,8 +110,8 @@ def _greedy(
         current ^= {pick.column}
         best = pick.score
 
-    if not current:
-        raise HteSelectError("every singleton candidate failed to score")
+    if not math.isfinite(best):
+        raise HteSelectError(f"{direction} selection found no subset with a finite score")
     return SelectionTrace(
         steps=steps,
         final_set=tuple(sorted(current)),
@@ -153,7 +156,9 @@ class SubsetScorer:
     propensity fit on all candidates would learn to predict the treatment
     from its own descendants, collapsing the treatment-residual term exactly
     when post-treatment columns are present.  Estimator failures score +inf
-    and are skipped with a warning rather than aborting the search.
+    and are skipped with a warning rather than aborting the search; a split
+    on which the estimator cannot be prepared at all fails every subset
+    alike, so the constructor raises that error.
 
     Everything fixed per split is computed once: ``estimators.prepare``
     gives the estimator's Gram blocks (each ridge fit is a Cholesky solve of
@@ -205,12 +210,8 @@ class SubsetScorer:
         own = {}
         if self.metric == "TauRisk" and self.estimator != "X":  # else X's propensity serves
             own["propensity"] = stats["propensity"] = supervised.LogisticBlock(x_tr, t_tr)
-        try:
-            prepared = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
-            stats["rows"] = prepared.rows(x_va, **own)
-        except HteSelectError as exc:  # every subset fails alike on this split
-            prepared = exc
-        stats["prepared"] = prepared
+        stats["prepared"] = estimators.prepare(self.estimator, x_tr, t_tr, y_tr)
+        stats["rows"] = stats["prepared"].rows(x_va, **own)
         return stats
 
     def _fit_yardstick(self, x_tr, t_tr, y_tr, x_va, t_va, y_va) -> dict:
@@ -240,8 +241,6 @@ class SubsetScorer:
 
     def _score(self, stats: dict, idx: np.ndarray) -> float:
         """The metric of one split for the estimator fit on columns ``idx``."""
-        if isinstance(stats["prepared"], HteSelectError):
-            raise stats["prepared"]
         est = estimators.fit_columns(stats["prepared"], idx)
         rows = stats["rows"]
         tau_hat = est.effects(rows, idx)

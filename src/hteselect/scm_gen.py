@@ -118,9 +118,6 @@ class CausalGraph:
     def parents(self, node: int) -> np.ndarray:
         return np.flatnonzero(self.adj[:, node])
 
-    def children(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[node, :])
-
     def descendants(self, node: int, include_self: bool = True) -> set[int]:
         """Nodes reachable from ``node`` along directed edges."""
         seen = reachable(node, lambda v: np.flatnonzero(self.adj[v]).tolist())
@@ -530,11 +527,12 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    """Inverse of ``dataset_to_csv``; ValueError on a wrong header or one with
-    no feature column, no data rows, a row whose length differs from the
-    header's, a cell that is not a number, a ``t`` value other than 0 or 1,
-    or a non-finite ``x``, ``y`` or ``tau`` value.  Errors in a row name its
-    CSV line."""
+    """Inverse of ``dataset_to_csv``; ValueError on a wrong header, one with
+    no feature column, a feature column named ``t``, ``y`` or ``tau`` or
+    named like an earlier one, no data rows, a row whose length differs from
+    the header's, a cell that is not a number, a ``t`` value other than 0 or
+    1, or a non-finite ``x``, ``y`` or ``tau`` value.  Errors in a row name
+    its CSV line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
@@ -542,6 +540,12 @@ def dataset_from_csv(text: str) -> Dataset:
     k = len(header) - 3
     if not k:
         raise ValueError(f"dataset CSV header {','.join(header)!r} has no feature column")
+    for j, name in enumerate(header[:k]):
+        if name in header[k:]:
+            raise ValueError(f"dataset CSV feature column {j} is named {name!r}, which "
+                             "names one of the last three columns t, y, tau")
+        if name in header[:j]:
+            raise ValueError(f"dataset CSV feature column {j} repeats the name {name!r}")
     rows, lines = [], []
     for row in reader:
         if not row:

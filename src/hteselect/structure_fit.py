@@ -6,11 +6,11 @@ parents, remaining PC members are oriented pairwise, and a breadth-first
 traversal from the treatment assembles a partial graph whose treatment
 descendants form the forbidden (post-treatment) set.
 
-PC-set discovery tests one level at a time.  Per conditioning set S, one
-Schur complement of C[S, S] gives the partial correlation of the target with
-every survivor; a pair whose verdict rounding could flip (a z near the
-alpha threshold, or a near-singular set) is decided by the exact test, which
-inverts that pair's own correlation sub-matrix.
+PC-set discovery runs one loop (``eliminate``) per level for any tester.  The
+data tester decides a level from one Schur complement of C[S, S] per set S; a
+pair whose verdict rounding could flip (a z near the alpha threshold, or a
+near-singular set) is left to the exact test, which inverts that pair's own
+correlation sub-matrix.  The d-separation oracle decides each pair alone.
 
 Pairwise orientation uses cubic-regression residual comparison for
 continuous pairs.  Pairs involving the binary treatment column are oriented
@@ -39,7 +39,7 @@ from scipy.special import erfc, erfcinv
 
 from .errors import ConstantColumn, NumericError
 from .scm_gen import CausalGraph, reachable
-from .supervised import fit_logistic, logistic_loglik
+from .supervised import column_moments, fit_logistic, logistic_loglik
 
 logger = logging.getLogger(__name__)
 
@@ -50,11 +50,11 @@ LR_THRESHOLD = 0.5  # log-likelihood margin to call a treatment edge outgoing
 # still counts as invertible; beyond it the partial correlation is rounding noise
 MAX_PRECISION = 1e8
 R_CLIP = 0.9999999  # |partial correlation| cap before the z transform
-# conditioning sets per block of FisherZTester.eliminate: each of its largest
+# conditioning sets per block of FisherZTester.level_verdicts: each of its largest
 # temporaries, about six alive at once, holds BLOCK_ENTRIES float64s (128 KB)
 BLOCK_ENTRIES = 1 << 14
 
-# ``eliminate`` must give each (set S, survivor c) pair the verdict of the
+# ``level_verdicts`` must give each (set S, survivor c) pair the verdict of the
 # exact ``_p_value``, which inverts the n x n correlation matrix F of (c, T, S),
 # n = |S| + 2.  Both compute r = -P_cT / sqrt(P_cc P_TT) = R_cT / sqrt(R_cc R_TT)
 # (P = F^-1, R the Schur complement of S; W = max diag P, ||P||_2 <= n W) from
@@ -62,7 +62,7 @@ BLOCK_ENTRIES = 1 << 14
 #   _p_value: LU with partial pivoting solved against I; column j of the
 #     inverse is exact for F + E_j, |E_j| <= gamma_3n |L||U| (Higham, Thm 9.4)
 #     <= 3.01 n u n 2^(n-1) (|F| <= 1, growth <= 2^(n-1)), ||E_j|| <= 3.01 n^3 2^(n-1) u;
-#   eliminate: a Cholesky sweep of (S, c, T) stopped after S, exact for
+#   level_verdicts: a Cholesky sweep of (S, c, T) stopped after S, exact for
 #     |E| <= gamma_(|S|+1) (|G^T||G| + |R|) <= 2.01 (n - 1) u (rows of G have
 #     norm <= 1, |R| <= 1), ||E|| <= 2.01 n^2 u;
 #   both: np.corrcoef may leave F asymmetric by an ulp, ||E|| <= n u.
@@ -76,7 +76,7 @@ BLOCK_ENTRIES = 1 << 14
 # r_m the largest |r| in reach after the clip; the transform's own rounding in
 # both paths, and erfc and erfcinv at z* = sqrt(2) erfcinv(alpha), add at most
 # 16u (sqrt(dof) + |z| + 4 + z*^2).  A |z| farther than that band from z* has
-# the exact test's verdict; every other pair goes to ``_p_value``.
+# the exact test's verdict; every other pair is unsure and goes to ``_p_value``.
 SLACK = 4.0
 _U = 2.0**-53
 
@@ -98,10 +98,10 @@ class CiTestConfig:
 class CiTester(Protocol):
     def independent(self, i: int, j: int, cond: tuple[int, ...]) -> bool: ...
 
-    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
-        """One PC-simple level: the survivors that stay dependent on ``target``
-        given every size-``level`` set of the survivors left when each is
-        tested, in order."""
+    def level_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
+        """(independent, unsure) tables, survivors x sets, of each survivor
+        against ``target`` given each row of ``sets`` (survivor positions);
+        ``eliminate`` decides an unsure pair it reaches by ``independent``."""
 
 
 def _fisher_z(r, dof: int):
@@ -114,13 +114,15 @@ class FisherZTester:
     """Partial-correlation independence test on a precomputed correlation matrix."""
 
     def __init__(self, data: np.ndarray, cfg: CiTestConfig):
-        self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
+        data = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(data).all():
             raise NumericError("non-finite values in independence-test data")
         self.cfg = cfg
-        self.n = self.data.shape[0]
+        self.n = data.shape[0]
+        # exact power-of-two column scalings, so that no product over- or underflows
+        _, exponent = np.frexp(np.abs(data).max(axis=0, initial=0.0))
         with np.errstate(invalid="ignore"):
-            self.corr = np.corrcoef(self.data, rowvar=False)
+            self.corr = np.corrcoef(np.ldexp(data, -exponent), rowvar=False)
         self.corr = np.nan_to_num(self.corr, nan=0.0)  # NaN rows: constant columns
         np.fill_diagonal(self.corr, 1.0)
         self.z_alpha = math.sqrt(2.0) * float(erfcinv(cfg.alpha))
@@ -163,33 +165,9 @@ class FisherZTester:
             r = -precision[0, 1] / np.sqrt(denom)
         return float(erfc(_fisher_z(np.array([r]), dof) / math.sqrt(2.0))[0])
 
-    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
-        """``CiTester.eliminate``.  All (set, survivor) verdicts come from
-        ``_schur_verdicts``; a pair it cannot certify is decided by
-        ``_p_value`` when the in-order removal reaches it."""
-        k = len(survivors)
-        count = math.comb(k, level)
-        sets = np.fromiter(chain.from_iterable(combinations(range(k), level)),
-                           dtype=np.intp, count=count * level).reshape(count, level)
-        contains = np.zeros((k, count), dtype=bool)
-        contains[sets.T, np.arange(count)] = True
-        indep, unsure = self._schur_verdicts(target, survivors, sets)
-        alive = np.ones(count, dtype=bool)  # sets holding no removed survivor
-        kept = []
-        for c in range(k):
-            live = alive & ~contains[c]
-            if indep[c, live].any() or any(
-                self._p_value(survivors[c], target, tuple(survivors[m] for m in sets[s]))
-                > self.cfg.alpha for s in np.flatnonzero(live & unsure[c])
-            ):
-                alive &= ~contains[c]
-            else:
-                kept.append(survivors[c])
-        return kept
-
-    def _schur_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
-        """(independent, unsure) tables, survivors x sets, of each survivor
-        against ``target`` given each row of ``sets`` (survivor positions).
+    def level_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
+        """``CiTester.level_verdicts``; a pair is unsure where rounding could
+        flip its verdict (see ``SLACK``).
 
         Per block of sets, one Cholesky sweep turns [C[S, S] | C[S, U + T] | I]
         into [L^T | Y | L^-1], C[S, S] = L L^T: R = C[U + T, U + T] - Y^T Y,
@@ -276,18 +254,40 @@ class DSepOracle:
     def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
         return d_separated(self.graph, i, j, cond)
 
-    def eliminate(self, target: int, survivors: list[int], level: int) -> list[int]:
-        kept = list(survivors)
-        for c in survivors:
-            others = [o for o in kept if o != c]
-            if any(self.independent(c, target, s) for s in combinations(others, level)):
-                kept.remove(c)
-        return kept
+    def level_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
+        """``CiTester.level_verdicts``: nothing independent, every pair unsure."""
+        shape = (len(survivors), len(sets))
+        return np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # PC-set discovery and collider-based parent identification
 # ---------------------------------------------------------------------------
+
+
+def eliminate(tester: CiTester, target: int, survivors: list[int], level: int) -> list[int]:
+    """One PC-simple level: the survivors that stay dependent on ``target``
+    given every size-``level`` set of those left when each is tested, in
+    order; sets unsure in ``level_verdicts`` go to ``independent`` in order."""
+    k = len(survivors)
+    count = math.comb(k, level)
+    sets = np.fromiter(chain.from_iterable(combinations(range(k), level)),
+                       dtype=np.intp, count=count * level).reshape(count, level)
+    contains = np.zeros((k, count), dtype=bool)
+    contains[sets.T, np.arange(count)] = True
+    indep, unsure = tester.level_verdicts(target, survivors, sets)
+    alive = np.ones(count, dtype=bool)  # sets holding no removed survivor
+    kept = []
+    for c in range(k):
+        live = alive & ~contains[c]
+        if indep[c, live].any() or any(
+            tester.independent(survivors[c], target, tuple(survivors[m] for m in sets[s]))
+            for s in np.flatnonzero(live & unsure[c])
+        ):
+            alive &= ~contains[c]
+        else:
+            kept.append(survivors[c])
+    return kept
 
 
 def pc_simple(
@@ -298,16 +298,13 @@ def pc_simple(
     Level 0 drops candidates marginally independent of the target; level l
     drops a survivor if it is independent of the target given any size-l
     subset of the other survivors.  Stops once survivors cannot supply a
-    conditioning set or l exceeds max_cond.
-
-    Each level is one ``tester.eliminate`` call (PC-simple; Bühlmann,
-    Kalisch & Maathuis, 2010): survivors are dropped in order, and a set
-    holding a survivor dropped earlier in the level is not tried.
+    conditioning set or l exceeds max_cond.  Each level is one ``eliminate``
+    call (PC-simple; Bühlmann, Kalisch & Maathuis, 2010), for any tester.
     """
     survivors = sorted(c for c in set(candidates) if c != target)
     level = 0
     while level <= cfg.max_cond and len(survivors) > level:
-        survivors = tester.eliminate(target, survivors, level)
+        survivors = eliminate(tester, target, survivors, level)
         level += 1
     return set(survivors)
 
@@ -362,10 +359,10 @@ def orient_reci(data: np.ndarray, i: int, j: int) -> OrientResult:
         ConstantColumn: either column has zero variance.
     """
     a, b = np.asarray(data[:, i], float), np.asarray(data[:, j], float)
-    if a.std() == 0.0 or b.std() == 0.0:
+    (mu_a, sd_a), (mu_b, sd_b) = column_moments(a), column_moments(b)
+    if sd_a == 0.0 or sd_b == 0.0:
         raise ConstantColumn(f"columns {i}, {j} must be non-constant")
-    a = (a - a.mean()) / a.std()
-    b = (b - b.mean()) / b.std()
+    a, b = (a - mu_a) / sd_a, (b - mu_b) / sd_b
     err_ij = _cubic_residual_mse(a, b)  # predict j from i
     err_ji = _cubic_residual_mse(b, a)
     diff = err_ij - err_ji
@@ -382,13 +379,15 @@ def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray) -> float:
     Compares two four-parameter generative models of the pair: Bernoulli
     plus Gaussian arms with pooled variance, versus a Gaussian margin with a
     logistic conditional.  Positive values favor the binary variable as the
-    cause.
+    cause.  ``cont`` is standardized first, so that its units move nothing.
 
     Raises:
         DegenerateArms: ``binary`` does not hold both 0 and 1.
     """
     b = np.asarray(binary, float)
     c = np.asarray(cont, float)
+    mu, scale = column_moments(c)
+    c = (c - mu) / (scale or 1.0)
     model = fit_logistic(c[:, None], b, lam=1e-3)
     n = len(b)
     p = float(b.mean())

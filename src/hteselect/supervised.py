@@ -45,6 +45,9 @@ _IRLS_QUAD_TOL = 1e-5
 _IRLS_MAX_ITER = 100
 # an accepted step may lower the penalized log-likelihood by at most this
 _ASCENT_TOL = 1e-12
+# a standard deviation below this, or not finite, may have lost its squares to
+# underflow or overflow (see ``column_moments``)
+_TINY_SCALE = 2.0**-500
 
 
 @dataclass
@@ -72,9 +75,34 @@ class LinearModel:
         return _fold_back(self.w_std, self.mu, self.scale)
 
 
+def column_moments(x: np.ndarray):
+    """Mean and standard deviation of each column of ``x``, or of a 1-d ``x``.
+
+    They are ``x.mean(axis=0)`` and ``x.std(axis=0)`` bit for bit, except in
+    a column whose deviation is not finite or is below 2^-500 (a constant
+    column too), as squares overflow beyond 2^512 and lose bits below
+    2^-511.  Such a column is redone on its entries times the power of two
+    that puts its largest |entry| in [0.5, 1), a scaling that is exact, and
+    its moments are scaled back, also exactly.
+    """
+    with np.errstate(over="ignore"):
+        mu, scale = x.mean(axis=0), x.std(axis=0)
+    redo = np.flatnonzero(~((scale >= _TINY_SCALE) & (scale < np.inf)))
+    if not redo.size:
+        return mu, scale
+    cols = x.reshape(len(x), -1)
+    mu, scale = np.array(mu, ndmin=1), np.array(scale, ndmin=1)
+    for j in redo:
+        peak = np.abs(cols[:, j]).max()
+        if 0.0 < peak < np.inf:
+            e = np.frexp(peak)[1]
+            part = np.ldexp(cols[:, j], -e)
+            mu[j], scale[j] = np.ldexp(part.mean(), e), np.ldexp(part.std(), e)
+    return (mu, scale) if x.ndim > 1 else (mu[0], scale[0])
+
+
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = x.mean(axis=0)
-    scale = x.std(axis=0)
+    mu, scale = column_moments(x)
     scale = np.where(scale > 0.0, scale, 1.0)
     return standardize(x, mu, scale), mu, scale
 

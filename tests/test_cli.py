@@ -8,7 +8,7 @@ import pytest
 from hteselect import harness, structure_fit
 from hteselect.cli import main
 from hteselect.harness import rows_from_csv
-from hteselect.scm_gen import dataset_from_csv, dataset_to_csv, graph_from_json
+from hteselect.scm_gen import Dataset, dataset_from_csv, dataset_to_csv, graph_from_json
 
 
 @pytest.fixture
@@ -107,6 +107,23 @@ def test_select_backward_on_one_feature_dataset(tmp_path, capsys):
     capsys.readouterr()
     assert main(["select", "--data", str(data), "--selector", "HteFitB"]) == 0
     assert capsys.readouterr().out.split() == ["0"]
+
+
+@pytest.mark.parametrize("selector", ["HteFitF", "HteFitB"])
+def test_select_exits_two_when_no_subset_scores(selector, tmp_path, capsys):
+    # 4 treated rows in 60: an inner split keeps treated training rows of one
+    # parity only, so a DR cross-fitting fold has no treated row to fit on
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(60, 4))
+    t = np.zeros(60)
+    t[rng.choice(60, 4, replace=False)] = 1.0
+    y = x[:, 0] + t + rng.normal(size=60)
+    path = tmp_path / "few_treated.csv"
+    path.write_text(dataset_to_csv(Dataset(x, t, y, np.ones(60), np.zeros(4, dtype=bool))))
+    args = ["select", "--data", str(path), "--selector", selector, "--estimator", "DR"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fold lost a treatment arm" in captured.err
 
 
 def test_select_structure_fit_on_non_finite_data_exits_one(simulated, tmp_path, capsys):
@@ -244,11 +261,15 @@ def _set_cell(column, value):
         (_set_cell(-2, ""), "line 3, column y holds '', not a number"),
         (lambda lines: [",".join(line.split(",")[-3:]) for line in lines],
          "header 't,y,tau' has no feature column"),
+        (lambda lines: ["y" + lines[0][2:]] + lines[1:], "feature column 0 is named 'y'"),
+        (lambda lines: ["tau" + lines[0][2:]] + lines[1:], "feature column 0 is named 'tau'"),
+        (lambda lines: [lines[0].replace("x1,", "x0,", 1)] + lines[1:],
+         "feature column 1 repeats the name 'x0'"),
     ],
     ids=[
         "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
         "tau_minus_inf", "one_short_row", "one_long_row", "x_not_a_number", "y_empty",
-        "no_features",
+        "no_features", "feature_named_y", "feature_named_tau", "repeated_name",
     ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):

@@ -116,6 +116,12 @@ def test_forward_without_finite_singleton_raises():
         forward_select(ScriptedScore({(0,): math.nan}), [0, 1])
 
 
+def test_backward_without_finite_subset_raises():
+    # the full set and every one-column removal score inf
+    with pytest.raises(HteSelectError, match="backward selection found no subset"):
+        backward_select(ScriptedScore({(0,): math.nan}), [0, 1, 2])
+
+
 # ---------------------------------------------------------------------------
 # reference: separate forward and backward loops, which the one loop must match
 # ---------------------------------------------------------------------------
@@ -186,6 +192,8 @@ def _reference_backward(score, columns, metric="custom"):
         best_score = cand_score
         _mark_accepted(steps, cand_col, round_start)
 
+    if not math.isfinite(best_score):
+        raise HteSelectError("no subset with a finite score")
     return SelectionTrace(steps, tuple(kept), best_score, metric, "backward")
 
 

@@ -28,6 +28,7 @@ from hteselect.structure_fit import (
     binary_direction_loglik,
     d_separated,
     discover_colliders,
+    eliminate,
     local_structure,
     oracle_adjustment,
     orient_reci,
@@ -156,6 +157,22 @@ def _scalar_eliminate(tester, target, survivors, level):
     return kept
 
 
+class _AllUnsure:
+    """A data tester whose level tables decide nothing, so that ``eliminate``
+    asks ``independent`` about every pair it reaches, as it does the
+    d-separation oracle."""
+
+    def __init__(self, tester):
+        self.tester = tester
+
+    def independent(self, i, j, cond):
+        return self.tester.independent(i, j, cond)
+
+    def level_verdicts(self, target, survivors, sets):
+        indep, unsure = self.tester.level_verdicts(target, survivors, sets)
+        return np.zeros_like(indep), np.ones_like(unsure)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**16),
@@ -171,7 +188,9 @@ def _scalar_eliminate(tester, target, survivors, level):
 def test_eliminate_matches_scalar_loop(seed, n, d, level, copies, noise, constant, edge, block):
     # copied columns (plus noise, none for exact duplicates) give singular
     # and near-singular sets; ``edge`` puts alpha 1e-12 or a few ulps away
-    # from the largest exact p-value of the first survivor, which decides it
+    # from the largest exact p-value of the first survivor, which decides it.
+    # The same loop with every pair left to ``independent`` (``_AllUnsure``)
+    # must keep the same survivors as with the Schur tables.
     rng = np.random.default_rng(seed)
     data = _correlated_data(seed, n=n, d=d)
     for col in rng.choice(d, size=min(copies, d - 1), replace=False):
@@ -193,11 +212,12 @@ def test_eliminate_matches_scalar_loop(seed, n, d, level, copies, noise, constan
     try:
         default = hteselect.structure_fit.BLOCK_ENTRIES
         with mock.patch("hteselect.structure_fit.BLOCK_ENTRIES", block or default):
-            got = FisherZTester(data, cfg).eliminate(target, survivors, level)
+            got = eliminate(FisherZTester(data, cfg), target, survivors, level)
+        pairwise = eliminate(_AllUnsure(FisherZTester(data, cfg)), target, survivors, level)
         want = _scalar_eliminate(FisherZTester(data, cfg), target, survivors, level)
     finally:
         logging.disable(logging.NOTSET)
-    assert got == want
+    assert got == pairwise == want
 
 
 def _scalar_pc_simple(tester, target, candidates, cfg):
@@ -233,7 +253,7 @@ def test_singular_set_in_a_level_is_dependent(caplog):
     with caplog.at_level(logging.WARNING, logger="hteselect.structure_fit"):
         # 2 is independent given (0, 3); 3 and 5 then meet only sets that
         # hold their copy (singular, so dependent) or the removed 2
-        assert tester.eliminate(1, [0, 2, 3, 5], 2) == [0, 3, 5]
+        assert eliminate(tester, 1, [0, 2, 3, 5], 2) == [0, 3, 5]
     singular = [rec.getMessage() for rec in caplog.records if "singular" in rec.getMessage()]
     assert [m for m in singular if "(3, 5)" in m] == [
         "singular conditioning set for (0, 1) given (3, 5); treating as dependent"
@@ -429,6 +449,38 @@ def test_binary_likelihood_margin_orients_treatment_edges():
     assert parent_hits >= int(0.8 * trials)
 
 
+def test_binary_likelihood_margin_ignores_units():
+    # the margin of both generative models moves with log(scale) alike, so
+    # a change of units of the continuous column cancels out of it
+    rng = np.random.default_rng(9)
+    n = 3000
+    x = rng.normal(size=n)
+    t = (rng.random(n) < 1 / (1 + np.exp(-x))).astype(float)
+    m = 0.8 * t + 0.5 * rng.normal(size=n)
+    for cont in (x, m):  # c -> t, then t -> c
+        want = binary_direction_loglik(t, cont)
+        for scale in 10.0 ** np.arange(-9, 7):
+            got = binary_direction_loglik(t, cont * scale)
+            assert got == pytest.approx(want, rel=1e-9), (scale, got, want)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+def test_ci_test_and_orientation_on_a_column_far_from_unit_scale(scale):
+    # the squares of such a column under- or overflow; its correlations and
+    # orientation verdict must still be those at unit scale
+    rng = np.random.default_rng(10)
+    a = rng.uniform(-1, 1, size=2000)
+    b = a**3 + 0.05 * rng.normal(size=2000)
+    data = np.column_stack([a, b, b + rng.normal(size=2000)])
+    far = data * [1.0, scale, 1.0]
+    np.testing.assert_allclose(
+        FisherZTester(far, CFG).corr, FisherZTester(data, CFG).corr, rtol=1e-12, atol=1e-15
+    )
+    want, got = orient_reci(data, 0, 1), orient_reci(far, 0, 1)
+    assert (got.direction, got.tie) == (want.direction, want.tie)
+    assert got.gap == pytest.approx(want.gap, rel=1e-9)
+
+
 @pytest.mark.parametrize("label", [0.0, 1.0])
 def test_binary_likelihood_margin_rejects_one_class(label):
     cont = np.random.default_rng(0).normal(size=40)
@@ -512,7 +564,8 @@ def test_structure_fit_disconnected_treatment():
 
 def test_oracle_soundness_on_random_graphs():
     # with both oracles, the forbidden set is exactly the reachable part of
-    # de(T) over discovered nodes, and removed columns stay inside it
+    # de(T) over discovered nodes, and removed columns stay inside it; and
+    # pc_simple on the d-separation oracle is the set-by-set loop
     for seed in range(30):
         spec = ScmSpec(d=8, p_e=0.35, sigma=0.2, rho=0.5, gamma=True, m=1,
                        p_h=0, m_p=False, n=10, seed=seed)
@@ -521,6 +574,11 @@ def test_oracle_soundness_on_random_graphs():
         except Exception:
             continue
         feats = graph.feature_nodes()
+        for target in range(graph.d):
+            others = [v for v in range(graph.d) if v != target]
+            assert pc_simple(DSepOracle(graph), target, others, CFG) == _scalar_pc_simple(
+                DSepOracle(graph), target, others, CFG
+            )
         res = _oracle_fit(graph, feats)
         true_de = graph.descendants(graph.t_node)
         assert set(res.forbidden).issubset(true_de)

@@ -556,3 +556,24 @@ def test_predict_matches_the_original_unit_formula(kind):
         want = np.clip(1.0 / (1.0 + np.exp(-want)), *supervised.PROB_CLIP)
     size = abs(w[0]) + np.abs(x) @ np.abs(w[1:])
     assert np.all(np.abs(predict(model, x) - want) <= 1e-14 * size)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+@pytest.mark.parametrize("kind", ["regression", "logistic"])
+def test_fit_on_a_column_far_from_unit_scale(kind, scale):
+    """A column whose squares underflow (1e-200) or overflow (1e160, 1e300)
+    is standardized as at unit scale, so the fit and its predictions match
+    the unit-scale ones; the other columns keep their statistics bit for
+    bit."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(300, 3)) + [0.0, 2.0, 0.0]
+    t = (rng.random(300) < 1 / (1 + np.exp(-x[:, 1]))).astype(float)
+    y = x @ [1.0, -2.0, 0.5] + 0.1 * rng.normal(size=300)
+    far = x * [1.0, scale, 1.0]
+    fit = (lambda z: fit_ridge(z, y)) if kind == "regression" else (lambda z: fit_logistic(z, t))
+    want, got = fit(x), fit(far)
+    assert got.mu[1] == pytest.approx(want.mu[1] * scale, rel=1e-12)
+    assert got.scale[1] == pytest.approx(want.scale[1] * scale, rel=1e-12)
+    assert np.array_equal(got.scale[[0, 2]], want.scale[[0, 2]])
+    np.testing.assert_allclose(got.w_std, want.w_std, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(predict(got, far), predict(want, x), rtol=1e-9, atol=1e-12)
