@@ -6,10 +6,10 @@ Subcommands:
     benchmark  run a full experiment config and write the results CSV
     report     aggregate a results CSV into rank and inclusion-error tables
 
-Exit codes: 0 on success, 1 for configuration errors, 2 for runtime
-failures (e.g. SCM parameters no sampled graph can satisfy).  A benchmark
-in which every cell of some replicate failed still writes its results, then
-exits 2.
+Exit codes: 0 on success; 1 for a ``ConfigError`` (a bad option or input
+file) or an ``OSError`` on a named path; 2 for any other ``HteSelectError``,
+a runtime failure.  A benchmark in which every cell of some replicate failed
+still writes its results, then exits 2.  Other exceptions are bugs.
 """
 
 from __future__ import annotations
@@ -76,6 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: Path) -> str:
+    """The UTF-8 text of the input file ``path``."""
+    try:
+        return path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     spec = ScmSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScmSpec)})
     graph, dataset, attempts = make_dataset(spec)
@@ -94,10 +102,10 @@ def _cmd_select(args) -> int:
     method = MethodSpec(args.selector, args.estimator, args.metric)
     graph = None
     if args.graph is not None:
-        graph, _ = graph_from_json(args.graph.read_text())
+        graph, _ = graph_from_json(_read(args.graph))
     elif method.selector.startswith("Oracle"):
         raise ConfigError(f"{method.selector} requires --graph")
-    dataset = dataset_from_csv(args.data.read_text())
+    dataset = dataset_from_csv(_read(args.data))
     cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
     selected, trace, _ = harness._run_selector(
         method, dataset.x, dataset.t, dataset.y, graph, cfg, args.seed
@@ -111,7 +119,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = harness.config_from_json(args.config.read_text())
+    config = harness.config_from_json(_read(args.config))
     if args.workers is not None:
         config = dataclasses.replace(config, workers=args.workers)
     rows, traces = harness.run_experiment(config)
@@ -129,7 +137,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rows = harness.rows_from_csv(args.results.read_text())
+    rows = harness.rows_from_csv(_read(args.results))
     if not rows:
         raise ConfigError("results CSV contains no rows")
     print(harness.report(rows).format())
@@ -152,7 +160,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except HteSelectError as exc:

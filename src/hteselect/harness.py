@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import logging
 import math
 import time
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import estimators, fit_metrics, hte_fit, structure_fit, supervised
 from .errors import ConfigError, HteSelectError
-from .scm_gen import ScmSpec, make_dataset
+from .scm_gen import ScmSpec, json_object, make_dataset, spec_from_json, typed
 
 logger = logging.getLogger(__name__)
 
@@ -83,21 +82,17 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        for name, low in (("replicates", 1), ("workers", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if not self.methods:
-            raise ConfigError("at least one method is required")
+            raise ConfigError("methods must list at least one method")
         ids = [m.method_id for m in self.methods]
         if len(set(ids)) < len(ids):
             raise ConfigError(f"duplicate methods in {ids}")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        try:
-            self.ci_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.ci_config()
         if "seed" in self.base or "seed" in self.grid:
             raise ConfigError("seed is derived from master_seed; set master_seed instead")
         empty = sorted(k for k, values in self.grid.items() if not values)
@@ -127,10 +122,7 @@ class ExperimentConfig:
         cells = self.grid_cells()
         cell = dict(cells[replicate % len(cells)])
         cell["seed"] = _derived_seed(self.master_seed, replicate, 0)
-        try:
-            return ScmSpec(**cell)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid SCM parameters: {exc}") from exc
+        return spec_from_json("config 'scm'", cell)
 
 
 def _derived_seed(master_seed: int, *key: int) -> int:
@@ -499,54 +491,18 @@ _CONFIG_TYPES = {
 }
 
 
-def _typed(key: str, value, kind: type):
-    """``value`` as ``kind`` if its JSON type fits: a bool only where a bool
-    is wanted, an integer also where a float is."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _scm_values(section: str, values: dict, listed: bool) -> dict:
-    """``values`` (``scm`` parameters, or lists of them for ``grid``) checked
-    against ``ScmSpec``'s types; an unknown key is left for ``ScmSpec`` to
-    name."""
-    kinds = typing.get_type_hints(ScmSpec)
-    checked = {}
-    for key, value in values.items():
-        name = f"{section} {key}"
-        if key not in kinds:
-            checked[key] = value
-        elif listed:
-            checked[key] = [_typed(name, v, kinds[key]) for v in _typed(name, value, list)]
-        else:
-            checked[key] = _typed(name, value, kinds[key])
-    return checked
-
-
 def config_from_json(text: str) -> ExperimentConfig:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("scm"), dict):
-        raise ConfigError("config must be an object with an 'scm' object")
-    unknown = sorted(set(payload) - {"scm", "methods", *_CONFIG_TYPES})
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    options = {k: _typed(k, payload[k], kind) for k, kind in _CONFIG_TYPES.items()
+    """The ``ExperimentConfig`` of a config JSON; ConfigError if a value
+    fails ``typed``, a method or the ``grid`` fails ``spec_from_json``, a key
+    is unknown, or ``ExperimentConfig`` rejects the config."""
+    payload = json_object("config", text, ("scm", "methods", *_CONFIG_TYPES), ("scm",))
+    options = {k: typed(f"config '{k}'", payload[k], kind) for k, kind in _CONFIG_TYPES.items()
                if k in payload}
     if "grid" in options:
-        options["grid"] = _scm_values("grid", options["grid"], listed=True)
-    try:
-        # an unknown method key is a TypeError that names it
-        methods = tuple(MethodSpec(**m) for m in payload.get("methods", []))
-        config = ExperimentConfig(
-            base=_scm_values("scm", payload["scm"], listed=False),
-            methods=methods,
-            **options,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-    return config
+        options["grid"] = spec_from_json("config 'grid'", options["grid"], listed=True)
+    methods = typed("config 'methods'", payload.get("methods", []), [dict])
+    return ExperimentConfig(
+        base=typed("config 'scm'", payload["scm"], dict),
+        methods=tuple(spec_from_json("config 'methods'", m, cls=MethodSpec) for m in methods),
+        **options,
+    )

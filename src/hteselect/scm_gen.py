@@ -16,12 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
+import sys
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DegenerateArms, InfeasibleSpec, NoValidPair, NotPositiveDefinite
+from .errors import ConfigError, DegenerateArms, InfeasibleSpec, NoValidPair, NotPositiveDefinite
 
 MAX_GRAPH_RETRIES = 100
 
@@ -62,18 +64,74 @@ class ScmSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("d must be >= 3")
+        for name, low in (("d", 3), ("m", 0), ("p_h", 0), ("n", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if not 0.0 <= self.p_e <= 1.0:
-            raise ValueError("p_e must lie in [0, 1]")
+            raise ConfigError("p_e must lie in [0, 1]")
         if not 0.0 <= self.sigma < 1.0:
-            raise ValueError("sigma must lie in [0, 1)")
+            raise ConfigError("sigma must lie in [0, 1)")
         if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must lie in (0, 1]")
-        if self.m < 0 or self.p_h < 0 or self.n < 1:
-            raise ValueError("counts must be nonnegative and n >= 1")
+            raise ConfigError("rho must lie in (0, 1]")
         if self.m + 2 > self.d:
-            raise ValueError("need m + 2 <= d to place the mediator chain")
+            raise ConfigError("need m + 2 <= d to place the mediator chain")
+
+
+# what ``typed`` asks for, by kind; any other range is of node indices
+_WANTED = {float: "a finite number", int: "an integer", bool: "true or false",
+           str: "a string", list: "a list", dict: "an object", range(2): "0 or 1"}
+
+
+def typed(where: str, value, kind):
+    """``value``, the JSON value named by ``where``, if it is of ``kind``, else
+    ConfigError.  One rule for every input file: a number is never a string,
+    bool or null, and an int is also a float (returned as one); a ``range``
+    kind wants an int in it, and ``[kind]`` a list of ``kind`` values."""
+    if isinstance(kind, list):
+        return [typed(where, v, kind[0]) for v in typed(where, value, list)]
+    if isinstance(kind, range):
+        fits = type(value) is int and value in kind
+    elif kind is float:
+        fits = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        fits = type(value) is kind
+    if fits:
+        return float(value) if kind is float else value
+    wanted = _WANTED.get(kind) or f"a node in range({kind.stop})"
+    if kind in (list, dict) or isinstance(value, (list, dict)):  # too long to quote
+        raise ConfigError(f"{where} must be {wanted}, got {type(value).__name__}")
+    raise ConfigError(f"{where} holds {value!r}, not {wanted}")
+
+
+def _keyed(where: str, values, known, required=()) -> dict:
+    """``values`` if it is an object of ``known`` keys, ``required`` among them."""
+    unknown = sorted(set(typed(where, values, dict)) - set(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ConfigError(f"{where} lacks keys {missing}")
+    return values
+
+
+def spec_from_json(where: str, values, listed: bool = False, cls=ScmSpec):
+    """``cls`` (a spec dataclass) from the JSON object ``values``, each value
+    ``typed`` as its field; with ``listed``, the object of lists of such
+    values that a benchmark ``grid`` holds, for any of the fields."""
+    kinds = typing.get_type_hints(cls)
+    required = [f.name for f in fields(cls) if f.default is MISSING and not listed]
+    checked = {key: typed(f"{where} '{key}'", value, [kinds[key]] if listed else kinds[key])
+               for key, value in _keyed(where, values, kinds, required).items()}
+    return checked if listed else cls(**checked)
+
+
+def json_object(where: str, text: str, known, required=()) -> dict:
+    """The JSON object in ``text``, checked by ``_keyed``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+    return _keyed(where, payload, known, required)
 
 
 def reachable(start: int, step: Callable[[int], Iterable[int]]) -> set[int]:
@@ -448,67 +506,48 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     """Inverse of ``graph_to_json``.
 
     Raises:
-        ValueError: the JSON is not an object holding every key that
-            ``graph_to_json`` writes, a value has the wrong shape, a node
-            index is not an int in range(d), ``order`` is not a
-            permutation of range(d), ``adj`` or ``coef`` does not hold d*d
-            values, an ``adj`` edge runs against ``order``, ``y_node`` is
-            ``t_node``, or ``mediators`` lists either.
+        ConfigError: the text is not a JSON object of just the keys that
+            ``graph_to_json`` writes, a value fails ``typed`` or
+            ``spec_from_json``, ``order`` is not a permutation of range(d),
+            ``adj`` or ``coef`` does not hold d*d values, an ``adj`` edge
+            runs against ``order``, ``y_node`` is ``t_node``, or
+            ``mediators`` lists either.
     """
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"graph JSON must be an object, got {type(payload).__name__}")
     keys = ("spec", "order", "adj", "coef", "t_node", "y_node", "mediators", "hte_parents")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"graph JSON lacks keys {missing}")
+    payload = json_object("graph JSON", text, keys, keys)
     if not (isinstance(payload["spec"], dict) and isinstance(payload["hte_parents"], dict)):
-        raise ValueError("graph JSON 'spec' and 'hte_parents' must be objects")
-    try:
-        spec = ScmSpec(**payload["spec"])
-    except TypeError as exc:  # an unknown or missing spec field
-        raise ValueError(f"graph JSON 'spec': {exc}") from exc
+        raise ConfigError("graph JSON 'spec' and 'hte_parents' must be objects")
+    spec = spec_from_json("graph JSON 'spec'", payload["spec"])
     d = spec.d
-    order = _nodes(payload["order"], d, "order")
-    if sorted(order) != list(range(d)):
-        raise ValueError(f"graph JSON 'order' must be a permutation of range({d})")
-    hte_parents = {}
-    for key, value in payload["hte_parents"].items():
-        node = _node(int(key) if key.isdecimal() else key, d, "hte_parents")
-        hte_parents[node] = _nodes(value, d, "hte_parents")
+
+    def get(key: str, kind):
+        return typed(f"graph JSON '{key}'", payload[key], kind)
+
+    order, mediators = get("order", [range(d)]), tuple(get("mediators", [range(d)]))
+    if len(order) != d or len(set(order)) != d:
+        raise ConfigError(f"graph JSON 'order' must be a permutation of range({d}) (d in 'spec')")
+    hte = "graph JSON 'hte_parents'"
+    hte_parents = {typed(hte, int(k) if k.isdecimal() else k, range(d)):
+                   tuple(typed(hte, v, [range(d)])) for k, v in payload["hte_parents"].items()}
     for key in ("adj", "coef"):
         if not isinstance(payload[key], list) or len(payload[key]) != d * d:
-            raise ValueError(f"graph JSON '{key}' must be a list of d*d = {d * d} values")
-    adj = np.array(payload["adj"], dtype=bool).reshape(d, d)
+            raise ConfigError(f"graph JSON '{key}' must be a list of d*d = {d * d} values")
+    adj = np.array(get("adj", [range(2)]), dtype=bool).reshape(d, d)
     position = np.argsort(order)  # of each node in the causal order
     back = np.argwhere(adj & (position[:, None] >= position[None, :]))
     if back.size:
         i, j = back[0]
-        raise ValueError(f"graph JSON 'adj' edge {i} -> {j} runs against 'order'")
-    t_node, y_node = _node(payload["t_node"], d, "t_node"), _node(payload["y_node"], d, "y_node")
-    mediators = _nodes(payload["mediators"], d, "mediators")
+        raise ConfigError(f"graph JSON 'adj' edge {i} -> {j} runs against 'order'")
+    t_node, y_node = get("t_node", range(d)), get("y_node", range(d))
     if t_node == y_node:
-        raise ValueError(f"graph JSON 't_node' and 'y_node' are both node {t_node}")
+        raise ConfigError(f"graph JSON 't_node' and 'y_node' are both node {t_node}")
     for key in ("t_node", "y_node"):
         if payload[key] in mediators:
-            raise ValueError(f"graph JSON 'mediators' lists the '{key}' {payload[key]}")
-    coef = np.array(payload["coef"], dtype=np.float64).reshape(d, d)
+            raise ConfigError(f"graph JSON 'mediators' lists the '{key}' {payload[key]}")
+    coef = np.array(get("coef", [float])).reshape(d, d)
     graph = CausalGraph(np.array(order, dtype=np.int64), adj, coef, t_node, y_node, mediators,
                         hte_parents=hte_parents)
     return graph, spec
-
-
-def _node(value, d: int, what: str) -> int:
-    """``value`` if it is an int in range(d), else ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < d:
-        raise ValueError(f"graph JSON '{what}' holds {value!r}, not a node in range({d})")
-    return value
-
-
-def _nodes(values, d: int, what: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ValueError(f"graph JSON '{what}' must be a list of nodes")
-    return tuple(_node(v, d, what) for v in values)
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -527,25 +566,25 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    """Inverse of ``dataset_to_csv``; ValueError on a wrong header, one with
+    """Inverse of ``dataset_to_csv``; ConfigError on a wrong header, one with
     no feature column, a feature column named ``t``, ``y`` or ``tau`` or
     named like an earlier one, no data rows, a row whose length differs from
     the header's, a cell that is not a number, a ``t`` value other than 0 or
-    1, or a non-finite ``x``, ``y`` or ``tau`` value.  Errors in a row name
-    its CSV line."""
+    1, a ``t`` column of one arm only, or a non-finite ``x``, ``y`` or
+    ``tau`` value.  Errors in a row name its CSV line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or header[-3:] != ["t", "y", "tau"]:
-        raise ValueError("expected columns x0..x{k-1},t,y,tau")
+        raise ConfigError("expected columns x0..x{k-1},t,y,tau")
     k = len(header) - 3
     if not k:
-        raise ValueError(f"dataset CSV header {','.join(header)!r} has no feature column")
+        raise ConfigError(f"dataset CSV header {','.join(header)!r} has no feature column")
     for j, name in enumerate(header[:k]):
         if name in header[k:]:
-            raise ValueError(f"dataset CSV feature column {j} is named {name!r}, which "
-                             "names one of the last three columns t, y, tau")
+            raise ConfigError(f"dataset CSV feature column {j} is named {name!r}, which "
+                              "names one of the last three columns t, y, tau")
         if name in header[:j]:
-            raise ValueError(f"dataset CSV feature column {j} repeats the name {name!r}")
+            raise ConfigError(f"dataset CSV feature column {j} repeats the name {name!r}")
     rows, lines = [], []
     for row in reader:
         if not row:
@@ -553,34 +592,30 @@ def dataset_from_csv(text: str) -> Dataset:
         if len(row) != len(header):
             where = (f"lacks column {header[len(row)]}" if len(row) < len(header)
                      else f"runs past column {header[-1]}")
-            raise ValueError(
-                f"dataset CSV line {reader.line_num} {where}: {len(row)} cells, the header "
-                f"{len(header)}"
-            )
+            raise ConfigError(f"dataset CSV line {reader.line_num} {where}: {len(row)} cells, "
+                              f"the header {len(header)}")
         values = []
         for name, cell in zip(header, row):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise ValueError(
-                    f"dataset CSV line {reader.line_num}, column {name} holds {cell!r}, "
-                    "not a number"
-                ) from None
+                raise ConfigError(f"dataset CSV line {reader.line_num}, column {name} holds "
+                                  f"{cell!r}, not a number") from None
         rows.append(values)
         lines.append(reader.line_num)
     if not rows:
-        raise ValueError("dataset CSV has no data rows")
+        raise ConfigError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)
     bad = data[:, k][(data[:, k] != 0) & (data[:, k] != 1)]
     if bad.size:
-        raise ValueError(f"dataset CSV column t must hold 0 or 1, found {float(bad[0])!r}")
+        raise ConfigError(f"dataset CSV column t must hold 0 or 1, found {float(bad[0])!r}")
+    if data[:, k].min() == data[:, k].max():
+        raise ConfigError(f"dataset CSV column t holds only the arm t = {int(data[0, k])}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]
-        raise ValueError(
-            f"dataset CSV line {lines[r]}, column {header[c]} holds {float(data[r, c])!r}, "
-            "not a finite number"
-        )
+        raise ConfigError(f"dataset CSV line {lines[r]}, column {header[c]} holds "
+                          f"{float(data[r, c])!r}, not a finite number")
     return Dataset(
         x=data[:, :k],
         t=data[:, k],

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Protocol
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .errors import ConstantColumn, NumericError
+from .errors import ConfigError, ConstantColumn, NumericError
 from .scm_gen import CausalGraph, reachable
 from .supervised import column_moments, fit_logistic, logistic_loglik
 
@@ -90,9 +90,9 @@ class CiTestConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ConfigError("alpha must lie in (0, 1)")
         if self.max_cond < 0:
-            raise ValueError("max_cond must be nonnegative")
+            raise ConfigError("max_cond must be nonnegative")
 
 
 class CiTester(Protocol):

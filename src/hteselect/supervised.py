@@ -79,20 +79,26 @@ def column_moments(x: np.ndarray):
     """Mean and standard deviation of each column of ``x``, or of a 1-d ``x``.
 
     They are ``x.mean(axis=0)`` and ``x.std(axis=0)`` bit for bit, except in
-    a column whose deviation is not finite or is below 2^-500 (a constant
-    column too), as squares overflow beyond 2^512 and lose bits below
-    2^-511.  Such a column is redone on its entries times the power of two
-    that puts its largest |entry| in [0.5, 1), a scaling that is exact, and
-    its moments are scaled back, also exactly.
+    a column whose deviation is not finite or is below 2^-500, as squares
+    overflow beyond 2^512 and lose bits below 2^-511, or is within n * eps
+    of |mean|, the rounding of a mean of n equal values.  Such a column is
+    redone: a constant one (all entries equal) has moments ``(x[0], 0.0)``,
+    and any other is redone on its entries times the power of two that puts
+    its largest |entry| in [0.5, 1), a scaling that is exact, and its
+    moments are scaled back, also exactly.
     """
     with np.errstate(over="ignore"):
         mu, scale = x.mean(axis=0), x.std(axis=0)
-    redo = np.flatnonzero(~((scale >= _TINY_SCALE) & (scale < np.inf)))
+    rounding = len(x) * np.finfo(np.float64).eps * np.abs(mu)
+    redo = np.flatnonzero(~((scale >= _TINY_SCALE) & (scale < np.inf) & (scale > rounding)))
     if not redo.size:
         return mu, scale
     cols = x.reshape(len(x), -1)
     mu, scale = np.array(mu, ndmin=1), np.array(scale, ndmin=1)
     for j in redo:
+        if (cols[:, j] == cols[0, j]).all():
+            mu[j], scale[j] = cols[0, j], 0.0
+            continue
         peak = np.abs(cols[:, j]).max()
         if 0.0 < peak < np.inf:
             e = np.frexp(peak)[1]

@@ -1,8 +1,14 @@
-"""Shared fixtures: hand-built benchmark graphs."""
+"""Shared fixtures: hand-built benchmark graphs; the hypothesis profile."""
 
 import pytest
+from hypothesis import settings
 
 from graphs import build_graph
+
+# every property test draws the same examples on every run, and none is
+# timed out by hypothesis
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

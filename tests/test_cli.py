@@ -1,14 +1,28 @@
 """CLI subcommands, exit codes, and file outputs."""
 
+import contextlib
+import copy
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hteselect import harness, structure_fit
 from hteselect.cli import main
 from hteselect.harness import rows_from_csv
-from hteselect.scm_gen import Dataset, dataset_from_csv, dataset_to_csv, graph_from_json
+from hteselect.scm_gen import (
+    Dataset,
+    ScmSpec,
+    dataset_from_csv,
+    dataset_to_csv,
+    graph_from_json,
+    graph_to_json,
+    make_dataset,
+)
 
 
 @pytest.fixture
@@ -241,6 +255,18 @@ def _set_cell(column, value):
     return edit
 
 
+def _set_column(column, value):
+    """Edit one cell of every data row."""
+
+    def edit(lines):
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[column] = value
+        return lines[:1] + [",".join(cells) for cells in rows]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -265,11 +291,12 @@ def _set_cell(column, value):
         (lambda lines: ["tau" + lines[0][2:]] + lines[1:], "feature column 0 is named 'tau'"),
         (lambda lines: [lines[0].replace("x1,", "x0,", 1)] + lines[1:],
          "feature column 1 repeats the name 'x0'"),
+        (_set_column(-3, "1"), "column t holds only the arm t = 1"),
     ],
     ids=[
         "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
         "tau_minus_inf", "one_short_row", "one_long_row", "x_not_a_number", "y_empty",
-        "no_features", "feature_named_y", "feature_named_tau", "repeated_name",
+        "no_features", "feature_named_y", "feature_named_tau", "repeated_name", "one_arm",
     ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):
@@ -334,3 +361,132 @@ def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path,
     assert main(["select", "--data", str(data), "--graph", str(path), "--selector", "None"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("option", ["--data", "--graph", "--config", "--results"])
+def test_directory_as_input_path_exits_one(option, simulated, tmp_path, capsys):
+    data, graph = simulated
+    args = {
+        "--data": ["select", "--data", str(tmp_path), "--selector", "None"],
+        "--graph": ["select", "--data", str(data), "--graph", str(tmp_path), "--selector", "None"],
+        "--config": ["benchmark", "--config", str(tmp_path), "--out", str(tmp_path / "o.csv")],
+        "--results": ["report", "--results", str(tmp_path)],
+    }[option]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err
+
+
+def test_non_utf8_input_exits_one(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x0,t,y,tau\n\xff,0,1,1\n")
+    assert main(["select", "--data", str(path), "--selector", "None"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path} is not UTF-8 text" in err
+
+
+# ---------------------------------------------------------------------------
+# reader fuzz: one value inside a valid graph JSON or config replaced
+# ---------------------------------------------------------------------------
+
+# the replacements tried at every path, besides the int or float equal to
+# the value there
+FUZZ_VALUES = [None, True, {}, [], "1", 1, 1.0, -1, 2**63]
+
+FUZZ_SPEC = ScmSpec(d=6, p_e=0.5, sigma=0.2, rho=1.0, gamma=True, m=1, p_h=1, m_p=False,
+                    n=120, seed=1)
+FUZZ_GRAPH = json.loads(graph_to_json(make_dataset(FUZZ_SPEC)[0], FUZZ_SPEC))
+
+# replicates and workers are left out: a huge count of either is a valid
+# config of an experiment that does not end
+FUZZ_CONFIG = {
+    "scm": {"d": 5, "p_e": 0.5, "sigma": 0.2, "rho": 1.0, "gamma": True,
+            "m": 1, "p_h": 0, "m_p": False, "n": 200},
+    "grid": {"n": [200]},
+    "methods": [{"selector": "None", "estimator": "T"}],
+    "split_ratio": 0.8, "master_seed": 3, "alpha": 0.05, "max_cond": 1,
+    "record_timing": False,
+}
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON value, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [p for key, child in items for p in [(*path, key), *_paths(child, (*path, key))]]
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _mutations(payload):
+    """(path, replacement) pairs for ``payload``."""
+
+    def values(path):
+        original = _at(payload, path)
+        twin = ([float(original)] if type(original) is int else
+                [int(original)] if type(original) is float and original.is_integer() else [])
+        return st.tuples(st.just(path), st.sampled_from(FUZZ_VALUES + twin))
+
+    return st.sampled_from(_paths(payload)).flatmap(values)
+
+
+def _run(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_fuzzed(payload, target, args, mutation):
+    """With ``mutation`` applied to ``payload``, written to ``target``,
+    ``main(args)`` exits 0, 1 or 2 and raises nothing; an exit 1 names the
+    mutated key (the last on the path that is not a node id); an int in
+    place of an equal float leaves the output as that of ``payload``."""
+    path, value = mutation
+    fuzzed = copy.deepcopy(payload)
+    _at(fuzzed, path[:-1])[path[-1]] = value
+    target.write_text(json.dumps(fuzzed))
+    code, out, err = _run(args)
+    assert code in (0, 1, 2), err
+    key = [k for k in path if isinstance(k, str) and not k.isdecimal()][-1]
+    if code == 1:
+        assert re.search(rf"(?<!\w){key}(?!\w)", err), err
+    original = _at(payload, path)
+    if type(original) is float and type(value) is int and value == original:
+        target.write_text(json.dumps(payload))
+        assert (code, out) == _run(args)[:2] and code == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "data.csv").write_text(dataset_to_csv(make_dataset(FUZZ_SPEC)[1]))
+    return root
+
+
+@settings(max_examples=300)
+@given(mutation=_mutations(FUZZ_GRAPH))
+@example(mutation=(("coef", 1), {}))  # escaped as a TypeError before
+@example(mutation=(("spec", "d"), 6.0))
+@example(mutation=(("spec", "rho"), 1))
+def test_graph_reader_fuzz(fuzz_dir, mutation):
+    args = ["select", "--data", str(fuzz_dir / "data.csv"), "--graph",
+            str(fuzz_dir / "graph.json"), "--selector", "OracleValid"]
+    _check_fuzzed(FUZZ_GRAPH, fuzz_dir / "graph.json", args, mutation)
+
+
+@settings(max_examples=150)
+@given(mutation=_mutations(FUZZ_CONFIG))
+@example(mutation=(("scm", "rho"), 1))
+def test_config_reader_fuzz(fuzz_dir, mutation):
+    args = ["benchmark", "--config", str(fuzz_dir / "config.json"),
+            "--out", str(fuzz_dir / "results.csv")]
+    _check_fuzzed(FUZZ_CONFIG, fuzz_dir / "config.json", args, mutation)

@@ -217,3 +217,17 @@ def test_prediction_dimension_checked():
     est = fit_estimator("T", x, t, y)
     with pytest.raises(DimensionMismatch):
         est.predict(x[:, :2])
+
+
+# S is left out: its design's t*c column is a multiple of its t column, so
+# ridge splits their weight and the effect moves by about 1e-8, a correct
+# ridge answer that no constant-column rule can remove
+@pytest.mark.parametrize("kind", ["T", "X", "DR"])
+@pytest.mark.parametrize("c", [0.1, 1 / 3, -7.3e5, 2.5, 0.0])
+def test_constant_column_leaves_effects_unchanged(kind, c):
+    """A constant feature, whatever its value, moves no predicted effect."""
+    x, t, y, _ = _randomized(1400, 21, effect="linear")
+    padded = np.column_stack([x, np.full(1400, c)])
+    want = fit_estimator(kind, x, t, y).predict(x)
+    got = fit_estimator(kind, padded, t, y).predict(padded)
+    assert np.sqrt(np.mean((got - want) ** 2)) <= 1e-12 * np.sqrt(np.mean(want**2))

@@ -337,7 +337,7 @@ _PROPERTY_METHODS = (
 )
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=8)
 @given(cell=_scm_cells(), workers=st.sampled_from([1, 2]), master_seed=st.integers(0, 2**16))
 def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
     config = ExperimentConfig(

@@ -219,7 +219,7 @@ def _run(select, table):
         return type(exc), calls
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.integers(1, 6).flatmap(
         lambda k: st.lists(st.sampled_from(_TABLE_VALUES), min_size=2**k - 1, max_size=2**k - 1)

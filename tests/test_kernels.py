@@ -84,7 +84,7 @@ def test_rescan_does_not_overflow(x, t, want):
     assert _brute_force(x, t).tolist() == want
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(2, 120),

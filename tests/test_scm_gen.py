@@ -109,7 +109,7 @@ def _nodes(row):
     return set(np.flatnonzero(row).tolist())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(d=st.integers(3, 10), p_e=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_backdoor_row_follows_a_permuted_causal_order(d, p_e, seed):
     rng = np.random.default_rng(seed)
@@ -126,7 +126,7 @@ def test_backdoor_row_follows_a_permuted_causal_order(d, p_e, seed):
         assert np.array_equal(backdoor_row(loaded, int(perm[t]))[perm], backdoor_row(g, t)), t
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     d=st.integers(3, 12),
     p_e=st.floats(0.0, 1.0),
