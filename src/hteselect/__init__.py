@@ -34,7 +34,7 @@ from .harness import (
     report,
     run_experiment,
 )
-from .hte_fit import SelectionTrace, backward_select, forward_select, select_features
+from .hte_fit import SelectionTrace, greedy_select, select_features
 from .scm_gen import (
     CausalGraph,
     Dataset,

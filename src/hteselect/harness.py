@@ -28,7 +28,7 @@ import numpy as np
 
 from . import estimators, fit_metrics, hte_fit, structure_fit, supervised
 from .errors import ConfigError, HteSelectError
-from .scm_gen import ScmSpec, json_object, make_dataset, spec_from_json, typed
+from .scm_gen import ScmSpec, csv_records, json_object, make_dataset, spec_from_json, typed
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ def hte_fs(
     metric: str = "TauRisk",
     estimator: str = "T",
     seed: int = 0,
-    cfg: structure_fit.CiTestConfig | None = None,
+    cfg: structure_fit.CiTestConfig = structure_fit.CiTestConfig(),
 ) -> tuple[tuple[int, ...], dict]:
     """Greedy metric selection followed by structure-based pruning.
 
@@ -198,11 +198,14 @@ def hte_fs(
 
 
 def _discover(x, t, y, candidates, cfg) -> structure_fit.StructureFitResult:
-    """``structure_fit`` on the columns of x followed by t and y."""
+    """``structure_fit`` with the data tester and orienter on the columns of
+    x followed by t and y."""
     k = np.asarray(x).shape[1]
     stacked = np.column_stack([np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)])
     return structure_fit.structure_fit(
-        stacked, t_col=k, y_col=k + 1, candidates=candidates, cfg=cfg
+        structure_fit.FisherZTester(stacked, cfg),
+        structure_fit.DataOrienter(stacked, binary_col=k),
+        k, k + 1, candidates, cfg,
     )
 
 
@@ -378,10 +381,12 @@ def assign_ranks(rows: list[BenchmarkRow]) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[BenchmarkRow], dict]:
-    """Execute every replicate and method cell; returns ranked rows + traces."""
+    """Execute every replicate and method cell, in ``min(workers, replicates)``
+    processes (in this one if that is 1); returns ranked rows + traces."""
     replicates = range(config.replicates)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, config.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate, itertools.repeat(config), replicates))
     else:
         outcomes = [_run_replicate(config, r) for r in replicates]
@@ -428,11 +433,11 @@ def rows_to_csv(rows: list[BenchmarkRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[BenchmarkRow]:
-    reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != list(_ROW_TYPES):
+    records = csv_records("results CSV", text)
+    if next(records, (0, None))[1] != list(_ROW_TYPES):
         raise ConfigError(f"results CSV header must be {','.join(_ROW_TYPES)}")
     rows = []
-    for rec in reader:
+    for line, rec in records:
         if not rec:
             continue
         try:
@@ -440,7 +445,7 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
                 raise ValueError(f"{len(rec)} cells, expected {len(_ROW_TYPES)}")
             rows.append(BenchmarkRow(*map(_parse_cell, rec, _ROW_TYPES.values())))
         except ValueError as exc:
-            raise ConfigError(f"results CSV line {reader.line_num}: {exc}") from exc
+            raise ConfigError(f"results CSV line {line}: {exc}") from exc
     return rows
 
 

@@ -4,9 +4,10 @@ Both directions are one greedy loop over one-column moves: forward
 selection starts from the empty set and keeps adding the column whose
 addition scores best, backward selection starts from the full set and keeps
 removing the column whose removal scores best, each while the score
-strictly improves.  The loop works through a score callable on column
-tuples, so the search logic is testable against scripted score tables, and
-it breaks ties toward the lowest column index.
+strictly improves.  ``greedy_select`` is that loop for both directions.  It
+works through a score callable on column tuples, so scripted score tables
+test the search logic through it, and it breaks ties toward the lowest
+column index.
 
 ``SubsetScorer`` supplies the real score: it freezes a few inner train/
 validation splits per selection run, fits each metric's nuisance yardsticks
@@ -69,11 +70,11 @@ def _improves(candidate: float, best: float) -> bool:
     return best - candidate > REL_TOL * abs(best)
 
 
-def _greedy(
+def greedy_select(
     score: Callable[[tuple[int, ...]], float],
     columns: Sequence[int],
     direction: str,
-    metric: str,
+    metric: str = "custom",
 ) -> SelectionTrace:
     """Greedy search over one-column moves.
 
@@ -119,24 +120,6 @@ def _greedy(
         metric=metric,
         direction=direction,
     )
-
-
-def forward_select(
-    score: Callable[[tuple[int, ...]], float],
-    columns: Sequence[int],
-    metric: str = "custom",
-) -> SelectionTrace:
-    """Greedy forward selection over ``columns`` (see ``_greedy``)."""
-    return _greedy(score, columns, "forward", metric)
-
-
-def backward_select(
-    score: Callable[[tuple[int, ...]], float],
-    columns: Sequence[int],
-    metric: str = "custom",
-) -> SelectionTrace:
-    """Greedy backward elimination over ``columns`` (see ``_greedy``)."""
-    return _greedy(score, columns, "backward", metric)
 
 
 class SubsetScorer:
@@ -262,4 +245,4 @@ def select_features(
 ) -> SelectionTrace:
     """Run one full metric-guided selection on a training partition."""
     scorer = SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=seed)
-    return _greedy(scorer, range(np.asarray(x).shape[1]), direction, metric)
+    return greedy_select(scorer, range(np.asarray(x).shape[1]), direction, metric)

@@ -134,6 +134,17 @@ def json_object(where: str, text: str, known, required=()) -> dict:
     return _keyed(where, payload, known, required)
 
 
+def csv_records(where: str, text: str):
+    """(line, cells) of each CSV record in ``text``; ConfigError naming
+    ``where`` and the line where the csv module rejects the text."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for cells in reader:
+            yield reader.line_num, cells
+    except csv.Error as exc:
+        raise ConfigError(f"{where} line {reader.line_num}: {exc}") from None
+
+
 def reachable(start: int, step: Callable[[int], Iterable[int]]) -> set[int]:
     """Every node reachable from ``start`` by repeated ``step``, start included.
 
@@ -570,10 +581,10 @@ def dataset_from_csv(text: str) -> Dataset:
     no feature column, a feature column named ``t``, ``y`` or ``tau`` or
     named like an earlier one, no data rows, a row whose length differs from
     the header's, a cell that is not a number, a ``t`` value other than 0 or
-    1, a ``t`` column of one arm only, or a non-finite ``x``, ``y`` or
-    ``tau`` value.  Errors in a row name its CSV line."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    1, a ``t`` column of one arm only, a non-finite ``x``, ``y`` or ``tau``
+    value, or text the csv module rejects.  Errors in a row name its CSV line."""
+    records = csv_records("dataset CSV", text)
+    header = next(records, (0, None))[1]
     if header is None or header[-3:] != ["t", "y", "tau"]:
         raise ConfigError("expected columns x0..x{k-1},t,y,tau")
     k = len(header) - 3
@@ -586,23 +597,23 @@ def dataset_from_csv(text: str) -> Dataset:
         if name in header[:j]:
             raise ConfigError(f"dataset CSV feature column {j} repeats the name {name!r}")
     rows, lines = [], []
-    for row in reader:
+    for line, row in records:
         if not row:
             continue
         if len(row) != len(header):
             where = (f"lacks column {header[len(row)]}" if len(row) < len(header)
                      else f"runs past column {header[-1]}")
-            raise ConfigError(f"dataset CSV line {reader.line_num} {where}: {len(row)} cells, "
+            raise ConfigError(f"dataset CSV line {line} {where}: {len(row)} cells, "
                               f"the header {len(header)}")
         values = []
         for name, cell in zip(header, row):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise ConfigError(f"dataset CSV line {reader.line_num}, column {name} holds "
+                raise ConfigError(f"dataset CSV line {line}, column {name} holds "
                                   f"{cell!r}, not a number") from None
         rows.append(values)
-        lines.append(reader.line_num)
+        lines.append(line)
     if not rows:
         raise ConfigError("dataset CSV has no data rows")
     data = np.array(rows, dtype=np.float64)

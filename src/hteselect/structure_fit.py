@@ -21,8 +21,8 @@ points).  Continuous verdicts only classify a node as a child when the
 residual asymmetry is decisive; near-ties default to the parent side,
 which never removes a feature.
 
-Both the independence test and the orienter can be swapped for graph-backed
-oracles, which is how exact-recovery tests run.
+``structure_fit`` takes its tester and orienter from the caller: the data
+ones, or graph-backed oracles, which is how exact-recovery tests run.
 """
 
 from __future__ import annotations
@@ -431,12 +431,12 @@ class DataOrienter:
     ``LR_THRESHOLD``.
     """
 
-    def __init__(self, data: np.ndarray, binary_col: int | None = None):
+    def __init__(self, data: np.ndarray, binary_col: int):
         self.data = np.asarray(data, dtype=np.float64)
         self.binary_col = binary_col
 
     def classify(self, target: int, member: int) -> str:
-        if self.binary_col is not None and self.binary_col in (target, member):
+        if self.binary_col in (target, member):
             other = member if target == self.binary_col else target
             margin = binary_direction_loglik(
                 self.data[:, self.binary_col], self.data[:, other]
@@ -521,37 +521,26 @@ class StructureFitResult(NamedTuple):
 
 
 def structure_fit(
-    data: np.ndarray | None,
+    tester: CiTester,
+    orienter: Orienter,
     t_col: int,
     y_col: int,
     candidates: Iterable[int],
-    cfg: CiTestConfig | None = None,
-    *,
-    tester: CiTester | None = None,
-    orienter: Orienter | None = None,
+    cfg: CiTestConfig,
 ) -> StructureFitResult:
     """Remove discovered treatment descendants from the candidate columns.
 
-    Local structures are learned breadth-first from the treatment's children
-    toward the outcome; the outcome's own children are pre-marked as
-    discovered so traversal never continues past them.  The forbidden set is
-    the treatment's descendants within the assembled partial graph
-    (including the treatment itself), and the returned columns are the
+    The caller supplies the independence tester and the orienter: the data
+    ones (``FisherZTester``, ``DataOrienter``) or the graph oracles.  Local
+    structures are learned breadth-first from the treatment's children
+    toward the outcome.  The seen-set ``dn`` starts as the outcome's children
+    plus the treatment, and a node is queued only once and only if it is not
+    in ``dn``, so traversal never continues past the outcome's children.  The
+    forbidden set is the treatment's descendants within the assembled partial
+    graph (including the treatment itself), and the returned columns are the
     candidates minus that set.
-
-    Pass ``tester``/``orienter`` to run against graph oracles instead of
-    data; ``data`` may then be None.
     """
-    cfg = cfg or CiTestConfig()
     candidates = sorted(set(int(c) for c in candidates) - {t_col, y_col})
-    if tester is None:
-        if data is None:
-            raise ValueError("data is required unless a tester is supplied")
-        tester = FisherZTester(data, cfg)
-    if orienter is None:
-        if data is None:
-            raise ValueError("data is required unless an orienter is supplied")
-        orienter = DataOrienter(data, binary_col=t_col)
     scope = set(candidates) | {t_col, y_col}
     cache: dict[int, tuple[set[int], set[int]]] = {}
 
@@ -562,28 +551,17 @@ def structure_fit(
             )
         return cache[node]
 
-    _, ch_y = local(y_col)
-    discovered = set(ch_y)
-
+    dn = local(y_col)[1] | {t_col}
     graph = PartialGraph()
     graph.nodes.add(t_col)
-    _, ch_t = local(t_col)
-    frontier: deque[int] = deque(sorted(ch_t))
-    queued = set(ch_t)
-    for child in sorted(ch_t):
-        graph.add_directed_edge(t_col, child)
-
+    frontier = deque([t_col])  # the treatment first, so its children form the queue
     while frontier:
         node = frontier.popleft()
-        if node in discovered:
-            continue
-        discovered.add(node)
-        _, children = local(node)
-        for child in sorted(children):
+        for child in sorted(local(node)[1]):
             graph.add_directed_edge(node, child)
-            if child not in discovered and child not in queued and child != t_col:
+            if child not in dn:
+                dn.add(child)
                 frontier.append(child)
-                queued.add(child)
 
     forbidden = graph.descendants(t_col)
     selected = tuple(c for c in candidates if c not in forbidden)

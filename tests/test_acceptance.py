@@ -13,10 +13,11 @@ from scipy.stats import spearmanr
 from hteselect.estimators import fit_estimator
 from hteselect.fit_metrics import mse_true
 from hteselect.harness import ExperimentConfig, MethodSpec, report, rows_to_csv, run_experiment
-from hteselect.hte_fit import SubsetScorer, backward_select, forward_select
+from hteselect.hte_fit import SubsetScorer, greedy_select
 from hteselect.scm_gen import ScmSpec, generate, sample_noise, sample_or_retry, true_ite
 from hteselect.structure_fit import (
     CiTestConfig,
+    DataOrienter,
     DSepOracle,
     FisherZTester,
     GraphOrienter,
@@ -50,9 +51,8 @@ def test_criterion_1_oracle_structure_recovery(
     for graph, feats, want in cases:
         for _ in range(5):  # deterministic, but demanded for every run
             res = structure_fit(
-                None, t_col=graph.t_node, y_col=graph.y_node,
-                candidates=feats, cfg=CiTestConfig(),
-                tester=DSepOracle(graph), orienter=GraphOrienter(graph),
+                DSepOracle(graph), GraphOrienter(graph), graph.t_node, graph.y_node,
+                feats, CiTestConfig(),
             )
             removed = set(feats) - set(res.selected)
             ok = ok and removed == want
@@ -81,7 +81,8 @@ def test_criterion_2_data_driven_recovery():
     for seed in range(50):
         ds = _mediator_style_dataset(seed)
         stacked = np.column_stack([ds.x, ds.t, ds.y])
-        res = structure_fit(stacked, t_col=2, y_col=3, candidates=(0, 1), cfg=cfg)
+        res = structure_fit(FisherZTester(stacked, cfg), DataOrienter(stacked, binary_col=2),
+                            2, 3, (0, 1), cfg)
         excluded += 1 not in res.selected
         kept += 0 in res.selected
     ok = excluded >= 40 and kept >= 40
@@ -285,7 +286,7 @@ def test_criterion_9_scripted_selection_traces():
         frozenset({0}): 5.0, frozenset({1}): 3.0, frozenset({2}): 6.0,
         frozenset({0, 1}): 2.0, frozenset({1, 2}): 4.0, frozenset({0, 1, 2}): 2.5,
     }
-    ftrace = forward_select(lambda c: forward_table[frozenset(c)], [0, 1, 2])
+    ftrace = greedy_select(lambda c: forward_table[frozenset(c)], [0, 1, 2], "forward")
     forward_ok = (
         ftrace.final_set == (0, 1)
         and [s.column for s in ftrace.steps if s.accepted] == [1, 0]
@@ -293,16 +294,16 @@ def test_criterion_9_scripted_selection_traces():
     )
 
     backward_table = {frozenset({0, 1, 2}): 3.0, frozenset({0, 1}): 1.0}
-    btrace = backward_select(
-        lambda c: backward_table.get(frozenset(c), 4.0), [0, 1, 2]
+    btrace = greedy_select(
+        lambda c: backward_table.get(frozenset(c), 4.0), [0, 1, 2], "backward"
     )
     backward_ok = (
         btrace.final_set == (0, 1)
         and [s.column for s in btrace.steps if s.accepted] == [2]
     )
 
-    stable = backward_select(
-        lambda c: 1.0 if len(c) == 3 else 5.0, [0, 1, 2]
+    stable = greedy_select(
+        lambda c: 1.0 if len(c) == 3 else 5.0, [0, 1, 2], "backward"
     )
     no_removal_ok = stable.final_set == (0, 1, 2)
 

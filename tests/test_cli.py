@@ -225,8 +225,9 @@ def results_csv(tmp_path):
         (lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n", "line 2: 12 cells"),
         (lambda text: text + "scm0001,None+T,None,T,,one,0,0.5,0.25,0.0,1.0,0,\n", "line 3"),
         (lambda text: "", "header"),
+        (lambda text: text + "1" * 200000 + "\n", "results CSV line 3: field larger than field"),
     ],
-    ids=["wrong_header", "short_row", "bad_cell", "empty"],
+    ids=["wrong_header", "short_row", "bad_cell", "empty", "huge_cell"],
 )
 def test_report_on_malformed_results_exits_one(edit, message, results_csv, tmp_path, capsys):
     path = tmp_path / "results.csv"
@@ -292,11 +293,13 @@ def _set_column(column, value):
         (lambda lines: [lines[0].replace("x1,", "x0,", 1)] + lines[1:],
          "feature column 1 repeats the name 'x0'"),
         (_set_column(-3, "1"), "column t holds only the arm t = 1"),
+        (_set_cell(0, "1" * 200000), "dataset CSV line 3: field larger than field limit"),
     ],
     ids=[
         "t_two", "t_half", "t_negative", "t_nan", "short_rows", "long_rows", "y_nan", "x_inf",
         "tau_minus_inf", "one_short_row", "one_long_row", "x_not_a_number", "y_empty",
         "no_features", "feature_named_y", "feature_named_tau", "repeated_name", "one_arm",
+        "huge_cell",
     ],
 )
 def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_path, capsys):
@@ -307,6 +310,20 @@ def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_pat
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+def test_select_with_graph_of_another_dataset_exits_one(simulated, tmp_path, capsys):
+    data, graph = simulated  # d = 8: 6 feature columns
+    small_data, small_graph = tmp_path / "small.csv", tmp_path / "small.json"
+    assert main(["simulate", "--d", "6", "--p-e", "0.4", "--n", "200", "--seed", "1",
+                 "--out-data", str(small_data), "--out-graph", str(small_graph)]) == 0
+    for data_path, graph_path, counts in [(small_data, graph, "6 feature nodes, but --data has 4"),
+                                          (data, small_graph, "4 feature nodes, but --data has 6")]:
+        args = ["select", "--data", str(data_path), "--graph", str(graph_path),
+                "--selector", "OracleOSet"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and counts in err
 
 
 def _add_back_edge(payload):

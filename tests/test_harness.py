@@ -59,7 +59,7 @@ def test_hte_fs_scripted_stage_composition(monkeypatch):
 
     monkeypatch.setattr(harness.hte_fit, "select_features", lambda *a, **k: FakeTrace())
 
-    def fake_structure(data, t_col, y_col, candidates, cfg=None, **kw):
+    def fake_structure(tester, orienter, t_col, y_col, candidates, cfg):
         graph = sf_mod.PartialGraph()
         graph.add_directed_edge(t_col, 2)
         return sf_mod.StructureFitResult(
@@ -88,7 +88,7 @@ def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
 
     monkeypatch.setattr(harness.hte_fit, "select_features", lambda *a, **k: FakeTrace())
 
-    def fake_structure(data, t_col, y_col, candidates, cfg=None, **kw):
+    def fake_structure(tester, orienter, t_col, y_col, candidates, cfg):
         return sf_mod.StructureFitResult(
             selected=(), forbidden=frozenset({t_col, 1}), graph=sf_mod.PartialGraph()
         )
@@ -161,6 +161,33 @@ def test_concurrent_execution_matches_sequential():
     rows_a, _ = run_experiment(sequential)
     rows_b, _ = run_experiment(concurrent)
     assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
+
+
+@pytest.mark.parametrize("replicates, workers, pools", [(1, 3, []), (2, 5, [2])])
+def test_worker_count_is_capped_by_replicates(monkeypatch, replicates, workers, pools):
+    # a recording stand-in for the process pool: it runs in this process
+    from hteselect import harness
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    config = _base_config(replicates=replicates, workers=workers, record_timing=False)
+    rows, _ = run_experiment(config)
+    assert asked == pools
+    assert rows_to_csv(rows) == rows_to_csv(run_experiment(
+        dataclasses.replace(config, workers=1))[0])
 
 
 def test_grid_distributes_over_replicates():

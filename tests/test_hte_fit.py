@@ -16,10 +16,8 @@ from hteselect.hte_fit import (
     SelectionStep,
     SelectionTrace,
     SubsetScorer,
-    _greedy,
     _improves,
-    backward_select,
-    forward_select,
+    greedy_select,
     select_features,
 )
 from hteselect.supervised import fit_logistic, fit_ridge, predict
@@ -40,7 +38,7 @@ class ScriptedScore:
 
 def test_single_candidate_selected():
     score = ScriptedScore({(0,): 1.5})
-    trace = forward_select(score, [0])
+    trace = greedy_select(score, [0], "forward")
     assert trace.final_set == (0,)
     assert trace.final_score == 1.5
     assert len(trace.steps) == 1 and trace.steps[0].accepted
@@ -51,7 +49,7 @@ def test_forward_scripted_trace():
     score = ScriptedScore(
         {(0,): 5.0, (1,): 3.0, (2,): 6.0, (0, 1): 2.0, (1, 2): 4.0, (0, 1, 2): 2.5}
     )
-    trace = forward_select(score, [0, 1, 2])
+    trace = greedy_select(score, [0, 1, 2], "forward")
     assert trace.final_set == (0, 1)
     assert trace.final_score == 2.0
     accepted = [s.column for s in trace.steps if s.accepted]
@@ -60,19 +58,19 @@ def test_forward_scripted_trace():
 
 def test_forward_stops_without_improvement():
     score = ScriptedScore({(0,): 1.0, (1,): 2.0, (0, 1): 1.0})
-    trace = forward_select(score, [0, 1])
+    trace = greedy_select(score, [0, 1], "forward")
     assert trace.final_set == (0,)  # tie with current best is not accepted
 
 
 def test_forward_tie_breaks_to_lowest_index():
     score = ScriptedScore({(0,): 2.0, (1,): 2.0, (0, 1): 5.0})
-    trace = forward_select(score, [0, 1])
+    trace = greedy_select(score, [0, 1], "forward")
     assert trace.final_set == (0,)
 
 
 def test_backward_no_improvement_keeps_all():
     score = ScriptedScore({(0, 1, 2): 1.0}, default=5.0)
-    trace = backward_select(score, [0, 1, 2])
+    trace = greedy_select(score, [0, 1, 2], "backward")
     assert trace.final_set == (0, 1, 2)
     assert trace.final_score == 1.0
 
@@ -80,7 +78,7 @@ def test_backward_no_improvement_keeps_all():
 def test_backward_scripted_removal():
     # dropping col2 improves 3.0 -> 1.0; no further improvement
     score = ScriptedScore({(0, 1, 2): 3.0, (0, 1): 1.0}, default=4.0)
-    trace = backward_select(score, [0, 1, 2])
+    trace = greedy_select(score, [0, 1, 2], "backward")
     assert trace.final_set == (0, 1)
     removed = [s.column for s in trace.steps if s.accepted]
     assert removed == [2]
@@ -91,35 +89,35 @@ def test_backward_stops_at_single_column():
     score = ScriptedScore(
         {(0, 1, 2): 9.0, (1, 2): 8.0, (0, 2): 7.0, (0, 1): 6.0, (0,): 5.0, (1,): 4.0}
     )
-    trace = backward_select(score, [0, 1, 2])
+    trace = greedy_select(score, [0, 1, 2], "backward")
     assert len(trace.final_set) == 1
 
 
 def test_backward_single_column_keeps_it():
     score = ScriptedScore({(0,): 1.5})
-    trace = backward_select(score, [0])
+    trace = greedy_select(score, [0], "backward")
     assert trace.final_set == (0,)
     assert trace.final_score == score((0,))
     assert trace.steps == []
 
 
 def test_empty_columns_and_unknown_direction_rejected():
-    for select in (forward_select, backward_select):
+    for direction in ("forward", "backward"):
         with pytest.raises(ValueError):
-            select(ScriptedScore({}), [])
+            greedy_select(ScriptedScore({}), [], direction)
     with pytest.raises(ValueError):
-        _greedy(ScriptedScore({(0,): 1.0}), [0], "sideways", "custom")
+        greedy_select(ScriptedScore({(0,): 1.0}), [0], "sideways")
 
 
 def test_forward_without_finite_singleton_raises():
     with pytest.raises(HteSelectError):
-        forward_select(ScriptedScore({(0,): math.nan}), [0, 1])
+        greedy_select(ScriptedScore({(0,): math.nan}), [0, 1], "forward")
 
 
 def test_backward_without_finite_subset_raises():
     # the full set and every one-column removal score inf
     with pytest.raises(HteSelectError, match="backward selection found no subset"):
-        backward_select(ScriptedScore({(0,): math.nan}), [0, 1, 2])
+        greedy_select(ScriptedScore({(0,): math.nan}), [0, 1, 2], "backward")
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +225,11 @@ def _run(select, table):
 )
 def test_merged_loop_matches_reference_loops(table):
     # table[mask - 1] scores the subset whose column bitmask is mask
-    pairs = [(forward_select, _reference_forward)]
+    pairs = [("forward", _reference_forward)]
     if len(table) >= 3:  # k >= 2: the reference backward loop needs two columns
-        pairs.append((backward_select, _reference_backward))
-    for select, reference in pairs:
-        got, got_calls = _run(select, table)
+        pairs.append(("backward", _reference_backward))
+    for direction, reference in pairs:
+        got, got_calls = _run(lambda score, cols: greedy_select(score, cols, direction), table)
         want, want_calls = _run(reference, table)
         assert got_calls == want_calls
         if isinstance(want, type):
@@ -255,7 +253,7 @@ def test_evaluation_budget_quadratic():
         calls.append(tuple(cols))
         return 1.0 / len(cols)
 
-    forward_select(diminishing, range(k))
+    greedy_select(diminishing, range(k), "forward")
     assert len(calls) <= k * k + k
 
     calls.clear()
@@ -264,7 +262,7 @@ def test_evaluation_budget_quadratic():
         calls.append(tuple(cols))
         return float(len(cols))
 
-    backward_select(improving_removals, range(k))
+    greedy_select(improving_removals, range(k), "backward")
     assert len(calls) <= k * k + k
 
 
@@ -279,8 +277,8 @@ def test_accepted_scores_strictly_decrease():
             table[key] = float(rng.random())
         return table[key]
 
-    for select in (forward_select, backward_select):
-        trace = select(noisy, cols)
+    for direction in ("forward", "backward"):
+        trace = greedy_select(noisy, cols, direction)
         accepted = [s.score for s in trace.steps if s.accepted]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
 
@@ -291,7 +289,7 @@ def test_failed_candidate_scores_inf_and_is_skipped():
             return math.inf
         return 1.0 / len(cols)
 
-    trace = forward_select(flaky, [0, 1, 2])
+    trace = greedy_select(flaky, [0, 1, 2], "forward")
     assert 1 not in trace.final_set
     assert trace.final_set == (0, 2)
 
@@ -478,8 +476,9 @@ def test_warm_started_propensity_fits_take_fewer_iterations(monkeypatch):
     # the metric's propensity (TauRisk) and the estimator's (X, DR per fold)
     for estimator, metric in [("T", "TauRisk"), ("DR", "CFCV"), ("X", "TauRisk")]:
         iterations.update(warm=0, cold=0)
-        for select in (forward_select, backward_select):
-            select(SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=4), range(4))
+        for direction in ("forward", "backward"):
+            greedy_select(SubsetScorer(x, t, y, metric=metric, estimator=estimator, seed=4),
+                          range(4), direction)
         assert 0 < iterations["warm"] < 0.8 * iterations["cold"], (estimator, metric)
 
 
@@ -528,7 +527,8 @@ def test_removal_starts_are_projected_through_the_parent_hessian(monkeypatch):
     _patch_fit_logistic(monkeypatch, comparing)
     x, t, y = _mediated_data(5, n=1000)
     x = np.column_stack([x, x[:, 0] + 0.5 * x[:, 1]])  # a column correlated with two others
-    backward_select(SubsetScorer(x, t, y, metric="TauRisk", estimator="DR", seed=6), range(5))
+    greedy_select(SubsetScorer(x, t, y, metric="TauRisk", estimator="DR", seed=6), range(5),
+                  "backward")
     assert len(closer) == len(projected) >= 5 * 3 * 3  # first round: 5 removals x 3 splits x 3 fits
     assert np.mean(closer) >= 0.75  # 0.87 on this data
 

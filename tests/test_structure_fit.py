@@ -505,7 +505,7 @@ def test_local_structure_empty_pc():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(2000, 3))
     tester = FisherZTester(data, CFG)
-    orienter = DataOrienter(data)
+    orienter = DataOrienter(data, binary_col=data.shape[1])  # no treatment column
     assert local_structure(tester, orienter, 0, [1, 2], CFG) == (set(), set())
 
 
@@ -528,13 +528,7 @@ def test_local_structure_oracle_multivariable_node_d(multivariable_graph):
 
 def _oracle_fit(graph, candidates):
     return structure_fit(
-        None,
-        t_col=graph.t_node,
-        y_col=graph.y_node,
-        candidates=candidates,
-        cfg=CFG,
-        tester=DSepOracle(graph),
-        orienter=GraphOrienter(graph),
+        DSepOracle(graph), GraphOrienter(graph), graph.t_node, graph.y_node, candidates, CFG
     )
 
 
@@ -602,11 +596,31 @@ def test_frontier_visits_each_node_once(multivariable_graph):
             return orienter.classify(target, member)
 
     structure_fit(
-        None, t_col=2, y_col=8,
-        candidates=[0, 1, 3, 4, 5, 6, 7, 9],
-        cfg=CFG, tester=DSepOracle(multivariable_graph), orienter=CountingOrienter(),
+        DSepOracle(multivariable_graph), CountingOrienter(), 2, 8,
+        [0, 1, 3, 4, 5, 6, 7, 9], CFG,
     )
     assert len(calls) == len(set(calls))
+
+
+def test_walk_stops_at_the_outcomes_children():
+    # T -> M -> Y, T -> C <- Y, C -> D, W -> {T, Y}: C is in ch(T) and ch(Y),
+    # so the walk never learns C's local structure and never reaches D
+    W, T, M, Y, C, D = range(6)
+    graph = build_graph(6, [(W, T), (W, Y), (T, M), (T, C), (M, Y), (Y, C), (C, D)], t=T, y=Y)
+    calls = []
+    orienter = GraphOrienter(graph)
+
+    class CountingOrienter:
+        def classify(self, target, member):
+            calls.append((target, member))
+            return orienter.classify(target, member)
+
+    res = structure_fit(DSepOracle(graph), CountingOrienter(), T, Y, [W, M, C, D], CFG)
+    assert res.selected == (W, D)
+    assert res.forbidden == {T, M, Y, C}
+    assert res.graph.directed_edges == {(T, M), (T, C), (M, Y), (Y, C)}
+    assert calls and all(target not in (C, D) and D not in (target, member)
+                         for target, member in calls)
 
 
 def test_partial_graph_acyclicity_guard():
@@ -652,7 +666,8 @@ def test_data_driven_mediator_recovery():
     for seed in range(50):
         _, ds = fig1b_dataset(seed)
         stacked = np.column_stack([ds.x, ds.t, ds.y])
-        res = structure_fit(stacked, t_col=2, y_col=3, candidates=(0, 1), cfg=CFG)
+        res = structure_fit(FisherZTester(stacked, CFG), DataOrienter(stacked, binary_col=2),
+                            2, 3, (0, 1), CFG)
         excluded += 1 not in res.selected  # column 1 holds the mediator node
         kept += 0 in res.selected
     assert excluded >= 40
