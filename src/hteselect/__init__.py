@@ -45,7 +45,7 @@ from .scm_gen import (
     sample_noise,
     sample_or_retry,
     select_roles,
-    true_ite,
+    simulate_arms,
 )
 # the discovery entry point keeps its module-level home
 # (hteselect.structure_fit.structure_fit) so the submodule name stays usable

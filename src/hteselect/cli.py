@@ -99,6 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     method = MethodSpec(args.selector, args.estimator, args.metric)
     graph = None
     if args.graph is not None:

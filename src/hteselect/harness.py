@@ -18,6 +18,7 @@ import io
 import itertools
 import logging
 import math
+import os
 import time
 import typing
 import zlib
@@ -99,28 +100,23 @@ class ExperimentConfig:
         if empty:
             raise ConfigError(f"grid keys {empty} have no values")
         # fail fast on unusable SCM parameters in any grid cell
-        for cell in range(len(self.grid_cells())):
+        for cell in range(math.prod(map(len, self.grid.values()))):
             self.spec_for_replicate(cell)
 
     def ci_config(self) -> structure_fit.CiTestConfig:
         """The CI-test parameters every replicate's structure discovery uses."""
         return structure_fit.CiTestConfig(alpha=self.alpha, max_cond=self.max_cond)
 
-    def grid_cells(self) -> list[dict]:
-        """Cartesian product of grid overrides, applied over the base spec."""
-        if not self.grid:
-            return [dict(self.base)]
-        keys = sorted(self.grid)
-        cells = []
-        for values in itertools.product(*(self.grid[k] for k in keys)):
-            cell = dict(self.base)
-            cell.update(dict(zip(keys, values)))
-            cells.append(cell)
-        return cells
-
     def spec_for_replicate(self, replicate: int) -> ScmSpec:
-        cells = self.grid_cells()
-        cell = dict(cells[replicate % len(cells)])
+        """The base spec with the grid cell of ``replicate`` applied: cell
+        ``replicate`` mod the cell count of the grid's Cartesian product,
+        whose mixed-radix digits over the sorted grid keys (the last key
+        varying fastest) pick each key's value.  Only that cell is built."""
+        cell = dict(self.base)
+        index = replicate % math.prod(map(len, self.grid.values()))
+        for key in sorted(self.grid, reverse=True):
+            index, digit = divmod(index, len(self.grid[key]))
+            cell[key] = self.grid[key][digit]
         cell["seed"] = _derived_seed(self.master_seed, replicate, 0)
         return spec_from_json("config 'scm'", cell)
 
@@ -381,10 +377,11 @@ def assign_ranks(rows: list[BenchmarkRow]) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[BenchmarkRow], dict]:
-    """Execute every replicate and method cell, in ``min(workers, replicates)``
-    processes (in this one if that is 1); returns ranked rows + traces."""
+    """Execute every replicate and method cell, in ``min(workers, replicates,
+    cpu count)`` processes (in this one if that is 1); returns ranked rows +
+    traces, the same for any process count."""
     replicates = range(config.replicates)
-    workers = min(config.workers, config.replicates)
+    workers = min(config.workers, config.replicates, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate, itertools.repeat(config), replicates))

@@ -333,26 +333,19 @@ def select_roles(
     if spec.p_h > 0:
         chain_set = set(chain)
 
-        def pick(node: int, chain_parent: int) -> tuple[int, ...]:
-            eligible = sorted(
-                int(p)
-                for p in graph.parents(node)
-                if p != chain_parent and p not in chain_set
-            )
+        def pick(node: int) -> tuple[int, ...]:
+            # off the chain, so never the node's own chain predecessor
+            eligible = sorted(int(p) for p in graph.parents(node) if p not in chain_set)
             take = min(spec.p_h, len(eligible))
             if take == 0:
                 return ()
             chosen = rng.choice(np.array(eligible), size=take, replace=False)
             return tuple(sorted(int(c) for c in chosen))
 
-        picked = pick(y, chain[-2])
-        if picked:
-            hte[y] = picked
-        if spec.m_p:
-            for pos, med in enumerate(mediators):
-                picked = pick(med, chain[pos])
-                if picked:
-                    hte[med] = picked
+        for node in (y, *mediators) if spec.m_p else (y,):
+            picked = pick(node)
+            if picked:
+                hte[node] = picked
 
     return CausalGraph(
         order=graph.order,
@@ -414,45 +407,35 @@ def sample_noise(spec: ScmSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((spec.n, d)) @ root
 
 
-def _simulate_arm(
-    graph: CausalGraph, spec: ScmSpec, noise: np.ndarray, do_t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate structural equations with the treatment forced to ``do_t``.
+def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray,
+                  post: set[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The value matrices under do(T=1) and do(T=0) on the shared ``noise``,
+    and the treatment's latent (pre-forcing) linear value, the same in both.
 
-    Returns the full value matrix and the treatment's latent (pre-forcing)
-    linear value, which is identical across arms.
+    ``post`` must be ``graph.descendants(graph.t_node, include_self=False)``.
+    One pass over the causal order: a node outside ``post`` has one value in
+    both arms, computed once.  A node listed in ``hte_parents`` adds its
+    chain predecessor times the sum of its interaction parents.
     """
     n = noise.shape[0]
-    values = np.zeros((n, graph.d))
-    latent_t = np.zeros(n)
+    arm1, arm0 = np.zeros((n, graph.d)), np.zeros((n, graph.d))
     chain = (graph.t_node, *graph.mediators, graph.y_node)
-    chain_pred = {chain[k + 1]: chain[k] for k in range(len(chain) - 1)}
-    for i in graph.order:
-        i = int(i)
+    chain_pred = dict(zip(chain[1:], chain))
+    for i in graph.order.tolist():
         parents = graph.parents(i)
-        if parents.size == 0:
-            val = noise[:, i].copy()
-        else:
-            val = values[:, parents] @ graph.coef[parents, i] + spec.rho * noise[:, i]
+        for values in (arm1, arm0) if i in post else (arm1,):
+            val = (values[:, parents] @ graph.coef[parents, i] + spec.rho * noise[:, i]
+                   if parents.size else noise[:, i])
+            interaction = graph.hte_parents.get(i)
+            if interaction:
+                val = val + values[:, chain_pred[i]] * values[:, list(interaction)].sum(axis=1)
+            values[:, i] = val
         if i == graph.t_node:
-            latent_t = val
-            values[:, i] = do_t
-            continue
-        interaction_parents = graph.hte_parents.get(i, ())
-        if interaction_parents:
-            is_mediator = i in chain_pred and i != graph.y_node
-            if i == graph.y_node or (is_mediator and spec.m_p):
-                mediating = values[:, chain_pred[i]]
-                val = val + mediating * values[:, list(interaction_parents)].sum(axis=1)
-        values[:, i] = val
-    return values, latent_t
-
-
-def true_ite(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray) -> np.ndarray:
-    """Per-unit Y(1) - Y(0) from simulating both arms on identical noise."""
-    arm1, _ = _simulate_arm(graph, spec, noise, 1.0)
-    arm0, _ = _simulate_arm(graph, spec, noise, 0.0)
-    return arm1[:, graph.y_node] - arm0[:, graph.y_node]
+            latent_t = arm1[:, i].copy()
+            arm1[:, i], arm0[:, i] = 1.0, 0.0
+        elif i not in post:
+            arm0[:, i] = arm1[:, i]
+    return arm1, arm0, latent_t
 
 
 def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dataset:
@@ -465,8 +448,8 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
     if graph.t_node is None or graph.y_node is None:
         raise ValueError("graph needs assigned roles; run select_roles first")
     noise = sample_noise(spec, rng)
-    arm1, latent_t = _simulate_arm(graph, spec, noise, 1.0)
-    arm0, _ = _simulate_arm(graph, spec, noise, 0.0)
+    post = graph.descendants(graph.t_node, include_self=False)
+    arm1, arm0, latent_t = simulate_arms(graph, spec, noise, post)
     propensity = 1.0 / (1.0 + np.exp(-latent_t))
     t = (rng.random(spec.n) < propensity).astype(np.float64)
     if t.min() == t.max():
@@ -475,7 +458,6 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
     tau = arm1[:, graph.y_node] - arm0[:, graph.y_node]
 
     feature_nodes = graph.feature_nodes()
-    post = graph.descendants(graph.t_node, include_self=False)
     mask = np.array([node in post for node in feature_nodes], dtype=bool)
     return Dataset(
         x=values[:, feature_nodes],
@@ -521,8 +503,10 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
             ``graph_to_json`` writes, a value fails ``typed`` or
             ``spec_from_json``, ``order`` is not a permutation of range(d),
             ``adj`` or ``coef`` does not hold d*d values, an ``adj`` edge
-            runs against ``order``, ``y_node`` is ``t_node``, or
-            ``mediators`` lists either.
+            runs against ``order``, ``y_node`` is ``t_node``, ``mediators``
+            lists either, ``t_node``, ``mediators``, ``y_node`` is not a
+            directed path in ``adj``, or ``hte_parents`` has a key off that
+            path past ``t_node`` or an entry that is not its key's parent.
     """
     keys = ("spec", "order", "adj", "coef", "t_node", "y_node", "mediators", "hte_parents")
     payload = json_object("graph JSON", text, keys, keys)
@@ -555,6 +539,18 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     for key in ("t_node", "y_node"):
         if payload[key] in mediators:
             raise ConfigError(f"graph JSON 'mediators' lists the '{key}' {payload[key]}")
+    chain = (t_node, *mediators, y_node)
+    if not all(adj[a, b] for a, b in zip(chain, chain[1:])):
+        raise ConfigError(f"graph JSON 't_node', 'mediators', 'y_node' chain "
+                          f"{' -> '.join(map(str, chain))} is not a directed path in 'adj'")
+    for node, entries in hte_parents.items():
+        if node not in chain[1:]:
+            raise ConfigError(f"graph JSON 'hte_parents' key {node} is neither the 'y_node' "
+                              f"{y_node} nor one of the 'mediators' {list(mediators)}")
+        for entry in entries:
+            if not adj[entry, node]:
+                raise ConfigError(f"graph JSON 'hte_parents' entry {entry} of node {node} "
+                                  f"is not its parent in 'adj'")
     coef = np.array(get("coef", [float])).reshape(d, d)
     graph = CausalGraph(np.array(order, dtype=np.int64), adj, coef, t_node, y_node, mediators,
                         hte_parents=hte_parents)

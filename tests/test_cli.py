@@ -312,6 +312,13 @@ def test_select_on_malformed_dataset_exits_one(edit, message, simulated, tmp_pat
     assert "config error" in err and message in err
 
 
+def test_select_with_negative_seed_exits_one(simulated, capsys):
+    data, _ = simulated
+    assert main(["select", "--data", str(data), "--selector", "HteFitF", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--seed must be >= 0" in err
+
+
 def test_select_with_graph_of_another_dataset_exits_one(simulated, tmp_path, capsys):
     data, graph = simulated  # d = 8: 6 feature columns
     small_data, small_graph = tmp_path / "small.csv", tmp_path / "small.json"
@@ -332,6 +339,20 @@ def _add_back_edge(payload):
     i, j = divmod(adj.index(1), d)
     adj[j * d + i] = 1
     return dict(payload, adj=adj)
+
+
+def _drop_chain_edge(payload):
+    """The graph without the edge from ``t_node`` to the next chain node."""
+    adj, d = list(payload["adj"]), len(payload["order"])
+    adj[payload["t_node"] * d + [*payload["mediators"], payload["y_node"]][0]] = 0
+    return dict(payload, adj=adj)
+
+
+def _non_parent_interaction(payload):
+    """The graph with an ``hte_parents`` entry of ``y_node`` that is not its parent."""
+    d, y = len(payload["order"]), payload["y_node"]
+    stranger = next(v for v in range(d) if not payload["adj"][v * d + y])
+    return dict(payload, hte_parents={str(y): [stranger]})
 
 
 @pytest.mark.parametrize(
@@ -361,6 +382,10 @@ def _add_back_edge(payload):
         (lambda payload: dict(payload, y_node=payload["t_node"]), "'y_node' are both node"),
         (lambda payload: dict(payload, mediators=[payload["y_node"]]), "lists the 'y_node'"),
         (lambda payload: dict(payload, mediators=[payload["t_node"]]), "lists the 't_node'"),
+        (_drop_chain_edge, "is not a directed path in 'adj'"),
+        (lambda payload: dict(payload, hte_parents={str(payload["t_node"]): []}),
+         "is neither the 'y_node'"),
+        (_non_parent_interaction, "is not its parent in 'adj'"),
     ],
     ids=[
         "empty", "no_t_node", "list", "spec_list", "t_node_out_of_range", "t_node_str",
@@ -368,7 +393,7 @@ def _add_back_edge(payload):
         "order_repeated", "order_out_of_range", "hte_key_out_of_range", "hte_key_str",
         "hte_parent_negative", "hte_parents_int", "adj_short", "coef_long", "adj_nested",
         "adj_cycle", "order_reversed", "y_node_is_t_node", "y_node_mediator",
-        "t_node_mediator",
+        "t_node_mediator", "chain_not_a_path", "hte_key_off_chain", "hte_entry_not_parent",
     ],
 )
 def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Pipeline composition, experiment determinism, ranking, reporting."""
 
 import dataclasses
+import itertools
 import json
 import math
 import zlib
@@ -155,7 +156,10 @@ def test_rerun_is_byte_identical_without_timing():
     assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
 
 
-def test_concurrent_execution_matches_sequential():
+def test_concurrent_execution_matches_sequential(monkeypatch):
+    from hteselect import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any machine
     sequential = _base_config(replicates=3, record_timing=False)
     concurrent = _base_config(replicates=3, record_timing=False, workers=2)
     rows_a, _ = run_experiment(sequential)
@@ -163,10 +167,15 @@ def test_concurrent_execution_matches_sequential():
     assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
 
 
-@pytest.mark.parametrize("replicates, workers, pools", [(1, 3, []), (2, 5, [2])])
+@pytest.mark.parametrize(
+    "replicates, workers, pools", [(1, 3, []), (2, 5, [2]), (64, 64, [4])]
+)
 def test_worker_count_is_capped_by_replicates(monkeypatch, replicates, workers, pools):
-    # a recording stand-in for the process pool: it runs in this process
+    # a recording stand-in for the process pool on a 4-CPU machine: it runs
+    # in this process
     from hteselect import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
 
     asked = []
 
@@ -188,6 +197,38 @@ def test_worker_count_is_capped_by_replicates(monkeypatch, replicates, workers, 
     assert asked == pools
     assert rows_to_csv(rows) == rows_to_csv(run_experiment(
         dataclasses.replace(config, workers=1))[0])
+
+
+class _CountingList(list):
+    """A grid value list that counts the values read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountingList.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        _CountingList.reads += len(self)
+        return super().__iter__()
+
+
+def test_grid_cell_of_each_replicate_matches_the_product_order(monkeypatch):
+    from hteselect import harness
+
+    grid = {"n": [300, 400, 500], "d": [6, 7], "p_e": [0.4, 0.5], "m": [0, 1, 1, 0, 1]}
+    keys = sorted(grid)
+    cells = list(itertools.product(*(grid[k] for k in keys)))  # last key fastest
+    monkeypatch.setattr(_CountingList, "reads", 0)
+    config = _base_config(replicates=130, grid={k: _CountingList(v) for k, v in grid.items()})
+    # construction checks each of the 60 cells once, reading one value per key
+    assert _CountingList.reads == len(cells) * len(keys)
+    for r in range(130):
+        _CountingList.reads = 0
+        spec = config.spec_for_replicate(r)
+        assert _CountingList.reads == len(keys)  # only the cell of replicate r
+        assert tuple(getattr(spec, k) for k in keys) == cells[r % len(cells)]
+        assert spec.seed == harness._derived_seed(config.master_seed, r, 0)
 
 
 def test_grid_distributes_over_replicates():
@@ -312,6 +353,7 @@ def test_unexpected_replicate_error_fails_only_that_replicate(monkeypatch, worke
     # the pool forks, so the patched selector is in the workers too
     from hteselect import harness
 
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any machine
     config = _base_config(
         replicates=3, record_timing=False, workers=workers,
         methods=(MethodSpec("None", "T"), MethodSpec("HteFitF", "T"), MethodSpec("OracleValid")),
@@ -367,11 +409,15 @@ _PROPERTY_METHODS = (
 @settings(max_examples=8)
 @given(cell=_scm_cells(), workers=st.sampled_from([1, 2]), master_seed=st.integers(0, 2**16))
 def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
+    from hteselect import harness
+
     config = ExperimentConfig(
         base=cell, methods=_PROPERTY_METHODS, replicates=2, master_seed=master_seed,
         workers=workers, record_timing=False,
     )
-    rows, _ = run_experiment(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any machine
+        rows, _ = run_experiment(config)
     assert len(rows) == 2 * len(_PROPERTY_METHODS)
     for row in rows:
         assert row.failed or math.isfinite(row.mse), row

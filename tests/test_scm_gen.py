@@ -23,7 +23,7 @@ from hteselect.scm_gen import (
     sample_noise,
     sample_or_retry,
     select_roles,
-    true_ite,
+    simulate_arms,
 )
 from hteselect.structure_fit import PartialGraph
 
@@ -114,12 +114,17 @@ def _nodes(row):
 def test_backdoor_row_follows_a_permuted_causal_order(d, p_e, seed):
     rng = np.random.default_rng(seed)
     g = sample_graph(_spec(d=d, p_e=p_e), rng)
+    edges = np.argwhere(g.adj)
+    if edges.size == 0:  # a graph file's roles are joined by an edge
+        g.adj[0, -1], g.coef[0, -1] = True, 0.5
+        edges = np.argwhere(g.adj)
+    u, v = edges[rng.integers(len(edges))]
     perm = rng.permutation(d)  # node v of g is node perm[v] of the renamed graph
     adj = np.zeros_like(g.adj)
     adj[np.ix_(perm, perm)] = g.adj
     coef = np.zeros_like(g.coef)
     coef[np.ix_(perm, perm)] = g.coef
-    renamed = CausalGraph(perm, adj, coef, t_node=int(perm[0]), y_node=int(perm[-1]))
+    renamed = CausalGraph(perm, adj, coef, t_node=int(perm[u]), y_node=int(perm[v]))
     # a graph file whose edges all run forward in a permuted order loads
     loaded, _ = graph_from_json(graph_to_json(renamed, _spec(d=d, p_e=p_e)))
     for t in range(d):
@@ -365,10 +370,16 @@ def test_interaction_parent_induces_heterogeneity():
     assert ds.tau.var() > 0.1
 
 
+def _post(graph):
+    """The treatment's strict descendants, which ``simulate_arms`` takes."""
+    return graph.descendants(graph.t_node, include_self=False)
+
+
 def test_no_causal_path_zero_effect():
     g = build_graph(3, [(0, 1), (0, 2)], t=1, y=2)
     noise = sample_noise(_spec(d=3, n=300), np.random.default_rng(3))
-    tau = true_ite(g, _spec(d=3, n=300), noise)
+    arm1, arm0, _ = simulate_arms(g, _spec(d=3, n=300), noise, _post(g))
+    tau = arm1[:, g.y_node] - arm0[:, g.y_node]
     assert np.all(tau == 0.0)
 
 
@@ -378,7 +389,8 @@ def test_linear_effect_matches_path_enumeration():
         spec = _spec(d=8, p_e=0.4, m=0, p_h=0, n=50, seed=seed)
         g, _ = sample_or_retry(spec, np.random.default_rng(seed))
         noise = sample_noise(spec, rng)
-        tau = true_ite(g, spec, noise)
+        arm1, arm0, _ = simulate_arms(g, spec, noise, _post(g))
+        tau = arm1[:, g.y_node] - arm0[:, g.y_node]
         expected = _enumerate_path_products(g, g.t_node, g.y_node)
         assert np.allclose(tau, expected, atol=1e-10)
 
@@ -391,7 +403,8 @@ def test_interaction_effect_matches_symbolic_expansion():
     g = build_graph(4, list(c), t=1, y=3, mediators=(2,), hte={3: (0,)}, coef=c)
     spec = _spec(d=4, m=1, p_h=1, n=1000)
     noise = sample_noise(spec, np.random.default_rng(5))
-    tau = true_ite(g, spec, noise)
+    arm1, arm0, _ = simulate_arms(g, spec, noise, _post(g))
+    tau = arm1[:, g.y_node] - arm0[:, g.y_node]
     x_p = noise[:, 0]  # source node takes its raw noise value
     expected = 0.5 * 0.8 + 0.8 * x_p
     assert np.allclose(tau, expected, atol=1e-10)
@@ -406,10 +419,7 @@ def test_counterfactual_consistency_and_mask():
     rng = np.random.default_rng(spec.seed)
     g2, _ = sample_or_retry(spec, rng)
     noise = sample_noise(spec, rng)
-    from hteselect.scm_gen import _simulate_arm
-
-    arm1, _ = _simulate_arm(g2, spec, noise, 1.0)
-    arm0, _ = _simulate_arm(g2, spec, noise, 0.0)
+    arm1, arm0, _ = simulate_arms(g2, spec, noise, _post(g2))
     y1, y0 = arm1[:, g2.y_node], arm0[:, g2.y_node]
     picked = np.where(ds.t == 1.0, y1, y0)
     assert np.array_equal(ds.y, picked)
@@ -419,6 +429,65 @@ def test_counterfactual_consistency_and_mask():
         ds.post_treatment_mask,
         np.array([node in post for node in g.feature_nodes()]),
     )
+
+
+def _simulate_arm(graph, spec, noise, do_t):
+    """Reference: one arm on its own, with the treatment forced to ``do_t``;
+    mediator interactions only under ``spec.m_p``.  Returns the value matrix
+    and the treatment's latent linear value."""
+    n = noise.shape[0]
+    values = np.zeros((n, graph.d))
+    latent_t = np.zeros(n)
+    chain = (graph.t_node, *graph.mediators, graph.y_node)
+    chain_pred = {chain[k + 1]: chain[k] for k in range(len(chain) - 1)}
+    for i in graph.order:
+        i = int(i)
+        parents = graph.parents(i)
+        if parents.size == 0:
+            val = noise[:, i].copy()
+        else:
+            val = values[:, parents] @ graph.coef[parents, i] + spec.rho * noise[:, i]
+        if i == graph.t_node:
+            latent_t = val
+            values[:, i] = do_t
+            continue
+        interaction_parents = graph.hte_parents.get(i, ())
+        if interaction_parents:
+            is_mediator = i in chain_pred and i != graph.y_node
+            if i == graph.y_node or (is_mediator and spec.m_p):
+                mediating = values[:, chain_pred[i]]
+                val = val + mediating * values[:, list(interaction_parents)].sum(axis=1)
+        values[:, i] = val
+    return values, latent_t
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.integers(3, 12).flatmap(lambda d: st.builds(
+        ScmSpec,
+        d=st.just(d), p_e=st.floats(0.1, 1.0), sigma=st.floats(0.0, 0.9),
+        rho=st.floats(0.05, 1.0), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+)
+def test_simulate_arms_matches_per_arm_reference(spec):
+    rng = np.random.default_rng(spec.seed)
+    try:
+        graph, _ = sample_or_retry(spec, rng)
+    except InfeasibleSpec:
+        return
+    noise = sample_noise(spec, rng)
+    arm1, arm0, latent_t = simulate_arms(graph, spec, noise, _post(graph))
+    ref1, ref_latent = _simulate_arm(graph, spec, noise, 1.0)
+    ref0, _ = _simulate_arm(graph, spec, noise, 0.0)
+    assert _same_bits(arm1, ref1) and _same_bits(arm0, ref0)
+    assert _same_bits(latent_t, ref_latent)
 
 
 def test_role_correctness_for_both_gamma_values():
