@@ -253,65 +253,46 @@ def _strict_closure(adj: np.ndarray, order: np.ndarray) -> np.ndarray:
     return reach
 
 
-def backdoor_row(graph: CausalGraph, t: int) -> np.ndarray:
-    """``row[y]`` iff some node has directed paths into both t and y, the one
-    to y avoiding t, for every y at once (common-ancestor criterion;
-    equivalent to an open backdoor path from t to y in a DAG when nothing is
-    conditioned on).  ``row[t]`` is False.
+def backdoor_rows(graph: CausalGraph) -> np.ndarray:
+    """``rows[t, y]`` iff some node has directed paths into both t and y, the
+    one to y avoiding t (common-ancestor criterion; equivalent to an open
+    backdoor path from t to y in a DAG when nothing is conditioned on).
 
-    Ancestors of t are read from the closure of the graph with t removed
-    (no path into t passes through t), and the same closure gives which of
-    them reach each y while avoiding t.
+    Such a path ends in an edge p -> y, p != t, from an ancestor of t
+    (``anc[t, p]``) or from a node that one reaches avoiding t
+    (``rows[t, p]``), so one pass in causal order fills every column; p = t
+    adds nothing, as ``anc[t, t]`` and ``rows[t, t]`` are False.
     """
-    cut = graph.adj.copy()
-    cut[t, :] = False
-    cut[:, t] = False
-    reach = _strict_closure(cut, graph.order)
-    into_t = graph.adj[:, t]
-    anc_t = into_t | reach[:, into_t].any(axis=1)
-    return reach[anc_t].any(axis=0)
+    anc = _strict_closure(graph.adj, graph.order).T
+    rows = np.zeros_like(anc)
+    for y in graph.order.tolist():
+        parents = graph.adj[:, y]
+        rows[:, y] = (anc[:, parents] | rows[:, parents]).any(axis=1)
+        rows[y, y] = False
+    return rows
 
 
-def _exact_hop_pairs(graph: CausalGraph, m: int) -> list[tuple[int, int]]:
-    """Ordered pairs joined by a directed path with exactly m intermediates.
-
-    In a DAG every walk is a path, so boolean powers of the adjacency matrix
-    count exactly what we need.
-    """
-    power = np.eye(graph.d, dtype=np.int64)
-    a = graph.adj.astype(np.int64)
+def hop_powers(adj: np.ndarray, m: int) -> list[np.ndarray]:
+    """``powers[h][u, v]`` iff a directed path of h edges leads u to v, h <= m + 1."""
+    powers = [np.eye(len(adj), dtype=bool)]
     for _ in range(m + 1):
-        power = power @ a
-    rows, cols = np.nonzero(power)
-    return [(int(i), int(j)) for i, j in zip(rows, cols)]
+        powers.append(powers[-1] @ adj)
+    return powers
 
 
-def _lex_smallest_chain(graph: CausalGraph, t: int, y: int, m: int) -> list[int]:
-    """Lexicographically smallest directed path t -> ... -> y with m hops."""
-
-    def extend(path: list[int]) -> list[int] | None:
-        node = path[-1]
-        if len(path) == m + 1:
-            return path + [y] if graph.adj[node, y] else None
-        for child in np.flatnonzero(graph.adj[node]):
-            if child == y:
-                continue
-            found = extend(path + [int(child)])
-            if found is not None:
-                return found
-        return None
-
-    chain = extend([t])
-    if chain is None:
-        raise RuntimeError("no directed path with the requested hop count")
+def lowest_chain(adj: np.ndarray, t: int, y: int, m: int) -> list[int]:
+    """The lexicographically smallest directed path t -> ... -> y with m intermediates
+    (one must exist): each hop takes the lowest child reaching y in the hops left."""
+    chain = [t]
+    for left in hop_powers(adj, m)[-2::-1]:  # reach in exactly m, ..., 0 hops
+        chain.append(int(np.flatnonzero(adj[chain[-1]] & left[:, y])[0]))
     return chain
 
 
 def role_candidates(graph: CausalGraph, spec: ScmSpec) -> list[tuple[int, int]]:
-    """(t, y) pairs with an exact-m-hop path matching the confounding flag."""
-    pairs = _exact_hop_pairs(graph, spec.m)
-    rows = {t: backdoor_row(graph, t) for t in dict.fromkeys(t for t, _ in pairs)}
-    return [(t, y) for t, y in pairs if rows[t][y] == spec.gamma]
+    """Row-major (t, y) pairs with an exact-m-hop path matching the confounding flag."""
+    joined = hop_powers(graph.adj, spec.m)[-1] & (backdoor_rows(graph) == spec.gamma)
+    return [(t, y) for t, y in np.argwhere(joined).tolist()]
 
 
 def select_roles(
@@ -326,7 +307,7 @@ def select_roles(
     if not pairs:
         raise NoValidPair(f"no pair with m={spec.m}, gamma={spec.gamma}")
     t, y = pairs[int(rng.integers(len(pairs)))]
-    chain = _lex_smallest_chain(graph, t, y, spec.m)
+    chain = lowest_chain(graph.adj, t, y, spec.m)
     mediators = tuple(chain[1:-1])
 
     hte: dict[int, tuple[int, ...]] = {}
@@ -343,8 +324,7 @@ def select_roles(
             return tuple(sorted(int(c) for c in chosen))
 
         for node in (y, *mediators) if spec.m_p else (y,):
-            picked = pick(node)
-            if picked:
+            if picked := pick(node):
                 hte[node] = picked
 
     return CausalGraph(
@@ -518,9 +498,12 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
     def get(key: str, kind):
         return typed(f"graph JSON '{key}'", payload[key], kind)
 
-    order, mediators = get("order", [range(d)]), tuple(get("mediators", [range(d)]))
-    if len(order) != d or len(set(order)) != d:
-        raise ConfigError(f"graph JSON 'order' must be a permutation of range({d}) (d in 'spec')")
+    order = get("order", [int])  # checked before any node is typed against range(d)
+    if sorted(order) != list(range(d)):
+        held = [f" holds {v}, not a node in range({d}), and" for v in order if v not in range(d)]
+        raise ConfigError(f"graph JSON 'order'{''.join(held[:1])} must be a permutation of "
+                          f"range({d}) (d in 'spec')")
+    mediators = tuple(get("mediators", [range(d)]))
     hte = "graph JSON 'hte_parents'"
     hte_parents = {typed(hte, int(k) if k.isdecimal() else k, range(d)):
                    tuple(typed(hte, v, [range(d)])) for k, v in payload["hte_parents"].items()}

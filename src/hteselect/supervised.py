@@ -85,26 +85,27 @@ def column_moments(x: np.ndarray):
     redone: a constant one (all entries equal) has moments ``(x[0], 0.0)``,
     and any other is redone on its entries times the power of two that puts
     its largest |entry| in [0.5, 1), a scaling that is exact, and its
-    moments are scaled back, also exactly.
+    moments are scaled back, also exactly.  The redo scales all of ``x`` at
+    once (by 2^0 in the other columns), so every column is summed in the
+    order of the first pass: a column times 2^e gets the moments times 2^e.
     """
-    with np.errstate(over="ignore"):
-        mu, scale = x.mean(axis=0), x.std(axis=0)
+
+    def moments(values):
+        with np.errstate(over="ignore"):
+            return values.mean(axis=0), values.std(axis=0)
+
+    mu, scale = moments(x)
     rounding = len(x) * np.finfo(np.float64).eps * np.abs(mu)
-    redo = np.flatnonzero(~((scale >= _TINY_SCALE) & (scale < np.inf) & (scale > rounding)))
-    if not redo.size:
+    redo = ~((scale >= _TINY_SCALE) & (scale < np.inf) & (scale > rounding))
+    if not redo.any():
         return mu, scale
-    cols = x.reshape(len(x), -1)
-    mu, scale = np.array(mu, ndmin=1), np.array(scale, ndmin=1)
-    for j in redo:
-        if (cols[:, j] == cols[0, j]).all():
-            mu[j], scale[j] = cols[0, j], 0.0
-            continue
-        peak = np.abs(cols[:, j]).max()
-        if 0.0 < peak < np.inf:
-            e = np.frexp(peak)[1]
-            part = np.ldexp(cols[:, j], -e)
-            mu[j], scale[j] = np.ldexp(part.mean(), e), np.ldexp(part.std(), e)
-    return (mu, scale) if x.ndim > 1 else (mu[0], scale[0])
+    peak = np.abs(x).max(axis=0)
+    e = np.where(redo & (0.0 < peak) & (peak < np.inf), np.frexp(peak)[1], 0)
+    part_mu, part_scale = moments(np.ldexp(x, -e))
+    const = redo & (x == x[0]).all(axis=0)
+    mu = np.where(const, x[0], np.where(redo, np.ldexp(part_mu, e), mu))
+    scale = np.where(const, 0.0, np.where(redo, np.ldexp(part_scale, e), scale))
+    return mu[()], scale[()]
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -519,6 +519,9 @@ def fuzz_dir(tmp_path_factory):
 @example(mutation=(("coef", 1), {}))  # escaped as a TypeError before
 @example(mutation=(("spec", "d"), 6.0))
 @example(mutation=(("spec", "rho"), 1))
+@example(mutation=(("spec", "d"), 3))  # named a node of 'order', not 'd', before
+@example(mutation=(("spec", "d"), 4))
+@example(mutation=(("spec", "d"), 5))
 def test_graph_reader_fuzz(fuzz_dir, mutation):
     args = ["select", "--data", str(fuzz_dir / "data.csv"), "--graph",
             str(fuzz_dir / "graph.json"), "--selector", "OracleValid"]

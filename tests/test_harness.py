@@ -8,10 +8,12 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hteselect.errors import ConfigError
+from hteselect.estimators import ESTIMATOR_KINDS
+from hteselect.fit_metrics import METRIC_KINDS
 from hteselect.harness import (
     BenchmarkRow,
     ExperimentConfig,
@@ -24,7 +26,7 @@ from hteselect.harness import (
     rows_to_csv,
     run_experiment,
 )
-from hteselect.scm_gen import ScmSpec, generate
+from hteselect.scm_gen import ScmSpec, generate, make_dataset
 
 from graphs import build_graph
 
@@ -421,6 +423,55 @@ def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
     assert len(rows) == 2 * len(_PROPERTY_METHODS)
     for row in rows:
         assert row.failed or math.isfinite(row.mse), row
+
+
+@settings(max_examples=40)
+@given(
+    cell=st.integers(3, 8).flatmap(lambda d: st.fixed_dictionaries(dict(
+        d=st.just(d), p_e=st.floats(0.2, 0.8), sigma=st.sampled_from([0.0, 0.2]),
+        rho=st.sampled_from([0.3, 1.0]), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(60, 400),
+    ))),
+    method=st.builds(MethodSpec, st.sampled_from(["HteFitF", "HteFitB", "StructureFit", "HteFS"]),
+                     st.sampled_from(ESTIMATOR_KINDS), st.sampled_from(METRIC_KINDS)),
+    master_seed=st.integers(0, 2**16),
+    exponents=st.lists(st.integers(-600, 600), min_size=6, max_size=6),
+    flips=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example(  # the redo of column_moments summed a scaled column in another order before
+    cell=dict(d=8, p_e=0.5, sigma=0.2, rho=1.0, gamma=True, m=1, p_h=1, m_p=False, n=200),
+    method=MethodSpec("HteFitF", "DR", "TauRisk"), master_seed=0,
+    exponents=[520, -520, 600, -600, 0, 3], flips=[True, False, True, False, False, True],
+)
+@example(  # squares of these columns over- and underflow without FisherZTester's prescale
+    cell=dict(d=8, p_e=0.5, sigma=0.2, rho=1.0, gamma=True, m=1, p_h=1, m_p=False, n=200),
+    method=MethodSpec("StructureFit", "T", "TauRisk"), master_seed=5,
+    exponents=[600, -600, 600, -600, 600, -600], flips=[False, True, False, True, True, False],
+)
+def test_row_is_invariant_to_power_of_two_scaling_and_sign_flips(
+    cell, method, master_seed, exponents, flips
+):
+    """Each feature column times +-2^e, with e in [-600, 600], leaves the
+    replicate's row (selection, flags, mse, risk) and trace bit-identical:
+    every statistic is taken on columns standardized or prescaled by powers
+    of two, and both are exact on such a column."""
+    from hteselect import harness
+
+    config = ExperimentConfig(base=cell, methods=(method,), master_seed=master_seed,
+                              record_timing=False)
+
+    def transformed(spec):
+        graph, data, attempts = make_dataset(spec)
+        k = data.x.shape[1]
+        signs = np.where(flips[:k], -1.0, 1.0)
+        x = np.ldexp(data.x, exponents[:k]) * signs
+        return graph, dataclasses.replace(data, x=x), attempts
+
+    want = harness._run_replicate(config, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "make_dataset", transformed)
+        got = harness._run_replicate(config, 0)
+    assert repr(got) == repr(want)
 
 
 def test_rank_invariance_under_constant_shift():

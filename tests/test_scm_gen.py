@@ -1,5 +1,7 @@
 """Generator contracts: sampling, role assignment, noise, counterfactuals."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from hteselect.harness import ExperimentConfig, MethodSpec
 from hteselect.scm_gen import (
     CausalGraph,
     ScmSpec,
-    backdoor_row,
+    backdoor_rows,
     dataset_from_csv,
     dataset_to_csv,
     generate,
     graph_from_json,
     graph_to_json,
+    hop_powers,
+    lowest_chain,
     make_dataset,
     role_candidates,
     sample_graph,
@@ -78,16 +82,16 @@ def test_adjacency_respects_causal_order():
 
 
 def test_backdoor_in_collider_graph(collider_graph):
-    assert backdoor_row(collider_graph, 1)[2]
+    assert backdoor_rows(collider_graph)[1, 2]
 
 
 def test_no_backdoor_in_pure_chain():
     chain = build_graph(3, [(0, 1), (1, 2)])
-    assert not backdoor_row(chain, 0)[2]
+    assert not backdoor_rows(chain)[0, 2]
 
 
 def test_backdoor_in_multivariable_graph(multivariable_graph):
-    assert backdoor_row(multivariable_graph, 2)[8]
+    assert backdoor_rows(multivariable_graph)[2, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +131,7 @@ def test_backdoor_row_follows_a_permuted_causal_order(d, p_e, seed):
     renamed = CausalGraph(perm, adj, coef, t_node=int(perm[u]), y_node=int(perm[v]))
     # a graph file whose edges all run forward in a permuted order loads
     loaded, _ = graph_from_json(graph_to_json(renamed, _spec(d=d, p_e=p_e)))
-    for t in range(d):
-        assert np.array_equal(backdoor_row(loaded, int(perm[t]))[perm], backdoor_row(g, t)), t
+    assert np.array_equal(backdoor_rows(loaded)[np.ix_(perm, perm)], backdoor_rows(g))
 
 
 @settings(max_examples=60)
@@ -165,7 +168,7 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
             backdoor[t, y] = any(
                 reach[a, t] and reach_cut[a, y] for a in range(d) if a not in (t, y)
             )
-        assert np.array_equal(backdoor_row(g, t), backdoor[t]), t
+    assert np.array_equal(backdoor_rows(g), backdoor)
 
     # role candidates: exact-hop pairs filtered by the backdoor criterion
     for m in range(min(3, d - 1)):
@@ -181,6 +184,31 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
         assert not closed.add_directed_edge(int(v), int(u))
         assert (u, v) in closed.directed_edges
         assert (v, u) not in closed.directed_edges
+
+
+@settings(max_examples=40)
+@given(d=st.integers(3, 7), p_e=st.floats(0.1, 1.0), permuted=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_chain_walk_matches_path_enumeration(d, p_e, permuted, seed):
+    """Every pair joined by a directed path with exactly m intermediates,
+    and only those, is an exact-hop pair, and its chain is the smallest such
+    path in lexicographic order, also when node ids do not follow the
+    causal order."""
+    rng = np.random.default_rng(seed)
+    adj = sample_graph(_spec(d=d, p_e=p_e), rng).adj
+    if permuted:
+        perm = rng.permutation(d)
+        adj = adj[np.ix_(perm, perm)]
+    for m in range(d - 1):
+        paths = {}
+        for t, y in itertools.permutations(range(d), 2):
+            for mid in itertools.permutations(set(range(d)) - {t, y}, m):
+                path = [t, *mid, y]
+                if all(adj[a, b] for a, b in zip(path, path[1:])):
+                    paths[t, y] = min(paths.get((t, y), path), path)
+        assert set(map(tuple, np.argwhere(hop_powers(adj, m)[-1]).tolist())) == set(paths)
+        for (t, y), path in paths.items():
+            assert lowest_chain(adj, t, y, m) == path, (t, y, m)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +522,7 @@ def test_role_correctness_for_both_gamma_values():
     for gamma, seed in [(True, 21), (False, 22)]:
         spec = _spec(d=10, p_e=0.35, gamma=gamma, m=1, seed=seed)
         g, _ = sample_or_retry(spec, np.random.default_rng(seed))
-        assert backdoor_row(g, g.t_node)[g.y_node] == gamma
+        assert backdoor_rows(g)[g.t_node, g.y_node] == gamma
 
 
 def test_heterogeneity_switch_off_gives_constant_tau():

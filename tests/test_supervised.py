@@ -14,6 +14,7 @@ from hteselect.supervised import (
     LogisticBlock,
     Moments,
     Standardized,
+    column_moments,
     fit_logistic,
     fit_ridge,
     predict,
@@ -577,6 +578,20 @@ def test_fit_on_a_column_far_from_unit_scale(kind, scale):
     assert np.array_equal(got.scale[[0, 2]], want.scale[[0, 2]])
     np.testing.assert_allclose(got.w_std, want.w_std, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(predict(got, far), predict(want, x), rtol=1e-9, atol=1e-12)
+
+
+def test_column_moments_commute_with_power_of_two_scaling():
+    """Columns of an arm's row subset (a C-order copy) scaled by 2^+-520 and
+    2^+-600 are redone, and get the unscaled columns' moments times 2^e bit
+    for bit: the redo adds in the order of the first pass."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(300, 5)) + [0.0, 2.0, -1.0, 0.0, 5.0]
+    arm = x[rng.random(300) < 0.5]
+    e = np.array([520, -520, 600, -600, 0])
+    mu, scale = column_moments(arm)
+    got_mu, got_scale = column_moments(np.ldexp(arm, e))
+    assert got_mu.tobytes() == np.ldexp(mu, e).tobytes()
+    assert got_scale.tobytes() == np.ldexp(scale, e).tobytes()
 
 
 @pytest.mark.parametrize("c", [0.1, 1 / 3, -7.3e5, 2.5, 0.0])
