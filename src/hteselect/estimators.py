@@ -49,7 +49,7 @@ class Rows:
     own weights."""
 
     def __init__(self, x: np.ndarray, spaces: dict):
-        self.z = {m: np.asfortranarray(supervised.standardize(x, *space))
+        self.z = {m: supervised.standardize(x, *space, np.empty(np.shape(x), order="F"))
                   for m, space in spaces.items()}
 
     def predict(self, model: LinearModel, name: str, cols=None) -> np.ndarray:
@@ -199,7 +199,8 @@ def _prepare_dr(x, t, y) -> dict:
         xa = apply["x"]
         spaces = {name: (fit[name].mu, fit[name].scale) for name in ("f1", "f0", "propensity")}
         apply["rows"] = Rows(xa, spaces)
-        apply["z_all"] = np.asfortranarray(supervised.standardize(xa, whole.mu, whole.scale))
+        z_all = np.empty(xa.shape, order="F")
+        apply["z_all"] = supervised.standardize(xa, whole.mu, whole.scale, z_all)
     return {"folds": folds, "all": whole}
 
 

@@ -395,10 +395,11 @@ def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray,
     ``post`` must be ``graph.descendants(graph.t_node, include_self=False)``.
     One pass over the causal order: a node outside ``post`` has one value in
     both arms, computed once.  A node listed in ``hte_parents`` adds its
-    chain predecessor times the sum of its interaction parents.
+    chain predecessor times the sum of its interaction parents.  The arms are
+    column-major, so parents gather from contiguous columns.
     """
     n = noise.shape[0]
-    arm1, arm0 = np.zeros((n, graph.d)), np.zeros((n, graph.d))
+    arm1, arm0 = np.zeros((n, graph.d), order="F"), np.zeros((n, graph.d), order="F")
     chain = (graph.t_node, *graph.mediators, graph.y_node)
     chain_pred = dict(zip(chain[1:], chain))
     for i in graph.order.tolist():

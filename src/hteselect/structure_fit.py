@@ -27,6 +27,7 @@ ones, or graph-backed oracles, which is how exact-recovery tests run.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
@@ -336,35 +337,46 @@ class OrientResult(NamedTuple):
     gap: float  # relative residual difference in [0, 1]
 
 
-def _cubic_residual_mse(cause: np.ndarray, effect: np.ndarray) -> float:
-    design = np.column_stack(
-        [np.ones_like(cause), cause, cause**2, cause**3]
-    )
+class StandardColumn:
+    """A column standardized by ``column_moments`` (by 1 if constant), and its
+    cubic basis [1, z, z², z³] on first use.  ``z**3`` is libm ``pow``, most of
+    a basis's cost, and ``z * z * z`` would round differently: reuse, not recast."""
+
+    def __init__(self, column: np.ndarray):
+        c = np.asarray(column, float)
+        mu, self.scale = column_moments(c)
+        self.z = (c - mu) / (self.scale or 1.0)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return np.column_stack([np.ones_like(self.z), self.z, self.z**2, self.z**3])
+
+
+def _cubic_residual_mse(design: np.ndarray, effect: np.ndarray) -> float:
     gram = design.T @ design + 1e-8 * np.eye(4)
     w = np.linalg.solve(gram, design.T @ effect)
     resid = effect - design @ w
     return float(np.mean(resid**2))
 
 
-def orient_reci(data: np.ndarray, i: int, j: int) -> OrientResult:
+def orient_reci(data: np.ndarray, i: int, j: int, column=None) -> OrientResult:
     """Pairwise direction from cubic-regression residual comparison.
 
     Both columns are standardized; the variable that is easier to predict
     (strictly smaller mean squared residual) is taken to be the effect.
     Residuals equal within 1e-6 raise the tie flag and fall back to the
     low-index-first convention.  Swapping the arguments always yields the
-    same physical direction.
+    same physical direction.  ``column(k)``, if given, is the caller's cached
+    ``StandardColumn`` of ``data[:, k]``.
 
     Raises:
         ConstantColumn: either column has zero variance.
     """
-    a, b = np.asarray(data[:, i], float), np.asarray(data[:, j], float)
-    (mu_a, sd_a), (mu_b, sd_b) = column_moments(a), column_moments(b)
-    if sd_a == 0.0 or sd_b == 0.0:
+    a, b = map(column or (lambda k: StandardColumn(data[:, k])), (i, j))
+    if a.scale == 0.0 or b.scale == 0.0:
         raise ConstantColumn(f"columns {i}, {j} must be non-constant")
-    a, b = (a - mu_a) / sd_a, (b - mu_b) / sd_b
-    err_ij = _cubic_residual_mse(a, b)  # predict j from i
-    err_ji = _cubic_residual_mse(b, a)
+    err_ij = _cubic_residual_mse(a.basis, b.z)  # predict j from i
+    err_ji = _cubic_residual_mse(b.basis, a.z)
     diff = err_ij - err_ji
     gap = abs(diff) / max(err_ij, err_ji, 1e-300)
     if abs(diff) <= RECI_TIE_TOL:
@@ -373,21 +385,19 @@ def orient_reci(data: np.ndarray, i: int, j: int) -> OrientResult:
     return OrientResult("i_to_j" if diff < 0 else "j_to_i", False, gap)
 
 
-def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray) -> float:
+def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray | StandardColumn) -> float:
     """Log-likelihood margin for 'binary causes continuous'.
 
     Compares two four-parameter generative models of the pair: Bernoulli
     plus Gaussian arms with pooled variance, versus a Gaussian margin with a
     logistic conditional.  Positive values favor the binary variable as the
-    cause.  ``cont`` is standardized first, so that its units move nothing.
+    cause.  ``cont`` is standardized (or is a ``StandardColumn``), so that its units move nothing.
 
     Raises:
         DegenerateArms: ``binary`` does not hold both 0 and 1.
     """
     b = np.asarray(binary, float)
-    c = np.asarray(cont, float)
-    mu, scale = column_moments(c)
-    c = (c - mu) / (scale or 1.0)
+    c = (cont if isinstance(cont, StandardColumn) else StandardColumn(cont)).z
     model = fit_logistic(c[:, None], b, lam=1e-3)
     n = len(b)
     p = float(b.mean())
@@ -428,24 +438,24 @@ class DataOrienter:
     pairs use cubic-residual comparison, calling a member a child only when
     the verdict points away from the target with a relative gap of at least
     ``CHILD_GATE``; a treatment edge is outgoing when its margin exceeds
-    ``LR_THRESHOLD``.
+    ``LR_THRESHOLD``.  ``column(k)`` standardizes column k, and builds its
+    cubic basis, at most once per orienter.
     """
 
     def __init__(self, data: np.ndarray, binary_col: int):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data = np.asarray(data, dtype=np.float64)
         self.binary_col = binary_col
+        self.column = functools.cache(lambda col: StandardColumn(data[:, col]))
 
     def classify(self, target: int, member: int) -> str:
         if self.binary_col in (target, member):
             other = member if target == self.binary_col else target
-            margin = binary_direction_loglik(
-                self.data[:, self.binary_col], self.data[:, other]
-            )
+            margin = binary_direction_loglik(self.data[:, self.binary_col], self.column(other))
             binary_causes = margin > LR_THRESHOLD
             if target == self.binary_col:
                 return "child" if binary_causes else "parent"
             return "parent" if binary_causes else "child"
-        result = orient_reci(self.data, target, member)
+        result = orient_reci(self.data, target, member, self.column)
         away = result.direction == "i_to_j"  # args were (target, member)
         if away and not result.tie and result.gap >= CHILD_GATE:
             return "child"

@@ -90,9 +90,10 @@ def column_moments(x: np.ndarray):
     order of the first pass: a column times 2^e gets the moments times 2^e.
     """
 
-    def moments(values):
+    def moments(values):  # numpy's own std arithmetic, on the mean already taken
         with np.errstate(over="ignore"):
-            return values.mean(axis=0), values.std(axis=0)
+            dev = values - (mu := values.mean(axis=0))
+            return mu, np.sqrt(np.add.reduce(dev * dev, axis=0) / len(values))
 
     mu, scale = moments(x)
     rounding = len(x) * np.finfo(np.float64).eps * np.abs(mu)
@@ -108,10 +109,10 @@ def column_moments(x: np.ndarray):
     return mu[()], scale[()]
 
 
-def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardize(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu, scale = column_moments(x)
     scale = np.where(scale > 0.0, scale, 1.0)
-    return standardize(x, mu, scale), mu, scale
+    return standardize(x, mu, scale, out), mu, scale
 
 
 def _fold_back(w_std: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -226,10 +227,9 @@ class Standardized:
             raise ValueError("x must be (n, k)")
         if not np.isfinite(x).all():
             raise NumericError("non-finite values in logistic features")
-        z, mu, scale = _standardize(x)
         design = np.empty((x.shape[0], x.shape[1] + 1), order="F")
         design[:, 0] = 1.0
-        design[:, 1:] = z
+        _, mu, scale = _standardize(x, out=design[:, 1:])
         return cls(design, mu, scale)
 
     def columns(self, cols) -> "Standardized":
@@ -411,9 +411,10 @@ class LogisticBlock:
         return model
 
 
-def standardize(x: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Rows ``x`` standardized by ``mu``/``scale``, as a fit does its own rows."""
-    return (np.asarray(x, dtype=np.float64) - mu) / scale
+def standardize(x: np.ndarray, mu: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
+    """Rows ``x`` standardized by ``mu``/``scale`` as a fit does its own rows, into ``out``."""
+    z = np.subtract(np.asarray(x, dtype=np.float64), mu, out=out)
+    return np.divide(z, scale, out=z)
 
 
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:

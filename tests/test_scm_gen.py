@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hteselect import scm_gen
-from hteselect.errors import InfeasibleSpec, NotPositiveDefinite, NoValidPair
+from hteselect.errors import DegenerateArms, InfeasibleSpec, NotPositiveDefinite, NoValidPair
 from hteselect.harness import ExperimentConfig, MethodSpec
 from hteselect.scm_gen import (
     CausalGraph,
@@ -490,8 +490,8 @@ def _simulate_arm(graph, spec, noise, do_t):
 
 
 def _same_bits(a, b):
-    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
-            and a.tobytes() == b.tobytes())
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -514,8 +514,31 @@ def test_simulate_arms_matches_per_arm_reference(spec):
     arm1, arm0, latent_t = simulate_arms(graph, spec, noise, _post(graph))
     ref1, ref_latent = _simulate_arm(graph, spec, noise, 1.0)
     ref0, _ = _simulate_arm(graph, spec, noise, 0.0)
+    assert arm1.flags.f_contiguous and arm0.flags.f_contiguous
     assert _same_bits(arm1, ref1) and _same_bits(arm0, ref0)
     assert _same_bits(latent_t, ref_latent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.integers(3, 12).flatmap(lambda d: st.builds(
+        ScmSpec,
+        d=st.just(d), p_e=st.floats(0.1, 1.0), sigma=st.floats(0.0, 0.9),
+        rho=st.floats(0.05, 1.0), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(20, 200),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+)
+def test_dataset_layout(spec):
+    """``x`` is column-major, as every downstream gemm reads it; the other
+    fields are contiguous vectors."""
+    try:
+        _, ds, _ = make_dataset(spec)
+    except (InfeasibleSpec, DegenerateArms):
+        return
+    assert ds.x.ndim == 2 and ds.x.flags.f_contiguous
+    for v in (ds.t, ds.y, ds.tau, ds.post_treatment_mask):
+        assert v.ndim == 1 and v.flags.c_contiguous
 
 
 def test_role_correctness_for_both_gamma_values():

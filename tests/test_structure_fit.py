@@ -1,10 +1,12 @@
 """Discovery pipeline: CI testing, PC sets, colliders, orientation, traversal."""
 
+import functools
 import logging
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -15,16 +17,21 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import hteselect
-
+import hteselect.structure_fit as structure_fit_module
 from hteselect.errors import ConstantColumn, DegenerateArms, NumericError
 from hteselect.scm_gen import ScmSpec, generate, sample_or_retry
+from hteselect.supervised import column_moments
 from hteselect.structure_fit import (
+    CHILD_GATE,
+    LR_THRESHOLD,
+    RECI_TIE_TOL,
     CiTestConfig,
     DataOrienter,
     DSepOracle,
     FisherZTester,
     GraphOrienter,
     PartialGraph,
+    StandardColumn,
     binary_direction_loglik,
     d_separated,
     discover_colliders,
@@ -711,3 +718,98 @@ def test_reci_rejects_constant_column_whose_mean_does_not_round_back():
     data = np.column_stack([np.full(50, 0.1), np.arange(50.0)])
     with pytest.raises(ConstantColumn):
         orient_reci(data, 0, 1)
+
+
+def _orientation_data():
+    """Columns for the orienter: a binary treatment (column 3), cubic and
+    linear relations on several scales, a constant 0.1 (its mean does not
+    round back to 0.1) and 0.1 plus noise at 1e-13."""
+    rng = np.random.default_rng(12)
+    n = 400
+    x = rng.normal(size=n)
+    t = (rng.random(n) < 1 / (1 + np.exp(-x))).astype(float)
+    m = 0.8 * t + 0.5 * rng.normal(size=n)
+    cube = x**3 + 0.3 * rng.normal(size=n)
+    near = 0.1 + 1e-13 * rng.normal(size=n)
+    return np.column_stack([x, 3e4 * cube, m, t, np.full(n, 0.1), near, rng.uniform(-1, 1, n)])
+
+
+def _reference_reci(data, i, j):
+    """``orient_reci`` as it was before columns were cached: each call
+    standardizes both columns and builds both cubic bases on its own."""
+    a, b = np.asarray(data[:, i], float), np.asarray(data[:, j], float)
+    (mu_a, sd_a), (mu_b, sd_b) = column_moments(a), column_moments(b)
+    if sd_a == 0.0 or sd_b == 0.0:
+        raise ConstantColumn(f"columns {i}, {j} must be non-constant")
+    a, b = (a - mu_a) / sd_a, (b - mu_b) / sd_b
+
+    def mse(cause, effect):
+        design = np.column_stack([np.ones_like(cause), cause, cause**2, cause**3])
+        w = np.linalg.solve(design.T @ design + 1e-8 * np.eye(4), design.T @ effect)
+        return float(np.mean((effect - design @ w) ** 2))
+
+    err_ij, err_ji = mse(a, b), mse(b, a)
+    diff = err_ij - err_ji
+    gap = abs(diff) / max(err_ij, err_ji, 1e-300)
+    if abs(diff) <= RECI_TIE_TOL:
+        return "i_to_j" if i < j else "j_to_i", True, gap
+    return "i_to_j" if diff < 0 else "j_to_i", False, gap
+
+
+def _reference_classify(data, binary_col, target, member):
+    """``DataOrienter.classify`` from uncached columns."""
+    if binary_col in (target, member):
+        other = member if target == binary_col else target
+        causes = binary_direction_loglik(data[:, binary_col], data[:, other]) > LR_THRESHOLD
+        return "child" if causes == (target == binary_col) else "parent"
+    direction, tie, gap = _reference_reci(data, target, member)
+    return "child" if direction == "i_to_j" and not tie and gap >= CHILD_GATE else "parent"
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ConstantColumn as exc:
+        return type(exc)
+
+
+def test_cached_orientation_matches_uncached_reference():
+    """One orienter over every ordered pair, twice, gives each verdict and gap
+    of the reference that standardizes and cubes afresh per call, bit for bit."""
+    data = _orientation_data()
+    orienter = DataOrienter(data, binary_col=3)
+    pairs = [(i, j) for i in range(data.shape[1]) for j in range(data.shape[1]) if i != j]
+    for i, j in pairs * 2:
+        assert _outcome(orienter.classify, i, j) == _outcome(_reference_classify, data, 3, i, j)
+        if 3 in (i, j):
+            continue
+        want = _outcome(_reference_reci, data, i, j)
+        assert _outcome(orient_reci, data, i, j) == want
+        assert _outcome(orient_reci, data, i, j, orienter.column) == want
+    assert _outcome(orient_reci, data, 4, 0) is ConstantColumn
+
+
+def test_orienter_standardizes_and_cubes_each_column_once(monkeypatch):
+    made, cubed = Counter(), Counter()
+    data = _orientation_data()
+
+    class Counting(StandardColumn):
+        def __init__(self, column):
+            super().__init__(column)
+            self.col = (column.ctypes.data - data.ctypes.data) // data.itemsize
+            made[self.col] += 1
+
+        @functools.cached_property
+        def basis(self):
+            cubed[self.col] += 1
+            return super().basis
+
+    monkeypatch.setattr(structure_fit_module, "StandardColumn", Counting)
+    orienter = DataOrienter(data, binary_col=3)
+    for i in range(data.shape[1]):
+        for j in range(data.shape[1]):
+            if i != j:
+                _outcome(orienter.classify, i, j)
+                _outcome(orienter.classify, i, j)
+    assert made == Counter({0: 1, 1: 1, 2: 1, 4: 1, 5: 1, 6: 1})  # not the treatment
+    assert cubed == Counter({0: 1, 1: 1, 2: 1, 5: 1, 6: 1})  # not the constant column either

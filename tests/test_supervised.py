@@ -594,6 +594,22 @@ def test_column_moments_commute_with_power_of_two_scaling():
     assert got_scale.tobytes() == np.ldexp(scale, e).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(1, 9), e=st.integers(-40, 40),
+       layout=st.sampled_from(["C", "F", "rows", "cols", "1-d"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_column_moments_are_numpy_mean_and_std(n, k, e, layout, seed):
+    """Off the redo path, the moments are ``mean(axis=0)`` and ``std(axis=0)``
+    bit for bit, whatever the memory layout of ``x``."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.normal(size=(2 * n, 2 * k)) + rng.normal(size=2 * k), e)
+    x = {"C": x[:n, :k].copy(), "F": np.asfortranarray(x[:n, :k]), "rows": x[::2, :k],
+         "cols": x[:n, ::2], "1-d": x[:n, 0]}[layout]
+    mu, scale = column_moments(x)
+    assert np.asarray(mu).tobytes() == np.asarray(x.mean(axis=0)).tobytes()
+    assert np.asarray(scale).tobytes() == np.asarray(x.std(axis=0)).tobytes()
+
+
 @pytest.mark.parametrize("c", [0.1, 1 / 3, -7.3e5, 2.5, 0.0])
 def test_constant_column_leaves_ridge_fit_unchanged(c):
     """A constant column standardizes to exactly 0, whether or not its mean
