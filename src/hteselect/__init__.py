@@ -20,12 +20,7 @@ from .errors import (
     NumericError,
 )
 from .estimators import CateEstimator, fit_estimator
-from .fit_metrics import (
-    inclusion_error,
-    mse_true,
-    plugin_tau,
-    tau_risk,
-)
+from .fit_metrics import effect_mse, inclusion_error
 from .harness import (
     BenchmarkRow,
     ExperimentConfig,

@@ -3,7 +3,8 @@
 Subcommands:
     simulate   sample one SCM and write its dataset CSV plus graph JSON
     select     run one selector on a dataset, print the chosen columns
-    benchmark  run a full experiment config and write the results CSV
+    benchmark  run a full experiment config and write the results CSV; the
+               config's ``workers`` sets the process count
     report     aggregate a results CSV into rank and inclusion-error tables
 
 Exit codes: 0 on success; 1 for a ``ConfigError`` (a bad option or input
@@ -65,11 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--trace-out", type=Path)
 
-    bench = sub.add_parser("benchmark", help="run an experiment config JSON")
+    bench = sub.add_parser(
+        "benchmark", help="run an experiment config JSON (its 'workers' sets the process count)"
+    )
     bench.add_argument("--config", type=Path, required=True)
     bench.add_argument("--out", type=Path, required=True)
     bench.add_argument("--traces", type=Path)
-    bench.add_argument("--workers", type=int, help="override config worker count")
 
     rep = sub.add_parser("report", help="aggregate a results CSV")
     rep.add_argument("--results", type=Path, required=True)
@@ -125,8 +127,6 @@ def _cmd_select(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     config = harness.config_from_json(_read(args.config))
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
     rows, traces = harness.run_experiment(config)
     args.out.write_text(harness.rows_to_csv(rows))
     if args.traces is not None:

@@ -6,7 +6,8 @@ truth: an outcome/propensity residual product form, nearest-neighbor
 imputed effects, reference-estimator imputed effects, and doubly robust
 imputed effects.  Each is a mean of squares, so values are nonnegative and
 zero exactly when the defining residuals vanish.  The three imputation
-metrics are one function, ``plugin_tau``, against different imputations.
+metrics and the ground-truth MSE are one function, ``effect_mse``, against
+different reference effects.
 """
 
 from __future__ import annotations
@@ -37,19 +38,14 @@ def _check_propensities(p_hat):
         raise NumericError("propensities must lie strictly inside (0, 1)")
 
 
-def tau_risk(tau_hat, y, t, m_hat, p_hat) -> float:
-    """Mean of ((y - m_hat) - (t - p_hat) * tau_hat)^2.
-
-    ``m_hat`` is a per-unit outcome estimate and ``p_hat`` a per-unit
-    propensity estimate, both from models fit on held-out data.
-    """
-    tau_hat, y, t, m_hat, p_hat = _as_vectors(tau_hat, y, t, m_hat, p_hat)
-    return residual_risk(tau_hat, y - m_hat, t, p_hat)
-
-
 def residual_risk(tau_hat, y_resid, t, p_hat) -> float:
-    """``tau_risk`` from the residuals y - m_hat of float vectors whose
-    lengths are not checked again; the propensity guard still runs."""
+    """The TauRisk metric: mean of (y_resid - (t - p_hat) * tau_hat)^2.
+
+    ``y_resid`` is the outcome residual y - m_hat and ``p_hat`` a per-unit
+    propensity estimate, both from models fit on held-out data.  The inputs
+    are float vectors of one length, which is not checked; the propensities
+    must lie strictly inside (0, 1).
+    """
     _check_propensities(p_hat)
     resid = y_resid - (t - p_hat) * tau_hat
     return float(np.add.reduce(resid * resid) / resid.shape[0])  # np.mean, bit for bit
@@ -69,12 +65,13 @@ def nn_imputed_effects(x, y, t) -> np.ndarray:
     return (2.0 * t - 1.0) * (y - y[nn])
 
 
-def plugin_tau(tau_hat, tau_tilde) -> float:
-    """Mean squared gap to imputed effects: a reference estimator's
-    (PluginTau), ``nn_imputed_effects`` (NNPEHE) or
+def effect_mse(tau_hat, reference) -> float:
+    """Mean squared gap between an effect estimate and reference effects:
+    the true effects (ground-truth MSE) or imputed ones, a reference
+    estimator's (PluginTau), ``nn_imputed_effects`` (NNPEHE) or
     ``doubly_robust_effects`` (CFCV)."""
-    tau_hat, tau_tilde = _as_vectors(tau_hat, tau_tilde)
-    return float(np.mean((tau_tilde - tau_hat) ** 2))
+    tau_hat, reference = _as_vectors(tau_hat, reference)
+    return float(np.mean((reference - tau_hat) ** 2))
 
 
 def doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat) -> np.ndarray:
@@ -87,12 +84,6 @@ def doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat) -> np.ndarray:
         + t * (y - m1_hat) / p_hat
         - (1.0 - t) * (y - m0_hat) / (1.0 - p_hat)
     )
-
-
-def mse_true(tau_hat, tau) -> float:
-    """Ground-truth mean squared error of the effect estimate."""
-    tau_hat, tau = _as_vectors(tau_hat, tau)
-    return float(np.mean((tau - tau_hat) ** 2))
 
 
 class InclusionError(NamedTuple):

@@ -322,7 +322,7 @@ def _replicate_cells(
     tau_te = dataset.tau[test]
 
     # shared held-out yardstick for the reported risk metric
-    m_hat = supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
+    y_resid = y_te - supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
     p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
     cfg = config.ci_config()
 
@@ -345,8 +345,8 @@ def _replicate_cells(
                 method.estimator, x_tr[:, cols], t_tr, y_tr
             )
             tau_hat = est.predict(x_te[:, cols])
-            mse = fit_metrics.mse_true(tau_hat, tau_te)
-            risk = fit_metrics.tau_risk(tau_hat, y_te, t_te, m_hat, p_hat)
+            mse = fit_metrics.effect_mse(tau_hat, tau_te)
+            risk = fit_metrics.residual_risk(tau_hat, y_resid, t_te, p_hat)
             ie = fit_metrics.inclusion_error(selected, dataset.post_treatment_mask)
             if not ie.defined:
                 flags.append("ie_undefined")

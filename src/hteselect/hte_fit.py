@@ -228,7 +228,7 @@ class SubsetScorer:
         rows = stats["rows"]
         tau_hat = est.effects(rows, idx)
         if self.metric != "TauRisk":
-            return fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"])
+            return fit_metrics.effect_mse(tau_hat, stats["tau_tilde"])
         propensity = est.models.get("propensity") or stats["propensity"].fit(idx)
         p_hat = rows.predict(propensity, "propensity", idx)
         return fit_metrics.residual_risk(tau_hat, stats["y_resid"], stats["t_va"], p_hat)

@@ -56,11 +56,11 @@ R_CLIP = 0.9999999  # |partial correlation| cap before the z transform
 BLOCK_ENTRIES = 1 << 14
 
 # ``level_verdicts`` must give each (set S, survivor c) pair the verdict of the
-# exact ``_p_value``, which inverts the n x n correlation matrix F of (c, T, S),
+# exact ``test``, which inverts the n x n correlation matrix F of (c, T, S),
 # n = |S| + 2.  Both compute r = -P_cT / sqrt(P_cc P_TT) = R_cT / sqrt(R_cc R_TT)
 # (P = F^-1, R the Schur complement of S; W = max diag P, ||P||_2 <= n W) from
 # F + E for a small E, u = 2^-53:
-#   _p_value: LU with partial pivoting solved against I; column j of the
+#   test: LU with partial pivoting solved against I; column j of the
 #     inverse is exact for F + E_j, |E_j| <= gamma_3n |L||U| (Higham, Thm 9.4)
 #     <= 3.01 n u n 2^(n-1) (|F| <= 1, growth <= 2^(n-1)), ||E_j|| <= 3.01 n^3 2^(n-1) u;
 #   level_verdicts: a Cholesky sweep of (S, c, T) stopped after S, exact for
@@ -77,7 +77,7 @@ BLOCK_ENTRIES = 1 << 14
 # r_m the largest |r| in reach after the clip; the transform's own rounding in
 # both paths, and erfc and erfcinv at z* = sqrt(2) erfcinv(alpha), add at most
 # 16u (sqrt(dof) + |z| + 4 + z*^2).  A |z| farther than that band from z* has
-# the exact test's verdict; every other pair is unsure and goes to ``_p_value``.
+# the exact test's verdict; every other pair is unsure and goes to ``test``.
 SLACK = 4.0
 _U = 2.0**-53
 
@@ -129,26 +129,15 @@ class FisherZTester:
         self.z_alpha = math.sqrt(2.0) * float(erfcinv(cfg.alpha))
 
     def test(self, i: int, j: int, cond: tuple[int, ...] = ()) -> tuple[float, bool]:
-        """Two-sided p-value and the independence verdict at level alpha."""
-        p = self._p_value(i, j, tuple(cond))
-        return p, p > self.cfg.alpha
-
-    def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
-        return self.test(i, j, cond)[1]
-
-    def _dof(self, n_cond: int) -> int:
-        if self.n <= n_cond + 3:
-            raise NumericError("need n > |cond| + 3 samples for the z transform")
-        return self.n - n_cond - 3
-
-    def _p_value(self, i: int, j: int, cond: tuple[int, ...]) -> float:
-        """Fisher-z p-value of i and j given ``cond`` from the inverse of their
-        correlation sub-matrix.  A singular sub-matrix (not invertible, or a
-        precision diagonal above ``MAX_PRECISION``) or an ill-conditioned
-        precision is logged and gets p = 0 (dependent)."""
+        """Two-sided Fisher-z p-value of i and j given ``cond``, from the inverse
+        of their correlation sub-matrix, and the independence verdict at level
+        alpha.  A singular sub-matrix (not invertible, or a precision diagonal
+        above ``MAX_PRECISION``) or an ill-conditioned precision is logged and
+        gets p = 0 (dependent)."""
+        cond = tuple(cond)
         dof = self._dof(len(cond))
         if i == j:
-            return 0.0
+            return 0.0, False
         r = self.corr[i, j]
         if cond:
             idx = [i, j, *cond]
@@ -162,9 +151,18 @@ class FisherZTester:
                 logger.warning("%s for (%d, %d) given %s; treating as dependent",
                                "singular conditioning set" if singular
                                else "ill-conditioned precision", i, j, cond)
-                return 0.0
+                return 0.0, False
             r = -precision[0, 1] / np.sqrt(denom)
-        return float(erfc(_fisher_z(np.array([r]), dof) / math.sqrt(2.0))[0])
+        p = float(erfc(_fisher_z(np.array([r]), dof) / math.sqrt(2.0))[0])
+        return p, p > self.cfg.alpha
+
+    def independent(self, i: int, j: int, cond: tuple[int, ...] = ()) -> bool:
+        return self.test(i, j, cond)[1]
+
+    def _dof(self, n_cond: int) -> int:
+        if self.n <= n_cond + 3:
+            raise NumericError("need n > |cond| + 3 samples for the z transform")
+        return self.n - n_cond - 3
 
     def level_verdicts(self, target: int, survivors: list[int], sets: np.ndarray):
         """``CiTester.level_verdicts``; a pair is unsure where rounding could
@@ -359,20 +357,18 @@ def _cubic_residual_mse(design: np.ndarray, effect: np.ndarray) -> float:
     return float(np.mean(resid**2))
 
 
-def orient_reci(data: np.ndarray, i: int, j: int, column=None) -> OrientResult:
-    """Pairwise direction from cubic-regression residual comparison.
+def orient_reci(a: StandardColumn, b: StandardColumn, i: int, j: int) -> OrientResult:
+    """Pairwise direction from cubic-regression residual comparison of the
+    standardized columns ``a`` and ``b``, data columns ``i`` and ``j``.
 
-    Both columns are standardized; the variable that is easier to predict
-    (strictly smaller mean squared residual) is taken to be the effect.
-    Residuals equal within 1e-6 raise the tie flag and fall back to the
-    low-index-first convention.  Swapping the arguments always yields the
-    same physical direction.  ``column(k)``, if given, is the caller's cached
-    ``StandardColumn`` of ``data[:, k]``.
+    The variable that is easier to predict (strictly smaller mean squared
+    residual) is taken to be the effect.  Residuals equal within 1e-6 raise
+    the tie flag and fall back to the low-index-first convention.  Swapping
+    the arguments always yields the same physical direction.
 
     Raises:
         ConstantColumn: either column has zero variance.
     """
-    a, b = map(column or (lambda k: StandardColumn(data[:, k])), (i, j))
     if a.scale == 0.0 or b.scale == 0.0:
         raise ConstantColumn(f"columns {i}, {j} must be non-constant")
     err_ij = _cubic_residual_mse(a.basis, b.z)  # predict j from i
@@ -385,19 +381,20 @@ def orient_reci(data: np.ndarray, i: int, j: int, column=None) -> OrientResult:
     return OrientResult("i_to_j" if diff < 0 else "j_to_i", False, gap)
 
 
-def binary_direction_loglik(binary: np.ndarray, cont: np.ndarray | StandardColumn) -> float:
+def binary_direction_loglik(binary: np.ndarray, cont: StandardColumn) -> float:
     """Log-likelihood margin for 'binary causes continuous'.
 
     Compares two four-parameter generative models of the pair: Bernoulli
     plus Gaussian arms with pooled variance, versus a Gaussian margin with a
     logistic conditional.  Positive values favor the binary variable as the
-    cause.  ``cont`` is standardized (or is a ``StandardColumn``), so that its units move nothing.
+    cause.  ``cont`` is the standardized continuous column, so that its
+    units move nothing.
 
     Raises:
         DegenerateArms: ``binary`` does not hold both 0 and 1.
     """
     b = np.asarray(binary, float)
-    c = (cont if isinstance(cont, StandardColumn) else StandardColumn(cont)).z
+    c = cont.z
     model = fit_logistic(c[:, None], b, lam=1e-3)
     n = len(b)
     p = float(b.mean())
@@ -455,7 +452,7 @@ class DataOrienter:
             if target == self.binary_col:
                 return "child" if binary_causes else "parent"
             return "parent" if binary_causes else "child"
-        result = orient_reci(self.data, target, member, self.column)
+        result = orient_reci(self.column(target), self.column(member), target, member)
         away = result.direction == "i_to_j"  # args were (target, member)
         if away and not result.tie and result.gap >= CHILD_GATE:
             return "child"

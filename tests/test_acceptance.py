@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from hteselect.estimators import fit_estimator
-from hteselect.fit_metrics import mse_true
+from hteselect.fit_metrics import effect_mse
 from hteselect.harness import ExperimentConfig, MethodSpec, report, rows_to_csv, run_experiment
 from hteselect.hte_fit import SubsetScorer, greedy_select
 from hteselect.scm_gen import ScmSpec, generate, sample_noise, sample_or_retry, simulate_arms
@@ -186,7 +186,7 @@ def test_criterion_5_risk_metric_tracks_true_error():
             for tr, va in scorer.splits:
                 est = fit_estimator("T", ds.x[np.ix_(tr, cols)], ds.t[tr], ds.y[tr])
                 tau_hat = est.predict(ds.x[np.ix_(va, cols)])
-                per_split.append(mse_true(tau_hat, ds.tau[va]))
+                per_split.append(effect_mse(tau_hat, ds.tau[va]))
             mses.append(float(np.mean(per_split)))
         rhos.append(spearmanr(risks, mses).statistic)
     mean_rho = float(np.mean(rhos))

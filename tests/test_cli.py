@@ -187,6 +187,10 @@ def test_bad_config_exits_one(tmp_path):
     cfg.write_text(json.dumps({"scm": {"d": 1}, "methods": []}))
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
+    # the config alone sets the process count
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                 "--workers", "2"]) == 1
+
 
 def test_infeasible_spec_exits_two(tmp_path):
     config = {

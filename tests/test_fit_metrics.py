@@ -7,24 +7,30 @@ from scipy.stats import rankdata
 from hteselect.errors import DegenerateArms, LengthMismatch, NumericError
 from hteselect.fit_metrics import (
     doubly_robust_effects,
+    effect_mse,
     inclusion_error,
     mean_ranks,
-    mse_true,
     nn_imputed_effects,
-    plugin_tau,
-    tau_risk,
+    residual_risk,
 )
 from hteselect.harness import BenchmarkRow, assign_ranks, report
 
 
+def tau_risk(tau_hat, y, t, m_hat, p_hat):
+    """The TauRisk metric as the scorer and the harness compute it: the
+    outcome residual first, then ``residual_risk``."""
+    tau_hat, y, t, m_hat, p_hat = map(np.asarray, (tau_hat, y, t, m_hat, p_hat))
+    return residual_risk(tau_hat, y - m_hat, t, p_hat)
+
+
 def nn_pehe(tau_hat, x, y, t):
     """The NNPEHE metric as the scorer computes it."""
-    return plugin_tau(tau_hat, nn_imputed_effects(x, y, t))
+    return effect_mse(tau_hat, nn_imputed_effects(x, y, t))
 
 
 def cfcv(tau_hat, y, t, m1_hat, m0_hat, p_hat):
     """The CFCV metric as the scorer computes it."""
-    return plugin_tau(tau_hat, doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat))
+    return effect_mse(tau_hat, doubly_robust_effects(y, t, m1_hat, m0_hat, p_hat))
 
 # ---------------------------------------------------------------------------
 # tau risk
@@ -91,11 +97,6 @@ def test_tau_risk_permutation_invariant():
     )
 
 
-def test_tau_risk_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        tau_risk([1.0], [1.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5])
-
-
 # ---------------------------------------------------------------------------
 # nearest-neighbor imputation
 # ---------------------------------------------------------------------------
@@ -153,11 +154,11 @@ def test_nn_pehe_needs_both_arms():
 
 def test_plugin_tau_examples():
     tau = np.arange(10, dtype=float)
-    assert plugin_tau(tau, tau) == 0.0
-    assert np.isclose(plugin_tau(tau, tau + 0.7), 0.49)
+    assert effect_mse(tau, tau) == 0.0
+    assert np.isclose(effect_mse(tau, tau + 0.7), 0.49)
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=10), rng.normal(size=10)
-    assert np.isclose(plugin_tau(a, b), np.mean((b - a) ** 2))
+    assert np.isclose(effect_mse(a, b), np.mean((b - a) ** 2))
 
 
 def test_cfcv_residual_terms_vanish_for_exact_models():
@@ -209,11 +210,13 @@ def test_propensity_guards_raise_numeric_error(p):
 
 def test_mse_true_examples():
     tau = np.linspace(-1, 1, 11)
-    assert mse_true(tau, tau) == 0.0
-    assert np.isclose(mse_true(tau + 0.3, tau), 0.09)
+    assert effect_mse(tau, tau) == 0.0
+    assert np.isclose(effect_mse(tau + 0.3, tau), 0.09)
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=9), rng.normal(size=9)
-    assert np.isclose(mse_true(a, b), np.mean((b - a) ** 2))
+    assert np.isclose(effect_mse(a, b), np.mean((b - a) ** 2))
+    with pytest.raises(LengthMismatch):
+        effect_mse(a, b[:-1])
 
 
 def test_inclusion_error_cases():
@@ -237,7 +240,7 @@ def test_metric_values_nonnegative():
         m = rng.normal(size=n)
         p = np.clip(rng.random(n), 0.1, 0.9)
         assert tau_risk(tau_hat, y, t, m, p) >= 0.0
-        assert plugin_tau(tau_hat, rng.normal(size=n)) >= 0.0
+        assert effect_mse(tau_hat, rng.normal(size=n)) >= 0.0
 
 
 # ---------------------------------------------------------------------------

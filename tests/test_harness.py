@@ -425,15 +425,22 @@ def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
         assert row.failed or math.isfinite(row.mse), row
 
 
+# the cells and methods of the scaling properties
+_SCALING_CELLS = st.integers(3, 8).flatmap(lambda d: st.fixed_dictionaries(dict(
+    d=st.just(d), p_e=st.floats(0.2, 0.8), sigma=st.sampled_from([0.0, 0.2]),
+    rho=st.sampled_from([0.3, 1.0]), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+    p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(60, 400),
+)))
+_SCALING_METHODS = st.builds(
+    MethodSpec, st.sampled_from(["HteFitF", "HteFitB", "StructureFit", "HteFS"]),
+    st.sampled_from(ESTIMATOR_KINDS), st.sampled_from(METRIC_KINDS),
+)
+
+
 @settings(max_examples=40)
 @given(
-    cell=st.integers(3, 8).flatmap(lambda d: st.fixed_dictionaries(dict(
-        d=st.just(d), p_e=st.floats(0.2, 0.8), sigma=st.sampled_from([0.0, 0.2]),
-        rho=st.sampled_from([0.3, 1.0]), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
-        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(60, 400),
-    ))),
-    method=st.builds(MethodSpec, st.sampled_from(["HteFitF", "HteFitB", "StructureFit", "HteFS"]),
-                     st.sampled_from(ESTIMATOR_KINDS), st.sampled_from(METRIC_KINDS)),
+    cell=_SCALING_CELLS,
+    method=_SCALING_METHODS,
     master_seed=st.integers(0, 2**16),
     exponents=st.lists(st.integers(-600, 600), min_size=6, max_size=6),
     flips=st.lists(st.booleans(), min_size=6, max_size=6),
@@ -468,6 +475,52 @@ def test_row_is_invariant_to_power_of_two_scaling_and_sign_flips(
         return graph, dataclasses.replace(data, x=x), attempts
 
     want = harness._run_replicate(config, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "make_dataset", transformed)
+        got = harness._run_replicate(config, 0)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=40)
+@given(cell=_SCALING_CELLS, method=_SCALING_METHODS, master_seed=st.integers(0, 2**16),
+       e=st.integers(-300, 300))
+@example(  # every score gap is far below an absolute tolerance at this scale
+    cell=dict(d=8, p_e=0.5, sigma=0.2, rho=1.0, gamma=True, m=1, p_h=1, m_p=False, n=200),
+    method=MethodSpec("HteFitB", "T", "TauRisk"), master_seed=0, e=-300,
+)
+def test_outcome_scaling_scales_errors_and_scores_by_its_square(cell, method, master_seed, e):
+    """y and tau times 2^e, with e in [-300, 300], leave the replicate's
+    selection, flags and accepted steps bit-identical and multiply its mse,
+    tau_risk and every step score by exactly 4^e: every fit and yardstick is
+    linear in y, discovery sees y standardized, every greedy decision
+    compares scores relative to each other, and inside this range a
+    power-of-two factor rounds nothing."""
+    from hteselect import harness
+
+    config = ExperimentConfig(base=cell, methods=(method,), master_seed=master_seed,
+                              record_timing=False)
+
+    def transformed(spec):
+        graph, data, attempts = make_dataset(spec)
+        scaled = dataclasses.replace(data, y=np.ldexp(data.y, e), tau=np.ldexp(data.tau, e))
+        return graph, scaled, attempts
+
+    def times_4e(value):
+        return float(np.ldexp(value, 2 * e))
+
+    def scores_times_4e(trace):
+        if isinstance(trace, dict):
+            return {k: times_4e(v) if k in ("score", "final_score") else scores_times_4e(v)
+                    for k, v in trace.items()}
+        if isinstance(trace, list):
+            return [scores_times_4e(v) for v in trace]
+        return trace
+
+    rows, traces = harness._run_replicate(config, 0)
+    want = (
+        [dataclasses.replace(r, mse=times_4e(r.mse), tau_risk=times_4e(r.tau_risk)) for r in rows],
+        scores_times_4e(traces),
+    )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "make_dataset", transformed)
         got = harness._run_replicate(config, 0)

@@ -373,7 +373,7 @@ def _row_refit_score(scorer, x, t, y, cols):
         if scorer.metric == "TauRisk":
             m_hat = predict(fit_ridge(x_tr, y_tr), x_va)
             p_hat = predict(fit_logistic(x_tr[:, cols], t_tr), x_va[:, cols])
-            values.append(fit_metrics.tau_risk(tau_hat, y[va], t[va], m_hat, p_hat))
+            values.append(fit_metrics.residual_risk(tau_hat, y[va] - m_hat, t[va], p_hat))
             continue
         if scorer.metric == "NNPEHE":
             tau_tilde = fit_metrics.nn_imputed_effects(x_va, y[va], t[va])
@@ -387,7 +387,7 @@ def _row_refit_score(scorer, x, t, y, cols):
                 predict(arms.models["f0"], x_va),
                 predict(fit_logistic(x_tr, t_tr), x_va),
             )
-        values.append(fit_metrics.plugin_tau(tau_hat, tau_tilde))
+        values.append(fit_metrics.effect_mse(tau_hat, tau_tilde))
     return float(np.mean(values))
 
 
@@ -434,12 +434,12 @@ def test_split_scores_match_raw_row_predictions(kind, metric):
             if metric == "TauRisk":
                 propensity = est.models.get("propensity") or stats["propensity"].fit(idx)
                 m_hat = predict(fit_ridge(x[tr], y[tr]), x[va])
-                want = fit_metrics.tau_risk(
-                    tau_hat, y[va], t[va], m_hat, predict(propensity, x_va)
+                want = fit_metrics.residual_risk(
+                    tau_hat, y[va] - m_hat, t[va], predict(propensity, x_va)
                 )
                 size = abs(want)
             else:
-                want = fit_metrics.plugin_tau(tau_hat, stats["tau_tilde"])
+                want = fit_metrics.effect_mse(tau_hat, stats["tau_tilde"])
                 size = max(abs(want), np.mean(tau_hat**2) + np.mean(stats["tau_tilde"] ** 2))
             assert abs(got - want) <= 1e-12 * size, cols
 

@@ -396,13 +396,18 @@ def test_collider_discovery_oracle_multivariable(multivariable_graph):
 # ---------------------------------------------------------------------------
 
 
+def _reci(data, i, j):
+    """``orient_reci`` on fresh ``StandardColumn``s of data columns i and j."""
+    return orient_reci(StandardColumn(data[:, i]), StandardColumn(data[:, j]), i, j)
+
+
 def test_reci_recovers_cubic_mechanism():
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=2000)
         y = x**3 + 0.05 * rng.normal(size=2000)
-        res = orient_reci(np.column_stack([x, y]), 0, 1)
+        res = _reci(np.column_stack([x, y]), 0, 1)
         hits += res.direction == "i_to_j" and not res.tie
     assert hits >= 80
 
@@ -413,7 +418,7 @@ def test_reci_tie_on_exactly_symmetric_sample():
     b = 0.6 * a + 0.8 * rng.normal(size=500)
     # mirror the sample so the empirical joint is exchange-symmetric
     data = np.column_stack([np.concatenate([a, b]), np.concatenate([b, a])])
-    res = orient_reci(data, 0, 1)
+    res = _reci(data, 0, 1)
     assert res.tie
     assert res.direction == "i_to_j"  # low-index convention
 
@@ -425,8 +430,8 @@ def test_reci_antisymmetric_in_arguments():
         x = r.uniform(-1, 1, size=500)
         y = x**3 + 0.1 * r.normal(size=500)
         data = np.column_stack([x, y])
-        fwd = orient_reci(data, 0, 1)
-        rev = orient_reci(data, 1, 0)
+        fwd = _reci(data, 0, 1)
+        rev = _reci(data, 1, 0)
         physical_fwd = (0, 1) if fwd.direction == "i_to_j" else (1, 0)
         physical_rev = (1, 0) if rev.direction == "i_to_j" else (0, 1)
         assert physical_fwd == physical_rev
@@ -435,7 +440,7 @@ def test_reci_antisymmetric_in_arguments():
 def test_reci_rejects_constant_column():
     data = np.column_stack([np.ones(50), np.arange(50.0)])
     with pytest.raises(ConstantColumn):
-        orient_reci(data, 0, 1)
+        _reci(data, 0, 1)
 
 
 def test_binary_likelihood_margin_orients_treatment_edges():
@@ -450,8 +455,8 @@ def test_binary_likelihood_margin_orients_treatment_edges():
         lat = c1 * x + 0.5 * rng.normal(size=n)
         t = (rng.random(n) < 1 / (1 + np.exp(-lat))).astype(float)
         m = c2 * t + 0.5 * rng.normal(size=n)
-        child_hits += binary_direction_loglik(t, m) > 0.5
-        parent_hits += binary_direction_loglik(t, x) <= 0.5
+        child_hits += binary_direction_loglik(t, StandardColumn(m)) > 0.5
+        parent_hits += binary_direction_loglik(t, StandardColumn(x)) <= 0.5
     assert child_hits >= int(0.8 * trials)
     assert parent_hits >= int(0.8 * trials)
 
@@ -465,9 +470,9 @@ def test_binary_likelihood_margin_ignores_units():
     t = (rng.random(n) < 1 / (1 + np.exp(-x))).astype(float)
     m = 0.8 * t + 0.5 * rng.normal(size=n)
     for cont in (x, m):  # c -> t, then t -> c
-        want = binary_direction_loglik(t, cont)
+        want = binary_direction_loglik(t, StandardColumn(cont))
         for scale in 10.0 ** np.arange(-9, 7):
-            got = binary_direction_loglik(t, cont * scale)
+            got = binary_direction_loglik(t, StandardColumn(cont * scale))
             assert got == pytest.approx(want, rel=1e-9), (scale, got, want)
 
 
@@ -483,7 +488,7 @@ def test_ci_test_and_orientation_on_a_column_far_from_unit_scale(scale):
     np.testing.assert_allclose(
         FisherZTester(far, CFG).corr, FisherZTester(data, CFG).corr, rtol=1e-12, atol=1e-15
     )
-    want, got = orient_reci(data, 0, 1), orient_reci(far, 0, 1)
+    want, got = _reci(data, 0, 1), _reci(far, 0, 1)
     assert (got.direction, got.tie) == (want.direction, want.tie)
     assert got.gap == pytest.approx(want.gap, rel=1e-9)
 
@@ -492,7 +497,7 @@ def test_ci_test_and_orientation_on_a_column_far_from_unit_scale(scale):
 def test_binary_likelihood_margin_rejects_one_class(label):
     cont = np.random.default_rng(0).normal(size=40)
     with pytest.raises(DegenerateArms):
-        binary_direction_loglik(np.full(40, label), cont)
+        binary_direction_loglik(np.full(40, label), StandardColumn(cont))
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +722,7 @@ def test_reci_rejects_constant_column_whose_mean_does_not_round_back():
     # the mean of 0.1 in 50 rows is not 0.1, so numpy's deviation is not 0
     data = np.column_stack([np.full(50, 0.1), np.arange(50.0)])
     with pytest.raises(ConstantColumn):
-        orient_reci(data, 0, 1)
+        _reci(data, 0, 1)
 
 
 def _orientation_data():
@@ -760,7 +765,8 @@ def _reference_classify(data, binary_col, target, member):
     """``DataOrienter.classify`` from uncached columns."""
     if binary_col in (target, member):
         other = member if target == binary_col else target
-        causes = binary_direction_loglik(data[:, binary_col], data[:, other]) > LR_THRESHOLD
+        cont = StandardColumn(data[:, other])
+        causes = binary_direction_loglik(data[:, binary_col], cont) > LR_THRESHOLD
         return "child" if causes == (target == binary_col) else "parent"
     direction, tie, gap = _reference_reci(data, target, member)
     return "child" if direction == "i_to_j" and not tie and gap >= CHILD_GATE else "parent"
@@ -784,8 +790,8 @@ def test_cached_orientation_matches_uncached_reference():
         if 3 in (i, j):
             continue
         want = _outcome(_reference_reci, data, i, j)
-        assert _outcome(orient_reci, data, i, j) == want
-        assert _outcome(orient_reci, data, i, j, orienter.column) == want
+        assert _outcome(_reci, data, i, j) == want
+        assert _outcome(orient_reci, orienter.column(i), orienter.column(j), i, j) == want
 
 
 def test_orienter_standardizes_and_cubes_each_column_once(monkeypatch):
