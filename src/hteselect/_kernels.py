@@ -16,7 +16,7 @@ ties, including ties at round-off level, break toward the lowest row index.
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DegenerateArms, NumericError
 
 # perfbench/worker.py records this in its environment line
 HAS_NUMBA = False
@@ -56,7 +56,8 @@ def nn_opposite_arm(x, treated):
         neighbors the lowest row index wins.
 
     Raises:
-        ValueError: a label is not 0 or 1, or an arm is empty.
+        ValueError: ``x`` is not (n, k) or ``treated`` is not (n,).
+        DegenerateArms: a label is not 0 or 1, or an arm is empty.
         NumericError: a feature value is not finite.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -64,12 +65,12 @@ def nn_opposite_arm(x, treated):
     if x.ndim != 2 or t.shape != (x.shape[0],):
         raise ValueError("x must be (n, k) and treated must be (n,)")
     if not ((t == 0) | (t == 1)).all():
-        raise ValueError("treated labels must be 0 or 1")
+        raise DegenerateArms("treated labels must be 0 or 1")
     if not np.isfinite(x).all():
         raise NumericError("non-finite features")
     arm1 = t == 1
     if arm1.all() or not arm1.any():
-        raise ValueError("opposite arm is empty")
+        raise DegenerateArms("opposite arm is empty")
     out = np.empty(x.shape[0], dtype=np.int64)
     for rows, opp in ((~arm1, arm1), (arm1, ~arm1)):
         rows, opp = np.flatnonzero(rows), np.flatnonzero(opp)

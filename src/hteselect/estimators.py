@@ -140,7 +140,7 @@ def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     k, c, joint = prep.n_features, len(cols), prep.blocks["joint"]
     model = joint.ridge(np.concatenate([cols, [k], k + 1 + cols]))
     w = np.concatenate([[model.w_std[c + 1] / joint.scale[k]], model.w_std[c + 2:]])
-    effect = LinearModel(w, "regression", c, np.zeros(c), joint.scale[k + 1 + cols])
+    effect = LinearModel(w, "regression", np.zeros(c), joint.scale[k + 1 + cols])
     return CateEstimator(kind="S", feature_dim=c, models={"joint": model, "effect": effect})
 
 
@@ -210,24 +210,23 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     Folds are assigned by row parity (deterministic).  Pseudo-outcomes on
     each fold use nuisance models fit on the other fold; the final stage is
     one ridge of the pseudo-outcomes on features over all rows, whose target
-    statistics accumulate fold by fold.  The propensity fit on fold f is
-    kept as ``propensity<f>``.
+    statistics accumulate fold by fold.  Only that final ``effect`` model is
+    kept; the nuisance fits serve their fold's pseudo-outcomes alone.
     """
     folds, whole = prep.blocks["folds"], prep.blocks["all"]
     z_phi = np.zeros(len(cols))
     phi_sum = 0.0
-    models = {}
     for current in (0, 1):
         fit, apply = folds[1 - current], folds[current]
         nuisance = {arm: fit[arm].ridge(cols) for arm in ("f1", "f0")}
-        nuisance["propensity"] = models[f"propensity{1 - current}"] = fit["propensity"].fit(cols)
+        nuisance["propensity"] = fit["propensity"].fit(cols)
         m1, m0, p = (apply["rows"].predict(model, name, cols) for name, model in nuisance.items())
         phi = doubly_robust_effects(apply["y"], apply["t"], m1, m0, p)
         z_phi += apply["z_all"][:, cols].T @ phi
         phi_sum += float(phi.sum())
     effect = solve_ridge(whole.sub_gram(cols), z_phi, phi_sum / whole.n, whole.mu[cols],
                          whole.scale[cols], supervised.OUTCOME_LAMBDA)
-    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect, **models})
+    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect})
 
 
 _PREPARERS: dict[str, Callable] = {

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import nn_opposite_arm
-from .errors import DegenerateArms, LengthMismatch, NumericError
+from .errors import LengthMismatch, NumericError
 from .supervised import _standardize
 
 METRIC_KINDS = ("TauRisk", "NNPEHE", "PluginTau", "CFCV")
@@ -55,12 +55,11 @@ def nn_imputed_effects(x, y, t) -> np.ndarray:
     """Matched-neighbor effect imputations (2t - 1) * (y - y_nn).
 
     The neighbor is each unit's Euclidean nearest in the opposite arm,
-    computed on standardized features.
+    computed on standardized features; ``nn_opposite_arm`` raises
+    DegenerateArms for a label other than 0 or 1 or an empty arm.
     """
     x = np.asarray(x, dtype=np.float64)
     y, t = _as_vectors(y, t)
-    if not ((t == 1).any() and (t == 0).any()):
-        raise DegenerateArms("matching needs both arms nonempty")
     nn = nn_opposite_arm(_standardize(x)[0], t)
     return (2.0 * t - 1.0) * (y - y[nn])
 

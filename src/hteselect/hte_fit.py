@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import estimators, fit_metrics, supervised
-from .errors import HteSelectError
+from .errors import DegenerateArms, HteSelectError
 
 logger = logging.getLogger(__name__)
 
@@ -180,8 +180,8 @@ class SubsetScorer:
         for _ in range(N_SPLITS):
             order = rng.permutation(n)
             tr, va = order[:cut], order[cut:]
-            if len(set(t[tr])) < 2 or len(set(t[va])) < 2:
-                raise HteSelectError("inner split lost a treatment arm")
+            if not all((t[part] == 1).any() and (t[part] == 0).any() for part in (tr, va)):
+                raise DegenerateArms("inner split lost a treatment arm")
             self.splits.append((tr, va))
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
 

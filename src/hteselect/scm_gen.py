@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -327,15 +327,7 @@ def select_roles(
             if picked := pick(node):
                 hte[node] = picked
 
-    return CausalGraph(
-        order=graph.order,
-        adj=graph.adj,
-        coef=graph.coef,
-        t_node=t,
-        y_node=y,
-        mediators=mediators,
-        hte_parents=hte,
-    )
+    return replace(graph, t_node=t, y_node=y, mediators=mediators, hte_parents=hte)
 
 
 def sample_or_retry(
@@ -387,24 +379,27 @@ def sample_noise(spec: ScmSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((spec.n, d)) @ root
 
 
-def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray,
-                  post: set[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The value matrices under do(T=1) and do(T=0) on the shared ``noise``,
-    and the treatment's latent (pre-forcing) linear value, the same in both.
+    the treatment's latent (pre-forcing) linear value, the same in both, and
+    ``post``, the boolean node mask of T's strict descendants.
 
-    ``post`` must be ``graph.descendants(graph.t_node, include_self=False)``.
-    One pass over the causal order: a node outside ``post`` has one value in
-    both arms, computed once.  A node listed in ``hte_parents`` adds its
-    chain predecessor times the sum of its interaction parents.  The arms are
+    One pass over the causal order marks a node post-treatment iff T or a
+    marked node is among its parents; an unmarked node has one value in both
+    arms, computed once.  A node listed in ``hte_parents`` adds its chain
+    predecessor times the sum of its interaction parents.  The arms are
     column-major, so parents gather from contiguous columns.
     """
     n = noise.shape[0]
     arm1, arm0 = np.zeros((n, graph.d), order="F"), np.zeros((n, graph.d), order="F")
+    post = np.zeros(graph.d, dtype=bool)
     chain = (graph.t_node, *graph.mediators, graph.y_node)
     chain_pred = dict(zip(chain[1:], chain))
     for i in graph.order.tolist():
         parents = graph.parents(i)
-        for values in (arm1, arm0) if i in post else (arm1,):
+        post[i] = graph.adj[graph.t_node, i] or post[parents].any()
+        for values in (arm1, arm0) if post[i] else (arm1,):
             val = (values[:, parents] @ graph.coef[parents, i] + spec.rho * noise[:, i]
                    if parents.size else noise[:, i])
             interaction = graph.hte_parents.get(i)
@@ -414,9 +409,9 @@ def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray,
         if i == graph.t_node:
             latent_t = arm1[:, i].copy()
             arm1[:, i], arm0[:, i] = 1.0, 0.0
-        elif i not in post:
+        elif not post[i]:
             arm0[:, i] = arm1[:, i]
-    return arm1, arm0, latent_t
+    return arm1, arm0, latent_t, post
 
 
 def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dataset:
@@ -424,13 +419,13 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
 
     Both counterfactual arms are simulated on shared noise; the factual row
     is the drawn arm, so factual values agree with the matching do() arm
-    exactly.
+    exactly.  ``post_treatment_mask`` is ``simulate_arms``' mask of T's
+    descendants at the feature nodes.
     """
     if graph.t_node is None or graph.y_node is None:
         raise ValueError("graph needs assigned roles; run select_roles first")
     noise = sample_noise(spec, rng)
-    post = graph.descendants(graph.t_node, include_self=False)
-    arm1, arm0, latent_t = simulate_arms(graph, spec, noise, post)
+    arm1, arm0, latent_t, post = simulate_arms(graph, spec, noise)
     propensity = 1.0 / (1.0 + np.exp(-latent_t))
     t = (rng.random(spec.n) < propensity).astype(np.float64)
     if t.min() == t.max():
@@ -439,13 +434,12 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
     tau = arm1[:, graph.y_node] - arm0[:, graph.y_node]
 
     feature_nodes = graph.feature_nodes()
-    mask = np.array([node in post for node in feature_nodes], dtype=bool)
     return Dataset(
         x=values[:, feature_nodes],
         t=t,
         y=values[:, graph.y_node],
         tau=tau,
-        post_treatment_mask=mask,
+        post_treatment_mask=post[feature_nodes],
     )
 
 

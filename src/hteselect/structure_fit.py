@@ -549,14 +549,8 @@ def structure_fit(
     """
     candidates = sorted(set(int(c) for c in candidates) - {t_col, y_col})
     scope = set(candidates) | {t_col, y_col}
-    cache: dict[int, tuple[set[int], set[int]]] = {}
-
-    def local(node: int) -> tuple[set[int], set[int]]:
-        if node not in cache:
-            cache[node] = local_structure(
-                tester, orienter, node, scope - {node}, cfg
-            )
-        return cache[node]
+    local = functools.cache(
+        lambda node: local_structure(tester, orienter, node, scope - {node}, cfg))
 
     dn = local(y_col)[1] | {t_col}
     graph = PartialGraph()

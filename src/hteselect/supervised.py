@@ -58,17 +58,21 @@ class LinearModel:
     (intercept first, then the slopes of the columns standardized by
     ``mu``/``scale``), the weights every prediction applies; ``weights``
     are the same model in original units, folded back on first use.
-    Logistic models keep the standardized penalized Hessian of the last
-    IRLS iteration in ``hessian``.
+    ``feature_dim``, the column count the model predicts on, is that of
+    ``mu``.  Logistic models keep the standardized penalized Hessian of the
+    last IRLS iteration in ``hessian``.
     """
 
     w_std: np.ndarray
     kind: str  # "regression" or "logistic"
-    feature_dim: int
     mu: np.ndarray
     scale: np.ndarray
     converged: bool = True
     hessian: np.ndarray | None = None
+
+    @property
+    def feature_dim(self) -> int:
+        return len(self.mu)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -199,7 +203,7 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
     system = gram.copy()
     system.flat[:: k + 1] += lam
     w_std = np.concatenate([[y_mean], _spd_solve(system, zy)])
-    return LinearModel(w_std, "regression", k, mu, scale)
+    return LinearModel(w_std, "regression", mu, scale)
 
 
 def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
@@ -345,7 +349,7 @@ def fit_logistic(
         if change < _IRLS_TOL or (stepsize == 1.0 and change < _IRLS_QUAD_TOL):
             converged = True
             break
-    return LinearModel(w, "logistic", k, std.mu, std.scale, converged, hess)
+    return LinearModel(w, "logistic", std.mu, std.scale, converged, hess)
 
 
 def projected_start(weights: np.ndarray, hessian: np.ndarray, keep) -> np.ndarray:

@@ -245,8 +245,7 @@ def test_criterion_7_counterfactual_oracle():
         except Exception:
             continue
         noise = sample_noise(spec, np.random.default_rng(seed + 10_000))
-        arm1, arm0, _ = simulate_arms(
-            graph, spec, noise, graph.descendants(graph.t_node, include_self=False))
+        arm1, arm0, _, _ = simulate_arms(graph, spec, noise)
         tau = arm1[:, graph.y_node] - arm0[:, graph.y_node]
         expected = _path_product_oracle(graph, graph.t_node, graph.y_node)
         worst = max(worst, float(np.abs(tau - expected).max()))

@@ -143,6 +143,8 @@ def test_nn_pehe_matches_quadratic_scan_oracle():
 def test_nn_pehe_needs_both_arms():
     with pytest.raises(DegenerateArms):
         nn_pehe(np.zeros(3), np.zeros((3, 1)), np.zeros(3), np.ones(3))
+    with pytest.raises(DegenerateArms, match="labels must be 0 or 1"):  # both arms, and a 2
+        nn_pehe(np.zeros(3), np.arange(3.0)[:, None], np.zeros(3), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(LengthMismatch):  # tau_hat shorter than the rows
         nn_pehe(np.zeros(2), np.zeros((3, 1)), np.zeros(3), np.array([0.0, 1.0, 1.0]))
 

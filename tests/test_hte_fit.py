@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hteselect import estimators, fit_metrics
-from hteselect.errors import HteSelectError
+from hteselect.errors import DegenerateArms, HteSelectError
 from hteselect.estimators import ESTIMATOR_KINDS, fit_estimator
 from hteselect.hte_fit import (
     N_SPLITS,
@@ -345,6 +345,14 @@ def test_selection_deterministic():
     assert [(s.column, s.score, s.accepted) for s in a.steps] == [
         (s.column, s.score, s.accepted) for s in b.steps
     ]
+
+
+@pytest.mark.parametrize("t", [np.eye(1, 20)[0], np.tile([0.0, 2.0], 10)],
+                         ids=["one_treated_row", "labels_0_and_2"])
+def test_scorer_split_without_both_arms_raises_degenerate_arms(t):
+    rng = np.random.default_rng(5)
+    with pytest.raises(DegenerateArms, match="inner split lost a treatment arm"):
+        SubsetScorer(rng.normal(size=(20, 2)), t, rng.normal(size=20), metric="TauRisk")
 
 
 def test_scorer_counts_evaluations_and_reports():

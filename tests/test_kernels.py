@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hteselect import _kernels
-from hteselect.errors import NumericError
+from hteselect.errors import DegenerateArms, NumericError
 
 
 def _brute_force(x, t):
@@ -185,15 +185,20 @@ def test_arms_span_several_blocks_at_the_default_block_size():
 
 @pytest.mark.parametrize("labels", [[0, 1, 2, 0], [0, 1, 0.5, 1], [0, 1, -1, 0], [0, 1, np.nan, 1]])
 def test_labels_outside_zero_one_rejected(labels):
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+    with pytest.raises(DegenerateArms, match="labels must be 0 or 1"):
         _kernels.nn_opposite_arm(np.arange(4.0)[:, None], np.array(labels))
+
+
+def test_shape_mismatch_stays_a_value_error():
+    with pytest.raises(ValueError, match=r"must be \(n, k\)"):
+        _kernels.nn_opposite_arm(np.zeros((4, 2)), np.array([0, 1, 0]))
 
 
 def test_single_class_rejected():
     x = np.zeros((4, 2))
-    with pytest.raises(ValueError, match="opposite arm is empty"):
+    with pytest.raises(DegenerateArms, match="opposite arm is empty"):
         _kernels.nn_opposite_arm(x, np.ones(4))
-    with pytest.raises(ValueError, match="opposite arm is empty"):
+    with pytest.raises(DegenerateArms, match="opposite arm is empty"):
         _kernels.nn_opposite_arm(x, np.zeros(4))
 
 

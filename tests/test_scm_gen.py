@@ -398,15 +398,10 @@ def test_interaction_parent_induces_heterogeneity():
     assert ds.tau.var() > 0.1
 
 
-def _post(graph):
-    """The treatment's strict descendants, which ``simulate_arms`` takes."""
-    return graph.descendants(graph.t_node, include_self=False)
-
-
 def test_no_causal_path_zero_effect():
     g = build_graph(3, [(0, 1), (0, 2)], t=1, y=2)
     noise = sample_noise(_spec(d=3, n=300), np.random.default_rng(3))
-    arm1, arm0, _ = simulate_arms(g, _spec(d=3, n=300), noise, _post(g))
+    arm1, arm0, _, _ = simulate_arms(g, _spec(d=3, n=300), noise)
     tau = arm1[:, g.y_node] - arm0[:, g.y_node]
     assert np.all(tau == 0.0)
 
@@ -417,7 +412,7 @@ def test_linear_effect_matches_path_enumeration():
         spec = _spec(d=8, p_e=0.4, m=0, p_h=0, n=50, seed=seed)
         g, _ = sample_or_retry(spec, np.random.default_rng(seed))
         noise = sample_noise(spec, rng)
-        arm1, arm0, _ = simulate_arms(g, spec, noise, _post(g))
+        arm1, arm0, _, _ = simulate_arms(g, spec, noise)
         tau = arm1[:, g.y_node] - arm0[:, g.y_node]
         expected = _enumerate_path_products(g, g.t_node, g.y_node)
         assert np.allclose(tau, expected, atol=1e-10)
@@ -431,7 +426,7 @@ def test_interaction_effect_matches_symbolic_expansion():
     g = build_graph(4, list(c), t=1, y=3, mediators=(2,), hte={3: (0,)}, coef=c)
     spec = _spec(d=4, m=1, p_h=1, n=1000)
     noise = sample_noise(spec, np.random.default_rng(5))
-    arm1, arm0, _ = simulate_arms(g, spec, noise, _post(g))
+    arm1, arm0, _, _ = simulate_arms(g, spec, noise)
     tau = arm1[:, g.y_node] - arm0[:, g.y_node]
     x_p = noise[:, 0]  # source node takes its raw noise value
     expected = 0.5 * 0.8 + 0.8 * x_p
@@ -447,7 +442,7 @@ def test_counterfactual_consistency_and_mask():
     rng = np.random.default_rng(spec.seed)
     g2, _ = sample_or_retry(spec, rng)
     noise = sample_noise(spec, rng)
-    arm1, arm0, _ = simulate_arms(g2, spec, noise, _post(g2))
+    arm1, arm0, _, _ = simulate_arms(g2, spec, noise)
     y1, y0 = arm1[:, g2.y_node], arm0[:, g2.y_node]
     picked = np.where(ds.t == 1.0, y1, y0)
     assert np.array_equal(ds.y, picked)
@@ -511,7 +506,7 @@ def test_simulate_arms_matches_per_arm_reference(spec):
     except InfeasibleSpec:
         return
     noise = sample_noise(spec, rng)
-    arm1, arm0, latent_t = simulate_arms(graph, spec, noise, _post(graph))
+    arm1, arm0, latent_t, _ = simulate_arms(graph, spec, noise)
     ref1, ref_latent = _simulate_arm(graph, spec, noise, 1.0)
     ref0, _ = _simulate_arm(graph, spec, noise, 0.0)
     assert arm1.flags.f_contiguous and arm0.flags.f_contiguous
@@ -539,6 +534,46 @@ def test_dataset_layout(spec):
     assert ds.x.ndim == 2 and ds.x.flags.f_contiguous
     for v in (ds.t, ds.y, ds.tau, ds.post_treatment_mask):
         assert v.ndim == 1 and v.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.integers(3, 12).flatmap(lambda d: st.builds(
+        ScmSpec,
+        d=st.just(d), p_e=st.floats(0.1, 1.0), sigma=st.floats(0.0, 0.9),
+        rho=st.floats(0.05, 1.0), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(20, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )),
+    permute=st.booleans(),
+)
+def test_simulate_arms_marks_the_treatment_descendants(spec, permute):
+    """The mask ``simulate_arms`` derives in its pass is T's strict descendants,
+    also in a permuted causal order, and the dataset's mask is it at the
+    feature nodes."""
+    rng = np.random.default_rng(spec.seed)
+    try:
+        g, _ = sample_or_retry(spec, rng)
+    except InfeasibleSpec:
+        return
+    if permute:  # node v of g is node perm[v] of the renamed graph
+        perm = rng.permutation(spec.d)
+        adj, coef = np.zeros_like(g.adj), np.zeros_like(g.coef)
+        adj[np.ix_(perm, perm)], coef[np.ix_(perm, perm)] = g.adj, g.coef
+        g = CausalGraph(perm, adj, coef, int(perm[g.t_node]), int(perm[g.y_node]),
+                        tuple(int(perm[v]) for v in g.mediators),
+                        {int(perm[k]): tuple(int(perm[v]) for v in parents)
+                         for k, parents in g.hte_parents.items()})
+    post = g.descendants(g.t_node, include_self=False)
+    _, _, _, mask = simulate_arms(g, spec, sample_noise(spec, np.random.default_rng(0)))
+    assert mask.dtype == bool and mask.shape == (spec.d,)
+    assert set(np.flatnonzero(mask).tolist()) == post
+    try:
+        ds = generate(g, spec, rng)
+    except DegenerateArms:
+        return
+    assert ds.post_treatment_mask.dtype == bool
+    assert ds.post_treatment_mask.tolist() == [node in post for node in g.feature_nodes()]
 
 
 def test_role_correctness_for_both_gamma_values():

@@ -141,7 +141,6 @@ def test_unique_minimizer_property():
             bumped = LinearModel(
                 w_std=model.w_std.copy(),
                 kind=model.kind,
-                feature_dim=model.feature_dim,
                 mu=model.mu,
                 scale=model.scale,
             )
@@ -164,7 +163,7 @@ def test_prediction_linear_in_weights():
     m2 = fit_ridge(x, rng.normal(size=20), lam=0.1)
     combo = LinearModel(
         w_std=m1.w_std + m2.w_std, kind="regression",
-        feature_dim=3, mu=m1.mu, scale=m1.scale,
+        mu=m1.mu, scale=m1.scale,
     )
     assert np.allclose(predict(combo, x), predict(m1, x) + predict(m2, x), atol=1e-12)
 
