@@ -16,7 +16,7 @@ ties, including ties at round-off level, break toward the lowest row index.
 
 import numpy as np
 
-from .errors import DegenerateArms, NumericError
+from .errors import NumericError, check_arms
 
 # perfbench/worker.py records this in its environment line
 HAS_NUMBA = False
@@ -64,13 +64,10 @@ def nn_opposite_arm(x, treated):
     t = np.asarray(treated)
     if x.ndim != 2 or t.shape != (x.shape[0],):
         raise ValueError("x must be (n, k) and treated must be (n,)")
-    if not ((t == 0) | (t == 1)).all():
-        raise DegenerateArms("treated labels must be 0 or 1")
+    check_arms(t, "nearest-neighbor matching")
     if not np.isfinite(x).all():
         raise NumericError("non-finite features")
     arm1 = t == 1
-    if arm1.all() or not arm1.any():
-        raise DegenerateArms("opposite arm is empty")
     out = np.empty(x.shape[0], dtype=np.int64)
     for rows, opp in ((~arm1, arm1), (arm1, ~arm1)):
         rows, opp = np.flatnonzero(rows), np.flatnonzero(opp)

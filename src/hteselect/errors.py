@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_arms``, its one treatment-label rule."""
+
+import numpy as np
 
 
 class HteSelectError(Exception):
@@ -18,7 +20,7 @@ class NotPositiveDefinite(HteSelectError):
 
 
 class DegenerateArms(HteSelectError):
-    """A treatment arm required by an estimator is empty."""
+    """A treatment label is not 0 or 1, or a treatment arm is empty."""
 
 
 class DimensionMismatch(HteSelectError):
@@ -39,3 +41,14 @@ class ConfigError(HteSelectError):
 
 class NumericError(HteSelectError):
     """Numeric inputs a computation cannot use (non-finite values, too few rows)."""
+
+
+def check_arms(t, where: str) -> None:
+    """Raise ``DegenerateArms``, which nothing else raises, unless every label of
+    ``t`` is 0 or 1 and both arms occur; ``where`` names the caller's context."""
+    t = np.asarray(t)
+    n_treated, n_control = np.count_nonzero(t == 1), np.count_nonzero(t == 0)
+    if n_treated + n_control != t.size:
+        raise DegenerateArms(f"{where}: treatment labels must be 0 or 1")
+    if not (n_treated and n_control):
+        raise DegenerateArms(f"{where} lost a treatment arm")

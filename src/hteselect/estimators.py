@@ -22,13 +22,13 @@ and ``CateEstimator.predict`` runs it on raw rows standardized alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import supervised
-from .errors import DegenerateArms, DimensionMismatch
+from .errors import DimensionMismatch, check_arms
 from .fit_metrics import doubly_robust_effects
 from .supervised import LinearModel, LogisticBlock, Moments, solve_ridge
 
@@ -67,8 +67,11 @@ class CateEstimator:
     """
 
     kind: str
-    feature_dim: int
-    models: dict[str, LinearModel] = field(default_factory=dict)
+    models: dict[str, LinearModel]
+
+    @property
+    def feature_dim(self) -> int:  # the column count of the kind's effect models
+        return self.models[next(iter(_EFFECT_BLOCKS[self.kind]))].feature_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -114,11 +117,6 @@ class Prepared:
         return Rows(x, spaces)
 
 
-def _check_arms(t: np.ndarray) -> None:
-    if not ((t == 1).any() and (t == 0).any()):
-        raise DegenerateArms("both treatment arms must be nonempty")
-
-
 def _arm_moments(x: np.ndarray, t: np.ndarray, y: np.ndarray) -> dict[str, Moments]:
     return {"f1": Moments.of(x[t == 1], y[t == 1]), "f0": Moments.of(x[t == 0], y[t == 0])}
 
@@ -141,13 +139,13 @@ def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     model = joint.ridge(np.concatenate([cols, [k], k + 1 + cols]))
     w = np.concatenate([[model.w_std[c + 1] / joint.scale[k]], model.w_std[c + 2:]])
     effect = LinearModel(w, "regression", np.zeros(c), joint.scale[k + 1 + cols])
-    return CateEstimator(kind="S", feature_dim=c, models={"joint": model, "effect": effect})
+    return CateEstimator(kind="S", models={"joint": model, "effect": effect})
 
 
 def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     """Separate ridge per arm; effect = f1(x) - f0(x)."""
     models = {arm: prep.blocks[arm].ridge(cols) for arm in ("f1", "f0")}
-    return CateEstimator(kind="T", feature_dim=len(cols), models=models)
+    return CateEstimator(kind="T", models=models)
 
 
 def _residual_ridge(
@@ -182,15 +180,14 @@ def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     models = {"f1": f1, "f0": f0, "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
               "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
               "propensity": blocks["propensity"].fit(cols)}
-    return CateEstimator(kind="X", feature_dim=len(cols), models=models)
+    return CateEstimator(kind="X", models=models)
 
 
 def _prepare_dr(x, t, y) -> dict:
     folds = []
     for part in (0, 1):  # folds by row parity (deterministic)
         xf, tf, yf = x[part::2], t[part::2], y[part::2]
-        if not ((tf == 1).any() and (tf == 0).any()):
-            raise DegenerateArms("cross-fitting fold lost a treatment arm")
+        check_arms(tf, "cross-fitting fold")
         folds.append(
             dict(_arm_moments(xf, tf, yf), x=xf, t=tf, y=yf, propensity=LogisticBlock(xf, tf))
         )
@@ -226,7 +223,7 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
         phi_sum += float(phi.sum())
     effect = solve_ridge(whole.sub_gram(cols), z_phi, phi_sum / whole.n, whole.mu[cols],
                          whole.scale[cols], supervised.OUTCOME_LAMBDA)
-    return CateEstimator(kind="DR", feature_dim=len(cols), models={"effect": effect})
+    return CateEstimator(kind="DR", models={"effect": effect})
 
 
 _PREPARERS: dict[str, Callable] = {
@@ -246,13 +243,13 @@ def prepare(kind: str, x, t, y) -> Prepared:
     standardized once here for each of them.
 
     Raises:
-        DegenerateArms: a treatment arm the estimator needs is empty,
-            overall or (DR) within a cross-fitting fold.
+        DegenerateArms: a label of t is not 0 or 1, or a treatment arm is
+            empty, overall or (DR) within a cross-fitting fold.
     """
     if kind not in _FITTERS:
         raise ValueError(f"unknown estimator kind {kind!r}; use one of {ESTIMATOR_KINDS}")
     x, t, y = np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)
-    _check_arms(t)
+    check_arms(t, f"{kind}-learner")
     return Prepared(kind, x.shape[1], _PREPARERS[kind](x, t, y))
 
 

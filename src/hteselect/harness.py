@@ -247,7 +247,7 @@ def _run_selector(
         mode = method.selector.removeprefix("Oracle")
         result = structure_fit.oracle_adjustment(graph, mode)
         col_of_node = {node: j for j, node in enumerate(graph.feature_nodes())}
-        cols = tuple(sorted(col_of_node[n] for n in result.nodes if n in col_of_node))
+        cols = tuple(sorted(col_of_node[n] for n in result.nodes))
         flags = ["empty_causal_path"] if result.empty_causal_path else []
         return cols, {"nodes": sorted(result.nodes)}, flags
     raise ConfigError(f"unknown selector {method.selector!r}")

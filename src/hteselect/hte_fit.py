@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import estimators, fit_metrics, supervised
-from .errors import DegenerateArms, HteSelectError
+from .errors import HteSelectError, check_arms
 
 logger = logging.getLogger(__name__)
 
@@ -153,6 +153,9 @@ class SubsetScorer:
     block predicts in, so a candidate's prediction is a column gather and a
     matvec with the fit's own weights, and the metric runs on the
     precomputed outcome residuals or imputed effects.
+
+    Raises:
+        DegenerateArms: a label is not 0 or 1, or a part of a split lacks an arm.
     """
 
     def __init__(
@@ -180,8 +183,8 @@ class SubsetScorer:
         for _ in range(N_SPLITS):
             order = rng.permutation(n)
             tr, va = order[:cut], order[cut:]
-            if not all((t[part] == 1).any() and (t[part] == 0).any() for part in (tr, va)):
-                raise DegenerateArms("inner split lost a treatment arm")
+            for part in (tr, va):
+                check_arms(t[part], "inner split")
             self.splits.append((tr, va))
         self._split_stats = [self._prepare_split(x, t, y, tr, va) for tr, va in self.splits]
 
@@ -203,11 +206,10 @@ class SubsetScorer:
             return {"y_resid": y_va - supervised.predict(m_hat, x_va)}
         if self.metric == "NNPEHE":
             return {"tau_tilde": fit_metrics.nn_imputed_effects(x_va, y_va, t_va)}
+        arms = estimators.fit_estimator("T", x_tr, t_tr, y_tr)
         if self.metric == "PluginTau":
-            ref = estimators.fit_estimator("T", x_tr, t_tr, y_tr)
-            return {"tau_tilde": ref.predict(x_va)}
-        arms = estimators.fit_estimator("T", x_tr, t_tr, y_tr)  # CFCV
-        p_hat = supervised.fit_logistic(x_tr, t_tr)
+            return {"tau_tilde": arms.predict(x_va)}
+        p_hat = supervised.fit_logistic(x_tr, t_tr)  # CFCV
         m1, m0 = (supervised.predict(arms.models[arm], x_va) for arm in ("f1", "f0"))
         p_va = supervised.predict(p_hat, x_va)
         return {"tau_tilde": fit_metrics.doubly_robust_effects(y_va, t_va, m1, m0, p_va)}

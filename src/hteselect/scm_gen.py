@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateArms, InfeasibleSpec, NoValidPair, NotPositiveDefinite
+from .errors import ConfigError, InfeasibleSpec, NoValidPair, NotPositiveDefinite, check_arms
 
 MAX_GRAPH_RETRIES = 100
 
@@ -421,6 +421,9 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
     is the drawn arm, so factual values agree with the matching do() arm
     exactly.  ``post_treatment_mask`` is ``simulate_arms``' mask of T's
     descendants at the feature nodes.
+
+    Raises:
+        DegenerateArms: the drawn treatment is single-class; increase n.
     """
     if graph.t_node is None or graph.y_node is None:
         raise ValueError("graph needs assigned roles; run select_roles first")
@@ -428,8 +431,7 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
     arm1, arm0, latent_t, post = simulate_arms(graph, spec, noise)
     propensity = 1.0 / (1.0 + np.exp(-latent_t))
     t = (rng.random(spec.n) < propensity).astype(np.float64)
-    if t.min() == t.max():
-        raise DegenerateArms("drawn treatment vector is single-class; increase n")
+    check_arms(t, "drawn treatment vector")
     values = np.where(t[:, None] == 1.0, arm1, arm0)
     tau = arm1[:, graph.y_node] - arm0[:, graph.y_node]
 

@@ -235,10 +235,7 @@ def d_separated(graph: CausalGraph, i: int, j: int, cond: Iterable[int]) -> bool
     neighbors: dict[int, set[int]] = {v: set() for v in relevant}
     for v in relevant:
         parents = [int(p) for p in graph.parents(v) if int(p) in relevant]
-        for p in parents:
-            neighbors[p].add(v)
-            neighbors[v].add(p)
-        for a, b in combinations(parents, 2):
+        for a, b in combinations([*parents, v], 2):  # moralize: v and its parents, pairwise
             neighbors[a].add(b)
             neighbors[b].add(a)
     return j not in reachable(i, lambda v: neighbors[v] - cond)
@@ -391,7 +388,7 @@ def binary_direction_loglik(binary: np.ndarray, cont: StandardColumn) -> float:
     units move nothing.
 
     Raises:
-        DegenerateArms: ``binary`` does not hold both 0 and 1.
+        DegenerateArms: a value of ``binary`` is not 0 or 1, or one is missing.
     """
     b = np.asarray(binary, float)
     c = cont.z
@@ -421,11 +418,8 @@ class GraphOrienter:
         self.graph = graph
 
     def classify(self, target: int, member: int) -> str:
-        if self.graph.adj[member, target]:
-            return "parent"
-        if self.graph.adj[target, member]:
-            return "child"
-        return "parent"  # non-adjacent leakage: never treat as descendant
+        # a non-adjacent member (leakage) is a parent: never treat it as a descendant
+        return "child" if self.graph.adj[target, member] else "parent"
 
 
 class DataOrienter:
@@ -596,18 +590,13 @@ def oracle_adjustment(graph: CausalGraph, mode: str) -> AdjustmentResult:
     t, y = graph.t_node, graph.y_node
     if mode == "Parents":
         return AdjustmentResult(frozenset(int(p) for p in graph.parents(t)), False)
-    if mode == "Valid":
-        post = graph.descendants(t, include_self=False)
-        keep = set(graph.feature_nodes()) - post
-        return AdjustmentResult(frozenset(keep), False)
+    if mode == "Valid":  # t is no feature node, so removing it with de(t) is a no-op
+        return AdjustmentResult(frozenset(graph.feature_nodes()) - graph.descendants(t), False)
     if mode == "OSet":
         de_t = graph.descendants(t)  # includes t
         causal = (de_t - {t}) & graph.ancestors(y)
         if not causal:
             return AdjustmentResult(frozenset(), True)
-        parents: set[int] = set()
-        for node in causal:
-            parents.update(int(p) for p in graph.parents(node))
-        oset = parents - de_t
-        return AdjustmentResult(frozenset(oset), False)
+        parents = {int(p) for node in causal for p in graph.parents(node)}
+        return AdjustmentResult(frozenset(parents - de_t), False)
     raise ValueError(f"unknown adjustment mode {mode!r}; use one of {ADJUSTMENT_MODES}")

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
-from .errors import DegenerateArms, DimensionMismatch, NumericError
+from .errors import DimensionMismatch, NumericError, check_arms
 
 OUTCOME_LAMBDA = 1e-3
 PROPENSITY_LAMBDA = 1e-2
@@ -289,16 +289,14 @@ def fit_logistic(
     steps are taken.
 
     Raises:
-        DegenerateArms: t does not contain both classes.
+        DegenerateArms: a label of t is not 0 or 1, or t lacks a class.
         NumericError: ``x`` holds non-finite values.
     """
     std = x if isinstance(x, Standardized) else Standardized.of(x)
     t = np.asarray(t, dtype=np.float64)
     if lam <= 0:
         raise ValueError("logistic fits require lam > 0")
-    n_treated = int(np.count_nonzero(t == 1.0))
-    if not 0 < n_treated < len(t) or n_treated + int(np.count_nonzero(t == 0.0)) != len(t):
-        raise DegenerateArms("treatment vector must contain both 0 and 1")
+    check_arms(t, "logistic fit")
     design = std.design
     k = design.shape[1] - 1
     pen = lam * np.concatenate([[0.0], np.ones(k)])

@@ -347,11 +347,13 @@ def test_selection_deterministic():
     ]
 
 
-@pytest.mark.parametrize("t", [np.eye(1, 20)[0], np.tile([0.0, 2.0], 10)],
-                         ids=["one_treated_row", "labels_0_and_2"])
-def test_scorer_split_without_both_arms_raises_degenerate_arms(t):
+@pytest.mark.parametrize(("t", "match"), [
+    (np.eye(1, 20)[0], "inner split lost a treatment arm"),
+    (np.tile([0.0, 2.0], 10), "inner split: treatment labels must be 0 or 1"),
+], ids=["one_treated_row", "labels_0_and_2"])
+def test_scorer_split_without_both_arms_raises_degenerate_arms(t, match):
     rng = np.random.default_rng(5)
-    with pytest.raises(DegenerateArms, match="inner split lost a treatment arm"):
+    with pytest.raises(DegenerateArms, match=match):
         SubsetScorer(rng.normal(size=(20, 2)), t, rng.normal(size=20), metric="TauRisk")
 
 

@@ -196,9 +196,9 @@ def test_shape_mismatch_stays_a_value_error():
 
 def test_single_class_rejected():
     x = np.zeros((4, 2))
-    with pytest.raises(DegenerateArms, match="opposite arm is empty"):
+    with pytest.raises(DegenerateArms, match="matching lost a treatment arm"):
         _kernels.nn_opposite_arm(x, np.ones(4))
-    with pytest.raises(DegenerateArms, match="opposite arm is empty"):
+    with pytest.raises(DegenerateArms, match="matching lost a treatment arm"):
         _kernels.nn_opposite_arm(x, np.zeros(4))
 
 
