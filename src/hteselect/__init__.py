@@ -25,9 +25,9 @@ from .harness import (
     BenchmarkRow,
     ExperimentConfig,
     MethodSpec,
-    hte_fs,
     report,
     run_experiment,
+    run_selector,
 )
 from .hte_fit import SelectionTrace, greedy_select, select_features
 from .scm_gen import (

@@ -154,103 +154,68 @@ class BenchmarkRow:
 
 
 # ---------------------------------------------------------------------------
-# the combined two-stage pipeline
-# ---------------------------------------------------------------------------
-
-
-def hte_fs(
-    x: np.ndarray,
-    t: np.ndarray,
-    y: np.ndarray,
-    metric: str = "TauRisk",
-    estimator: str = "T",
-    seed: int = 0,
-    cfg: structure_fit.CiTestConfig = structure_fit.CiTestConfig(),
-) -> tuple[tuple[int, ...], dict]:
-    """Greedy metric selection followed by structure-based pruning.
-
-    Returns the final column set and a combined trace.  When pruning would
-    empty the set, the greedy-stage output is kept and flagged, since
-    estimation needs at least one column.
-    """
-    trace = hte_fit.select_features(
-        x, t, y, metric=metric, estimator=estimator, seed=seed
-    )
-    stage_one = trace.final_set
-    discovery = _discover(x, t, y, stage_one, cfg)
-    flags: list[str] = []
-    selected = discovery.selected
-    if not selected:
-        selected = stage_one
-        flags.append("fallback_stage_one")
-    combined = {
-        "stage_one": trace.to_dict(),
-        "structure": discovery.graph.to_dict(),
-        "forbidden": sorted(discovery.forbidden),
-        "selected": list(selected),
-        "flags": flags,
-    }
-    return tuple(selected), combined
-
-
-def _discover(x, t, y, candidates, cfg) -> structure_fit.StructureFitResult:
-    """``structure_fit`` with the data tester and orienter on the columns of
-    x followed by t and y."""
-    k = np.asarray(x).shape[1]
-    stacked = np.column_stack([np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)])
-    return structure_fit.structure_fit(
-        structure_fit.FisherZTester(stacked, cfg),
-        structure_fit.DataOrienter(stacked, binary_col=k),
-        k, k + 1, candidates, cfg,
-    )
-
-
-# ---------------------------------------------------------------------------
 # selector dispatch
 # ---------------------------------------------------------------------------
 
 
-def _run_selector(
+def run_selector(
     method: MethodSpec,
-    x_tr: np.ndarray,
-    t_tr: np.ndarray,
-    y_tr: np.ndarray,
-    graph,
-    cfg: structure_fit.CiTestConfig,
-    seed: int,
+    x: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+    graph=None,
+    cfg: structure_fit.CiTestConfig = structure_fit.CiTestConfig(),
+    seed: int = 0,
 ) -> tuple[tuple[int, ...], dict, list[str]]:
-    """One selector's columns, trace and flags; only Oracle selectors read
-    ``graph``, mapping its nodes to columns by ``graph.feature_nodes()``."""
-    k = x_tr.shape[1]
-    all_cols = tuple(range(k))
+    """One selector's columns, trace and flags on a training partition.
+
+    HteFS is HTE-Fit's forward selection followed by Structure-Fit on its
+    output; when pruning would empty that set, the greedy-stage output is
+    kept and flagged ``fallback_stage_one``, since estimation needs at least
+    one column.  Only Oracle selectors read ``graph`` (a ConfigError if it is
+    None), mapping its nodes to columns by ``graph.feature_nodes()``.  An
+    empty selection is returned, not raised, so a caller can record it.
+    """
+    k = np.shape(x)[1]
+    candidates = tuple(range(k))
     if method.selector == "None":
-        return all_cols, {}, []
-    if method.selector in ("HteFitF", "HteFitB"):
-        direction = "forward" if method.selector == "HteFitF" else "backward"
-        trace = hte_fit.select_features(
-            x_tr, t_tr, y_tr,
-            metric=method.metric, estimator=method.estimator,
-            direction=direction, seed=seed,
-        )
-        return trace.final_set, trace.to_dict(), []
-    if method.selector == "StructureFit":
-        result = _discover(x_tr, t_tr, y_tr, all_cols, cfg)
-        flags = [] if result.selected else ["empty_selection"]
-        return result.selected, result.graph.to_dict(), flags
-    if method.selector == "HteFS":
-        selected, combined = hte_fs(
-            x_tr, t_tr, y_tr,
-            metric=method.metric, estimator=method.estimator, seed=seed, cfg=cfg,
-        )
-        return selected, combined, list(combined["flags"])
+        return candidates, {}, []
     if method.selector.startswith("Oracle"):
-        mode = method.selector.removeprefix("Oracle")
-        result = structure_fit.oracle_adjustment(graph, mode)
+        if graph is None:
+            raise ConfigError(f"{method.selector} needs the true causal graph")
+        result = structure_fit.oracle_adjustment(graph, method.selector.removeprefix("Oracle"))
         col_of_node = {node: j for j, node in enumerate(graph.feature_nodes())}
         cols = tuple(sorted(col_of_node[n] for n in result.nodes))
         flags = ["empty_causal_path"] if result.empty_causal_path else []
         return cols, {"nodes": sorted(result.nodes)}, flags
-    raise ConfigError(f"unknown selector {method.selector!r}")
+    if method.selector != "StructureFit":
+        stage_one = hte_fit.select_features(
+            x, t, y,
+            metric=method.metric, estimator=method.estimator,
+            direction="backward" if method.selector == "HteFitB" else "forward", seed=seed,
+        )
+        if method.selector != "HteFS":
+            return stage_one.final_set, stage_one.to_dict(), []
+        candidates = stage_one.final_set
+    stacked = np.column_stack([np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)])
+    result = structure_fit.structure_fit(
+        structure_fit.FisherZTester(stacked, cfg),
+        structure_fit.DataOrienter(stacked, binary_col=k),
+        k, k + 1, candidates, cfg,
+    )
+    if method.selector == "StructureFit":
+        flags = [] if result.selected else ["empty_selection"]
+        return result.selected, result.graph.to_dict(), flags
+    flags = [] if result.selected else ["fallback_stage_one"]
+    selected = tuple(result.selected or candidates)
+    trace = {
+        "stage_one": stage_one.to_dict(),
+        "structure": result.graph.to_dict(),
+        "forbidden": sorted(result.forbidden),
+        "selected": list(selected),
+        "flags": flags,
+    }
+    return selected, trace, list(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +300,7 @@ def _replicate_cells(
         started = time.perf_counter_ns()
         flags: list[str] = []
         try:
-            selected, trace, flags = _run_selector(
-                method, x_tr, t_tr, y_tr, graph, cfg, seed
-            )
+            selected, trace, flags = run_selector(method, x_tr, t_tr, y_tr, graph, cfg, seed)
             if not selected:
                 raise HteSelectError("selector returned no columns")
             cols = list(selected)
@@ -440,8 +403,14 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
         try:
             if len(rec) != len(_ROW_TYPES):
                 raise ValueError(f"{len(rec)} cells, expected {len(_ROW_TYPES)}")
-            rows.append(BenchmarkRow(*map(_parse_cell, rec, _ROW_TYPES.values())))
-        except ValueError as exc:
+            row = BenchmarkRow(*map(_parse_cell, rec, _ROW_TYPES.values()))
+            method = MethodSpec(row.selector, row.estimator, row.metric or MethodSpec.metric)
+            if row.method != method.method_id:
+                raise ValueError(f"method {row.method!r} is not {method.method_id!r}")
+            if row.n_selected != len(row.selected):
+                raise ValueError(f"n_selected {row.n_selected} but {len(row.selected)} selected")
+            rows.append(row)
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"results CSV line {line}: {exc}") from exc
     return rows
 
@@ -450,7 +419,7 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
 class ReportSummary:
     rank_table: dict[str, fit_metrics.RankSummary]
     inclusion: dict[str, float]
-    random_reference: float = 0.5
+    random_reference: typing.ClassVar[float] = 0.5
 
     def format(self) -> str:
         lines = ["method                          mean_rank    sd  inclusion_error"]

@@ -187,14 +187,12 @@ class CausalGraph:
     def parents(self, node: int) -> np.ndarray:
         return np.flatnonzero(self.adj[:, node])
 
-    def descendants(self, node: int, include_self: bool = True) -> set[int]:
-        """Nodes reachable from ``node`` along directed edges."""
-        seen = reachable(node, lambda v: np.flatnonzero(self.adj[v]).tolist())
-        return seen if include_self else seen - {node}
+    def descendants(self, node: int) -> set[int]:
+        """Nodes reachable from ``node`` along directed edges, ``node`` included."""
+        return reachable(node, lambda v: np.flatnonzero(self.adj[v]).tolist())
 
-    def ancestors(self, node: int, include_self: bool = True) -> set[int]:
-        seen = reachable(node, lambda v: np.flatnonzero(self.adj[:, v]).tolist())
-        return seen if include_self else seen - {node}
+    def ancestors(self, node: int) -> set[int]:
+        return reachable(node, lambda v: np.flatnonzero(self.adj[:, v]).tolist())
 
     def feature_nodes(self) -> list[int]:
         """All nodes except treatment and outcome, in node-id order."""

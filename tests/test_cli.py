@@ -79,6 +79,7 @@ def test_select_prints_columns_and_trace(simulated, tmp_path, capsys):
 def test_select_oracle_requires_graph(simulated, capsys):
     data, graph = simulated
     assert main(["select", "--data", str(data), "--selector", "OracleValid"]) == 1
+    assert "OracleValid" in capsys.readouterr().err
     code = main(
         ["select", "--data", str(data), "--selector", "OracleValid",
          "--graph", str(graph)]
@@ -97,7 +98,7 @@ def test_select_matches_harness_dispatch(selector, simulated, tmp_path, capsys):
     assert code == 0
     ds = dataset_from_csv(data.read_text())
     graph, _ = graph_from_json(graph_path.read_text())
-    expected, expected_trace, _ = harness._run_selector(
+    expected, expected_trace, _ = harness.run_selector(
         harness.MethodSpec(selector), ds.x, ds.t, ds.y, graph,
         structure_fit.CiTestConfig(), 2,
     )
@@ -230,8 +231,12 @@ def results_csv(tmp_path):
         (lambda text: text + "scm0001,None+T,None,T,,one,0,0.5,0.25,0.0,1.0,0,\n", "line 3"),
         (lambda text: "", "header"),
         (lambda text: text + "1" * 200000 + "\n", "results CSV line 3: field larger than field"),
+        (lambda text: text.replace(",2,0;1,", ",5,0;1,"), "line 2: n_selected 5 but 2 selected"),
+        (lambda text: text.replace(",None,T,", ",Bogus,T,"), "line 2: unknown selector 'Bogus'"),
+        (lambda text: text.replace("None+T", "HteFS(TauRisk)+T"), "line 2: method 'HteFS"),
     ],
-    ids=["wrong_header", "short_row", "bad_cell", "empty", "huge_cell"],
+    ids=["wrong_header", "short_row", "bad_cell", "empty", "huge_cell",
+         "count_contradicts_columns", "unknown_selector", "method_contradicts_row"],
 )
 def test_report_on_malformed_results_exits_one(edit, message, results_csv, tmp_path, capsys):
     path = tmp_path / "results.csv"

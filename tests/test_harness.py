@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import zlib
 
 import numpy as np
@@ -15,16 +16,17 @@ from hteselect.errors import ConfigError
 from hteselect.estimators import ESTIMATOR_KINDS
 from hteselect.fit_metrics import METRIC_KINDS
 from hteselect.harness import (
+    SELECTORS,
     BenchmarkRow,
     ExperimentConfig,
     MethodSpec,
     assign_ranks,
     config_from_json,
-    hte_fs,
     report,
     rows_from_csv,
     rows_to_csv,
     run_experiment,
+    run_selector,
 )
 from hteselect.scm_gen import ScmSpec, generate, make_dataset
 
@@ -72,10 +74,11 @@ def test_hte_fs_scripted_stage_composition(monkeypatch):
     monkeypatch.setattr(sf_mod, "structure_fit", fake_structure)
     rng = np.random.default_rng(0)
     x, t, y = rng.normal(size=(50, 3)), (rng.random(50) < 0.5).astype(float), rng.normal(size=50)
-    selected, combined = harness.hte_fs(x, t, y)
+    selected, combined, flags = harness.run_selector(MethodSpec("HteFS"), x, t, y)
     assert selected == (0, 1)
     assert combined["forbidden"] == [2, 3]
-    assert combined["flags"] == []
+    assert combined["flags"] == flags == []
+    assert flags is not combined["flags"]  # a harness row appends to its flags
 
 
 def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
@@ -99,9 +102,9 @@ def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
     monkeypatch.setattr(sf_mod, "structure_fit", fake_structure)
     rng = np.random.default_rng(1)
     x, t, y = rng.normal(size=(50, 3)), (rng.random(50) < 0.5).astype(float), rng.normal(size=50)
-    selected, combined = harness.hte_fs(x, t, y)
+    selected, combined, flags = harness.run_selector(MethodSpec("HteFS"), x, t, y)
     assert selected == (1,)
-    assert "fallback_stage_one" in combined["flags"]
+    assert combined["flags"] == flags == ["fallback_stage_one"]
 
 
 def test_hte_fs_without_post_treatment_features_keeps_stage_one():
@@ -114,9 +117,17 @@ def test_hte_fs_without_post_treatment_features_keeps_stage_one():
     spec = ScmSpec(d=4, p_e=0.5, sigma=0.0, rho=0.5, gamma=True, m=0, p_h=0,
                    m_p=False, n=4000, seed=0)
     ds = generate(graph, spec, np.random.default_rng(0))
-    selected, combined = hte_fs(ds.x, ds.t, ds.y, seed=0)
+    selected, combined, flags = run_selector(MethodSpec("HteFS"), ds.x, ds.t, ds.y, seed=0)
     assert selected == tuple(combined["stage_one"]["final_set"])
-    assert combined["flags"] == []
+    assert combined["flags"] == flags == []
+
+
+@pytest.mark.parametrize("selector", ["OracleParents", "OracleValid", "OracleOSet"])
+def test_oracle_selector_without_graph_is_a_config_error(selector):
+    rng = np.random.default_rng(0)
+    x, t, y = rng.normal(size=(20, 3)), np.arange(20) % 2.0, rng.normal(size=20)
+    with pytest.raises(ConfigError, match=selector):
+        run_selector(MethodSpec(selector), x, t, y)
 
 
 def test_mediator_excluded_from_pipeline_monte_carlo():
@@ -133,7 +144,7 @@ def test_mediator_excluded_from_pipeline_monte_carlo():
         ds = generate(graph, spec, rng)
         noise = rng.normal(size=(4000, 2))
         x = np.column_stack([ds.x, noise])  # cols: 0=X, 1=M, 2-3 noise
-        selected, _ = hte_fs(x, ds.t, ds.y, seed=seed)
+        selected, _, _ = run_selector(MethodSpec("HteFS"), x, ds.t, ds.y, seed=seed)
         hits += 1 not in selected
     assert hits >= 40
 
@@ -290,14 +301,14 @@ def test_failed_cells_recorded_and_ranked_last(monkeypatch):
     from hteselect import harness
     from hteselect.errors import HteSelectError
 
-    original = harness._run_selector
+    original = harness.run_selector
 
     def sabotaged(method, *args, **kwargs):
         if method.selector == "StructureFit":
             raise HteSelectError("injected failure")
         return original(method, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_run_selector", sabotaged)
+    monkeypatch.setattr(harness, "run_selector", sabotaged)
     config = _base_config(
         replicates=1,
         methods=(
@@ -365,14 +376,14 @@ def test_unexpected_replicate_error_fails_only_that_replicate(monkeypatch, worke
         harness._derived_seed(config.master_seed, 1, 2, zlib.crc32(m.method_id.encode()))
         for m in config.methods
     }
-    original = harness._run_selector
+    original = harness.run_selector
 
     def sabotaged(method, x_tr, t_tr, y_tr, graph, cfg, seed):
         if seed in bad_seeds and method.selector == "HteFitF":
             raise RuntimeError("injected bug")
         return original(method, x_tr, t_tr, y_tr, graph, cfg, seed)
 
-    monkeypatch.setattr(harness, "_run_selector", sabotaged)
+    monkeypatch.setattr(harness, "run_selector", sabotaged)
     rows, _ = run_experiment(config)
     assert [r.scm_id for r in rows] == [r.scm_id for r in clean]
     for row, want in zip(rows, clean):
@@ -425,25 +436,34 @@ def test_any_scm_spec_gives_finite_or_failed_rows(cell, workers, master_seed):
         assert row.failed or math.isfinite(row.mse), row
 
 
-# the cells and methods of the scaling properties
-_SCALING_CELLS = st.integers(3, 8).flatmap(lambda d: st.fixed_dictionaries(dict(
-    d=st.just(d), p_e=st.floats(0.2, 0.8), sigma=st.sampled_from([0.0, 0.2]),
-    rho=st.sampled_from([0.3, 1.0]), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
-    p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(60, 400),
-)))
+# the cells and methods of the scaling properties; HTESELECT_SWEEP=1 turns
+# them into a sweep of the ScmSpec space (d <= 12, n <= 1000, every selector)
+# that takes minutes, where tier-1 keeps the narrow form
+_SWEEP = os.environ.get("HTESELECT_SWEEP") == "1"
+_SCALING_EXAMPLES = 300 if _SWEEP else 40
+_SCALING_FEATURES = 10 if _SWEEP else 6  # the most feature columns of a cell: d - 2
+_SCALING_CELLS = st.integers(3, _SCALING_FEATURES + 2).flatmap(
+    lambda d: st.fixed_dictionaries(dict(
+        d=st.just(d), p_e=st.floats(0.2, 0.8), sigma=st.sampled_from([0.0, 0.2]),
+        rho=st.sampled_from([0.3, 1.0]), gamma=st.booleans(), m=st.integers(0, min(2, d - 2)),
+        p_h=st.integers(0, 2), m_p=st.booleans(), n=st.integers(60, 1000 if _SWEEP else 400),
+    ))
+)
 _SCALING_METHODS = st.builds(
-    MethodSpec, st.sampled_from(["HteFitF", "HteFitB", "StructureFit", "HteFS"]),
+    MethodSpec,
+    st.sampled_from(SELECTORS if _SWEEP else ["HteFitF", "HteFitB", "StructureFit", "HteFS"]),
     st.sampled_from(ESTIMATOR_KINDS), st.sampled_from(METRIC_KINDS),
 )
 
 
-@settings(max_examples=40)
+@settings(max_examples=_SCALING_EXAMPLES)
 @given(
     cell=_SCALING_CELLS,
     method=_SCALING_METHODS,
     master_seed=st.integers(0, 2**16),
-    exponents=st.lists(st.integers(-600, 600), min_size=6, max_size=6),
-    flips=st.lists(st.booleans(), min_size=6, max_size=6),
+    exponents=st.lists(st.integers(-600, 600), min_size=_SCALING_FEATURES,
+                       max_size=_SCALING_FEATURES),
+    flips=st.lists(st.booleans(), min_size=_SCALING_FEATURES, max_size=_SCALING_FEATURES),
 )
 @example(  # the redo of column_moments summed a scaled column in another order before
     cell=dict(d=8, p_e=0.5, sigma=0.2, rho=1.0, gamma=True, m=1, p_h=1, m_p=False, n=200),
@@ -481,7 +501,7 @@ def test_row_is_invariant_to_power_of_two_scaling_and_sign_flips(
     assert repr(got) == repr(want)
 
 
-@settings(max_examples=40)
+@settings(max_examples=_SCALING_EXAMPLES)
 @given(cell=_SCALING_CELLS, method=_SCALING_METHODS, master_seed=st.integers(0, 2**16),
        e=st.integers(-300, 300))
 @example(  # every score gap is far below an absolute tolerance at this scale
@@ -564,29 +584,29 @@ def test_report_single_method_rank_one():
 def test_report_excludes_undefined_inclusion_rows():
     rows = [
         BenchmarkRow(
-            scm_id="s0", method="m", selector="None", estimator="T", metric="",
+            scm_id="s0", method="None+T", selector="None", estimator="T", metric="",
             n_selected=1, selected=(0,), mse=1.0, tau_risk=1.0,
             inclusion_error=0.8, rank=1.0,
         ),
         BenchmarkRow(
-            scm_id="s1", method="m", selector="None", estimator="T", metric="",
+            scm_id="s1", method="None+T", selector="None", estimator="T", metric="",
             n_selected=1, selected=(0,), mse=1.0, tau_risk=1.0,
             inclusion_error=0.0, rank=1.0,
             flags=("ie_undefined",),
         ),
         BenchmarkRow(
-            scm_id="s2", method="m", selector="None", estimator="T", metric="",
+            scm_id="s2", method="None+T", selector="None", estimator="T", metric="",
             n_selected=0, selected=(), mse=float("nan"), tau_risk=float("nan"),
             inclusion_error=0.0, rank=1.0,
             flags=("failed:DegenerateArms",),
         ),
     ]
     summary = report(rows)
-    assert summary.inclusion["m"] == 0.8
+    assert summary.inclusion["None+T"] == 0.8
     back = rows_from_csv(rows_to_csv(rows))
     assert [r.ie_defined for r in rows] == [True, False, False]
     assert [r.ie_defined for r in back] == [True, False, False]
-    assert report(back).inclusion["m"] == 0.8
+    assert report(back).inclusion["None+T"] == 0.8
 
 
 def test_report_hand_aggregated_fixture():

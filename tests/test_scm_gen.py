@@ -149,9 +149,7 @@ def test_graph_walks_match_transitive_closure(d, p_e, seed):
         assert partial.add_directed_edge(int(u), int(v))
     for v in range(d):
         assert g.descendants(v) == _nodes(reach[v])
-        assert g.descendants(v, include_self=False) == _nodes(reach[v]) - {v}
         assert g.ancestors(v) == _nodes(reach[:, v])
-        assert g.ancestors(v, include_self=False) == _nodes(reach[:, v]) - {v}
         assert partial.descendants(v) == _nodes(reach[v])
 
     backdoor = np.zeros((d, d), dtype=bool)
@@ -269,7 +267,7 @@ def _pairwise_role_candidates(graph, spec):
         cut[t, :] = False
         cut[:, t] = False
         anc_y = scm_gen.reachable(y, lambda v: np.flatnonzero(cut[:, v]).tolist())
-        return bool((graph.ancestors(t, include_self=False) - {y}) & anc_y)
+        return bool((graph.ancestors(t) - {t, y}) & anc_y)
 
     hops = np.linalg.matrix_power(graph.adj.astype(np.int64), spec.m + 1)
     return [(int(t), int(y)) for t, y in zip(*np.nonzero(hops))
@@ -447,7 +445,7 @@ def test_counterfactual_consistency_and_mask():
     picked = np.where(ds.t == 1.0, y1, y0)
     assert np.array_equal(ds.y, picked)
     # mask equals reachability restricted to feature columns
-    post = g.descendants(g.t_node, include_self=False)
+    post = g.descendants(g.t_node) - {g.t_node}
     assert np.array_equal(
         ds.post_treatment_mask,
         np.array([node in post for node in g.feature_nodes()]),
@@ -564,7 +562,7 @@ def test_simulate_arms_marks_the_treatment_descendants(spec, permute):
                         tuple(int(perm[v]) for v in g.mediators),
                         {int(perm[k]): tuple(int(perm[v]) for v in parents)
                          for k, parents in g.hte_parents.items()})
-    post = g.descendants(g.t_node, include_self=False)
+    post = g.descendants(g.t_node) - {g.t_node}
     _, _, _, mask = simulate_arms(g, spec, sample_noise(spec, np.random.default_rng(0)))
     assert mask.dtype == bool and mask.shape == (spec.d,)
     assert set(np.flatnonzero(mask).tolist()) == post
