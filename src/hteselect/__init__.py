@@ -49,7 +49,6 @@ from .structure_fit import (
     DSepOracle,
     FisherZTester,
     GraphOrienter,
-    PartialGraph,
     discover_colliders,
     local_structure,
     oracle_adjustment,

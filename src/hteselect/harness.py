@@ -61,8 +61,13 @@ class MethodSpec:
             raise ConfigError(f"unknown metric {self.metric!r}")
 
     @property
+    def metric_cell(self) -> str:
+        """A results row's metric: blank unless the selector is metric-guided."""
+        return self.metric if self.selector in _METRIC_SELECTORS else ""
+
+    @property
     def method_id(self) -> str:
-        if self.selector in _METRIC_SELECTORS:
+        if self.metric_cell:
             return f"{self.selector}({self.metric})+{self.estimator}"
         return f"{self.selector}+{self.estimator}"
 
@@ -205,12 +210,12 @@ def run_selector(
     )
     if method.selector == "StructureFit":
         flags = [] if result.selected else ["empty_selection"]
-        return result.selected, result.graph.to_dict(), flags
+        return result.selected, result.to_dict(), flags
     flags = [] if result.selected else ["fallback_stage_one"]
     selected = tuple(result.selected or candidates)
     trace = {
         "stage_one": stage_one.to_dict(),
-        "structure": result.graph.to_dict(),
+        "structure": result.to_dict(),
         "forbidden": sorted(result.forbidden),
         "selected": list(selected),
         "flags": flags,
@@ -238,7 +243,7 @@ def _row(
         method=method.method_id,
         selector=method.selector,
         estimator=method.estimator,
-        metric=method.metric if method.selector in _METRIC_SELECTORS else "",
+        metric=method.metric_cell,
         n_selected=len(selected),
         selected=tuple(selected),
         mse=mse,
@@ -407,6 +412,8 @@ def rows_from_csv(text: str) -> list[BenchmarkRow]:
             method = MethodSpec(row.selector, row.estimator, row.metric or MethodSpec.metric)
             if row.method != method.method_id:
                 raise ValueError(f"method {row.method!r} is not {method.method_id!r}")
+            if row.metric != method.metric_cell:
+                raise ValueError(f"metric {row.metric!r} is not {method.metric_cell!r}")
             if row.n_selected != len(row.selected):
                 raise ValueError(f"n_selected {row.n_selected} but {len(row.selected)} selected")
             rows.append(row)

@@ -3,8 +3,8 @@
 The pipeline: a partial-correlation conditional-independence test feeds a
 parent-children (PC) set discovery, collider tests identify definite
 parents, remaining PC members are oriented pairwise, and a breadth-first
-traversal from the treatment assembles a partial graph whose treatment
-descendants form the forbidden (post-treatment) set.
+traversal from the treatment collects (node, child) edges; the treatment
+and every child found form the forbidden (post-treatment) set.
 
 PC-set discovery runs one loop (``eliminate``) per level for any tester.  The
 data tester decides a level from one Schur complement of C[S, S] per set S; a
@@ -31,7 +31,7 @@ import functools
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Protocol
 
@@ -481,44 +481,16 @@ def local_structure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PartialGraph:
-    """Directed structure discovered around the treatment-outcome path."""
-
-    nodes: set[int] = field(default_factory=set)
-    directed_edges: set[tuple[int, int]] = field(default_factory=set)
-
-    def add_directed_edge(self, u: int, v: int) -> bool:
-        """Add u -> v unless it would close a cycle; then keep v -> u.
-
-        Returns True if the edge was added as requested.
-        """
-        if u == v:
-            return False
-        self.nodes.update((u, v))
-        if (u, v) in self.directed_edges:
-            return True
-        if u in self.descendants(v):
-            self.directed_edges.add((v, u))
-            return False
-        self.directed_edges.add((u, v))
-        return True
-
-    def descendants(self, node: int) -> set[int]:
-        """``node`` and every node downstream of it along directed edges."""
-        return reachable(node, lambda v: [w for u, w in self.directed_edges if u == v])
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "directed_edges": sorted(list(e) for e in self.directed_edges),
-        }
-
-
 class StructureFitResult(NamedTuple):
     selected: tuple[int, ...]
     forbidden: frozenset
-    graph: PartialGraph
+    edges: tuple[tuple[int, int], ...]  # (node, child), sorted
+
+    def to_dict(self) -> dict:
+        return {
+            "nodes": sorted(self.forbidden),
+            "directed_edges": [list(e) for e in self.edges],
+        }
 
 
 def structure_fit(
@@ -536,10 +508,11 @@ def structure_fit(
     structures are learned breadth-first from the treatment's children
     toward the outcome.  The seen-set ``dn`` starts as the outcome's children
     plus the treatment, and a node is queued only once and only if it is not
-    in ``dn``, so traversal never continues past the outcome's children.  The
-    forbidden set is the treatment's descendants within the assembled partial
-    graph (including the treatment itself), and the returned columns are the
-    candidates minus that set.
+    in ``dn``, so traversal never continues past the outcome's children.
+    Each (node, child) edge of a visited node's local structure starts at
+    the treatment or at a node an earlier edge reached, so the treatment's
+    descendants along them are the treatment plus every child found: the
+    forbidden set.  The returned columns are the candidates minus it.
     """
     candidates = sorted(set(int(c) for c in candidates) - {t_col, y_col})
     scope = set(candidates) | {t_col, y_col}
@@ -547,22 +520,19 @@ def structure_fit(
         lambda node: local_structure(tester, orienter, node, scope - {node}, cfg))
 
     dn = local(y_col)[1] | {t_col}
-    graph = PartialGraph()
-    graph.nodes.add(t_col)
+    forbidden, edges = {t_col}, []
     frontier = deque([t_col])  # the treatment first, so its children form the queue
     while frontier:
         node = frontier.popleft()
         for child in sorted(local(node)[1]):
-            graph.add_directed_edge(node, child)
+            edges.append((node, child))
+            forbidden.add(child)
             if child not in dn:
                 dn.add(child)
                 frontier.append(child)
 
-    forbidden = graph.descendants(t_col)
     selected = tuple(c for c in candidates if c not in forbidden)
-    return StructureFitResult(
-        selected=selected, forbidden=frozenset(forbidden), graph=graph
-    )
+    return StructureFitResult(selected, frozenset(forbidden), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------

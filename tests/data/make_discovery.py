@@ -76,7 +76,7 @@ def discover(spec: ScmSpec) -> dict:
         "spec": dataclasses.asdict(spec),
         "selected": list(result.selected),
         "forbidden": sorted(result.forbidden),
-        "edges": sorted(list(e) for e in result.graph.directed_edges),
+        "edges": [list(e) for e in result.edges],
         "visited": visited,
     }
 

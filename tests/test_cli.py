@@ -109,7 +109,7 @@ def test_select_matches_harness_dispatch(selector, simulated, tmp_path, capsys):
 
 def test_select_empty_selection_exits_two(simulated, monkeypatch):
     data, _ = simulated
-    empty = structure_fit.StructureFitResult((), frozenset(), structure_fit.PartialGraph())
+    empty = structure_fit.StructureFitResult((), frozenset(), edges=())
     monkeypatch.setattr(structure_fit, "structure_fit", lambda *a, **kw: empty)
     assert main(["select", "--data", str(data), "--selector", "StructureFit"]) == 2
 
@@ -234,9 +234,14 @@ def results_csv(tmp_path):
         (lambda text: text.replace(",2,0;1,", ",5,0;1,"), "line 2: n_selected 5 but 2 selected"),
         (lambda text: text.replace(",None,T,", ",Bogus,T,"), "line 2: unknown selector 'Bogus'"),
         (lambda text: text.replace("None+T", "HteFS(TauRisk)+T"), "line 2: method 'HteFS"),
+        (lambda text: text.replace(",None,T,,", ",None,T,CFCV,"),
+         "line 2: metric 'CFCV' is not ''"),
+        (lambda text: text.replace("None+T,None,", "HteFitF(TauRisk)+T,HteFitF,"),
+         "line 2: metric '' is not 'TauRisk'"),
     ],
     ids=["wrong_header", "short_row", "bad_cell", "empty", "huge_cell",
-         "count_contradicts_columns", "unknown_selector", "method_contradicts_row"],
+         "count_contradicts_columns", "unknown_selector", "method_contradicts_row",
+         "metric_on_metricless_selector", "blank_metric_on_metric_selector"],
 )
 def test_report_on_malformed_results_exits_one(edit, message, results_csv, tmp_path, capsys):
     path = tmp_path / "results.csv"

@@ -31,3 +31,12 @@ def test_discovery_matches_record():
     moved = [pin["spec"]["seed"] for pin in RECORD
              if make_discovery.discover(ScmSpec(**pin["spec"])) != pin]
     assert not moved, f"{len(moved)} SCMs moved (seeds {moved})"
+
+
+def test_forbidden_is_the_treatment_plus_every_child_found():
+    # T's column is d - 2, after the d - 2 feature columns; each edge's tail
+    # is T or a node an earlier edge reached
+    for pin in RECORD:
+        forbidden = set(pin["forbidden"])
+        assert forbidden == {pin["spec"]["d"] - 2} | {child for _, child in pin["edges"]}
+        assert all(node in forbidden for node, _ in pin["edges"])

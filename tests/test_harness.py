@@ -65,10 +65,8 @@ def test_hte_fs_scripted_stage_composition(monkeypatch):
     monkeypatch.setattr(harness.hte_fit, "select_features", lambda *a, **k: FakeTrace())
 
     def fake_structure(tester, orienter, t_col, y_col, candidates, cfg):
-        graph = sf_mod.PartialGraph()
-        graph.add_directed_edge(t_col, 2)
         return sf_mod.StructureFitResult(
-            selected=(0, 1), forbidden=frozenset({t_col, 2}), graph=graph
+            selected=(0, 1), forbidden=frozenset({t_col, 2}), edges=((t_col, 2),)
         )
 
     monkeypatch.setattr(sf_mod, "structure_fit", fake_structure)
@@ -96,7 +94,7 @@ def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
 
     def fake_structure(tester, orienter, t_col, y_col, candidates, cfg):
         return sf_mod.StructureFitResult(
-            selected=(), forbidden=frozenset({t_col, 1}), graph=sf_mod.PartialGraph()
+            selected=(), forbidden=frozenset({t_col, 1}), edges=((t_col, 1),)
         )
 
     monkeypatch.setattr(sf_mod, "structure_fit", fake_structure)

@@ -1,6 +1,7 @@
 """Discovery pipeline: CI testing, PC sets, colliders, orientation, traversal."""
 
 import functools
+import json
 import logging
 import math
 import os
@@ -30,7 +31,6 @@ from hteselect.structure_fit import (
     DSepOracle,
     FisherZTester,
     GraphOrienter,
-    PartialGraph,
     StandardColumn,
     binary_direction_loglik,
     d_separated,
@@ -594,6 +594,8 @@ def test_oracle_soundness_on_random_graphs():
         # every truly reachable discovered node was removed
         for node in removed:
             assert node in true_de
+        assert set(res.forbidden) == {graph.t_node} | {child for _, child in res.edges}
+        assert all(node in res.forbidden for node, _ in res.edges)
 
 
 def test_frontier_visits_each_node_once(multivariable_graph):
@@ -630,29 +632,35 @@ def test_walk_stops_at_the_outcomes_children():
     res = structure_fit(DSepOracle(graph), CountingOrienter(), T, Y, [W, M, C, D], CFG)
     assert res.selected == (W, D)
     assert res.forbidden == {T, M, Y, C}
-    assert res.graph.directed_edges == {(T, M), (T, C), (M, Y), (Y, C)}
+    assert res.edges == ((T, M), (T, C), (M, Y), (Y, C))
     assert calls and all(target not in (C, D) and D not in (target, member)
                          for target, member in calls)
 
 
-def test_partial_graph_acyclicity_guard():
-    g = PartialGraph()
-    assert g.add_directed_edge(0, 1)
-    assert g.add_directed_edge(1, 2)
-    assert not g.add_directed_edge(2, 0)  # flipped to preserve acyclicity
-    assert (0, 2) in g.directed_edges
-    assert g.descendants(0) == {0, 1, 2}
-
-
 def test_partial_graph_json():
-    import json
-
-    g = PartialGraph()
-    g.add_directed_edge(3, 1)
-    payload = g.to_dict()
-    assert payload["nodes"] == [1, 3]
-    assert payload["directed_edges"] == [[3, 1]]
+    # the discovered partial graph is reported as the forbidden nodes and the
+    # directed edges that reached them, and survives a JSON round trip
+    W, T, M, Y, C, D = range(6)
+    graph = build_graph(6, [(W, T), (W, Y), (T, M), (T, C), (M, Y), (Y, C), (C, D)], t=T, y=Y)
+    res = structure_fit(DSepOracle(graph), GraphOrienter(graph), T, Y, [W, M, C, D], CFG)
+    payload = res.to_dict()
+    assert payload == {"nodes": [T, M, Y, C], "directed_edges": [[T, M], [T, C], [M, Y], [Y, C]]}
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_walk_keeps_an_edge_into_the_treatment_as_reported(monkeypatch):
+    # scripted local structures T -> A -> B, and B names T as its child: the
+    # edges are those reported, (B, T) included, and the forbidden set is T
+    # plus every child found, cycle or not
+    T, A, B, Y, W = range(5)
+    children = {T: {A}, A: {B}, B: {T}, Y: set()}
+    monkeypatch.setattr(hteselect.structure_fit, "local_structure",
+                        lambda tester, orienter, target, candidates, cfg: (set(), children[target]))
+    res = structure_fit(None, None, T, Y, [A, B, W], CFG)
+    assert res.edges == ((T, A), (A, B), (B, T))
+    assert (T, B) not in res.edges
+    assert res.forbidden == {T, A, B}
+    assert res.selected == (W,)
 
 
 # ---------------------------------------------------------------------------
