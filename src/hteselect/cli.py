@@ -108,9 +108,6 @@ def _cmd_select(args) -> int:
     if args.graph is not None:
         graph, _ = graph_from_json(_read(args.graph))
     dataset = dataset_from_csv(_read(args.data))
-    if graph is not None and graph.d - 2 != dataset.n_features:
-        raise ConfigError(f"--graph has {graph.d - 2} feature nodes, but --data has "
-                          f"{dataset.n_features} feature columns")
     cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
     selected, trace, _ = harness.run_selector(
         method, dataset.x, dataset.t, dataset.y, graph, cfg, args.seed

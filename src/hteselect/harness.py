@@ -178,10 +178,15 @@ def run_selector(
     output; when pruning would empty that set, the greedy-stage output is
     kept and flagged ``fallback_stage_one``, since estimation needs at least
     one column.  Only Oracle selectors read ``graph`` (a ConfigError if it is
-    None), mapping its nodes to columns by ``graph.feature_nodes()``.  An
-    empty selection is returned, not raised, so a caller can record it.
+    None), mapping its nodes to columns by ``graph.feature_nodes()``; a
+    graph whose feature count differs from x's is a ConfigError for every
+    selector.  An empty selection is returned, not raised, so a caller can
+    record it.
     """
     k = np.shape(x)[1]
+    if graph is not None and graph.d - 2 != k:
+        raise ConfigError(f"the graph has {graph.d - 2} feature nodes, but the data has "
+                          f"{k} feature columns")
     candidates = tuple(range(k))
     if method.selector == "None":
         return candidates, {}, []
@@ -329,7 +334,8 @@ def _replicate_cells(
 
 
 def assign_ranks(rows: list[BenchmarkRow]) -> None:
-    """Within-SCM MSE ranks; ties share the mean rank, failures rank last."""
+    """Within-SCM MSE ranks; ties share the mean rank, and the failed cells
+    share the mean of the last places, so an SCM's k ranks sum to k(k+1)/2."""
     by_scm: dict[str, list[BenchmarkRow]] = {}
     for row in rows:
         by_scm.setdefault(row.scm_id, []).append(row)
@@ -338,10 +344,10 @@ def assign_ranks(rows: list[BenchmarkRow]) -> None:
         ranks = fit_metrics.mean_ranks(np.array([r.mse for r in valid], dtype=np.float64))
         for r, rank in zip(valid, ranks):
             r.rank = float(rank)
-        worst = max((r.rank for r in valid), default=0.0)
+        last = len(valid) + (len(scm_rows) - len(valid) + 1) / 2
         for r in scm_rows:
             if r.failed:
-                r.rank = worst + 1.0
+                r.rank = last
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[BenchmarkRow], dict]:

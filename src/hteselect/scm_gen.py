@@ -480,8 +480,9 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
             ``adj`` or ``coef`` does not hold d*d values, an ``adj`` edge
             runs against ``order``, ``y_node`` is ``t_node``, ``mediators``
             lists either, ``t_node``, ``mediators``, ``y_node`` is not a
-            directed path in ``adj``, or ``hte_parents`` has a key off that
-            path past ``t_node`` or an entry that is not its key's parent.
+            directed path in ``adj``, ``hte_parents`` has a key off that path
+            past ``t_node`` or an entry that is not its key's parent, or
+            ``coef`` is zero on an ``adj`` edge or nonzero off one.
     """
     keys = ("spec", "order", "adj", "coef", "t_node", "y_node", "mediators", "hte_parents")
     payload = json_object("graph JSON", text, keys, keys)
@@ -530,6 +531,11 @@ def graph_from_json(text: str) -> tuple[CausalGraph, ScmSpec]:
                 raise ConfigError(f"graph JSON 'hte_parents' entry {entry} of node {node} "
                                   f"is not its parent in 'adj'")
     coef = np.array(get("coef", [float])).reshape(d, d)
+    off = np.argwhere(adj != (coef != 0.0))
+    if off.size:
+        i, j = off[0]
+        raise ConfigError(f"graph JSON 'coef' entry ({i}, {j}) is {float(coef[i, j])!r}, but "
+                          f"'adj' {'has' if adj[i, j] else 'lacks'} the edge {i} -> {j}")
     graph = CausalGraph(np.array(order, dtype=np.int64), adj, coef, t_node, y_node, mediators,
                         hte_parents=hte_parents)
     return graph, spec

@@ -326,12 +326,6 @@ def discover_colliders(
 # ---------------------------------------------------------------------------
 
 
-class OrientResult(NamedTuple):
-    direction: str  # "i_to_j" or "j_to_i"
-    tie: bool
-    gap: float  # relative residual difference in [0, 1]
-
-
 class StandardColumn:
     """A column standardized by ``column_moments`` (by 1 if constant), and its
     cubic basis [1, z, z², z³] on first use.  ``z**3`` is libm ``pow``, most of
@@ -354,28 +348,25 @@ def _cubic_residual_mse(design: np.ndarray, effect: np.ndarray) -> float:
     return float(np.mean(resid**2))
 
 
-def orient_reci(a: StandardColumn, b: StandardColumn, i: int, j: int) -> OrientResult:
-    """Pairwise direction from cubic-regression residual comparison of the
-    standardized columns ``a`` and ``b``, data columns ``i`` and ``j``.
-
-    The variable that is easier to predict (strictly smaller mean squared
-    residual) is taken to be the effect.  Residuals equal within 1e-6 raise
-    the tie flag and fall back to the low-index-first convention.  Swapping
-    the arguments always yields the same physical direction.
+def orient_reci(a: StandardColumn, b: StandardColumn) -> float:
+    """Signed RECI score of standardized columns ``a`` and ``b``: positive
+    means ``b`` is the effect (its cubic regression on ``a`` leaves the
+    smaller mean squared residual, ``err_ab``).  0.0 when ``err_ab`` and
+    ``err_ba`` differ by at most ``RECI_TIE_TOL``, else the relative gap
+    ``(err_ba - err_ab) / max(err_ab, err_ba)``; swapping the arguments
+    negates it exactly.
 
     Raises:
         ConstantColumn: either column has zero variance.
     """
     if a.scale == 0.0 or b.scale == 0.0:
-        raise ConstantColumn(f"columns {i}, {j} must be non-constant")
-    err_ij = _cubic_residual_mse(a.basis, b.z)  # predict j from i
-    err_ji = _cubic_residual_mse(b.basis, a.z)
-    diff = err_ij - err_ji
-    gap = abs(diff) / max(err_ij, err_ji, 1e-300)
+        raise ConstantColumn("both columns must be non-constant")
+    err_ab = _cubic_residual_mse(a.basis, b.z)
+    err_ba = _cubic_residual_mse(b.basis, a.z)
+    diff = err_ba - err_ab
     if abs(diff) <= RECI_TIE_TOL:
-        direction = "i_to_j" if i < j else "j_to_i"
-        return OrientResult(direction, True, gap)
-    return OrientResult("i_to_j" if diff < 0 else "j_to_i", False, gap)
+        return 0.0
+    return diff / max(err_ab, err_ba, 1e-300)
 
 
 def binary_direction_loglik(binary: np.ndarray, cont: StandardColumn) -> float:
@@ -408,7 +399,9 @@ def binary_direction_loglik(binary: np.ndarray, cont: StandardColumn) -> float:
 
 
 class Orienter(Protocol):
-    def classify(self, target: int, member: int) -> str: ...
+    """Answers whether PC member ``member`` of ``target`` is its child."""
+
+    def is_child(self, target: int, member: int) -> bool: ...
 
 
 class GraphOrienter:
@@ -417,20 +410,19 @@ class GraphOrienter:
     def __init__(self, graph: CausalGraph):
         self.graph = graph
 
-    def classify(self, target: int, member: int) -> str:
+    def is_child(self, target: int, member: int) -> bool:
         # a non-adjacent member (leakage) is a parent: never treat it as a descendant
-        return "child" if self.graph.adj[target, member] else "parent"
+        return bool(self.graph.adj[target, member])
 
 
 class DataOrienter:
-    """Data-driven parent/child classification for unresolved PC members.
+    """Data-driven parent/child verdicts for unresolved PC members.
 
-    Treatment-adjacent pairs use the generative likelihood margin; all other
-    pairs use cubic-residual comparison, calling a member a child only when
-    the verdict points away from the target with a relative gap of at least
-    ``CHILD_GATE``; a treatment edge is outgoing when its margin exceeds
-    ``LR_THRESHOLD``.  ``column(k)`` standardizes column k, and builds its
-    cubic basis, at most once per orienter.
+    A treatment edge is outgoing when the generative likelihood margin
+    exceeds ``LR_THRESHOLD``; any other member is a child when its signed
+    RECI score from the target reaches ``CHILD_GATE``, so ties and near-ties
+    are parents.  ``column(k)`` standardizes column k, and builds its cubic
+    basis, at most once per orienter.
     """
 
     def __init__(self, data: np.ndarray, binary_col: int):
@@ -438,19 +430,12 @@ class DataOrienter:
         self.binary_col = binary_col
         self.column = functools.cache(lambda col: StandardColumn(data[:, col]))
 
-    def classify(self, target: int, member: int) -> str:
+    def is_child(self, target: int, member: int) -> bool:
         if self.binary_col in (target, member):
             other = member if target == self.binary_col else target
             margin = binary_direction_loglik(self.data[:, self.binary_col], self.column(other))
-            binary_causes = margin > LR_THRESHOLD
-            if target == self.binary_col:
-                return "child" if binary_causes else "parent"
-            return "parent" if binary_causes else "child"
-        result = orient_reci(self.column(target), self.column(member), target, member)
-        away = result.direction == "i_to_j"  # args were (target, member)
-        if away and not result.tie and result.gap >= CHILD_GATE:
-            return "child"
-        return "parent"
+            return (margin > LR_THRESHOLD) == (target == self.binary_col)
+        return orient_reci(self.column(target), self.column(member)) >= CHILD_GATE
 
 
 def local_structure(
@@ -469,7 +454,7 @@ def local_structure(
     parents = discover_colliders(tester, target, pc)
     children: set[int] = set()
     for member in sorted(pc - parents):
-        if orienter.classify(target, member) == "child":
+        if orienter.is_child(target, member):
             children.add(member)
         else:
             parents.add(member)

@@ -3,13 +3,11 @@
 Usage, from the repository root:
     PYTHONPATH=src python3 tests/data/make_discovery.py
 
-Runs StructureFit alone on each SCM of ``panel()``: it builds the
-data-driven tester and orienter on the columns of x followed by t and y, as
-``harness.run_selector`` does, and calls ``structure_fit.structure_fit`` at
-the default ``CiTestConfig`` directly, since the record needs the forbidden
-set, which a StructureFit trace does not carry.  It stores, per SCM, the
-selected columns, the forbidden set, the directed edges and every visited
-node's PC set and collider parents in ``tests/data/discovery.json``.
+Runs the StructureFit selector alone on each SCM of ``panel()``, through
+``harness.run_selector`` at the default ``CiTestConfig``, and stores, per
+SCM, the selected columns, the forbidden set and the directed edges of its
+trace, and every visited node's PC set and collider parents, in
+``tests/data/discovery.json``.
 Regenerate only when a change to the package is meant to change discovery
 verdicts, and say why in CHANGES.md.
 """
@@ -23,9 +21,7 @@ import os
 import sys
 from unittest import mock
 
-import numpy as np
-
-from hteselect import structure_fit
+from hteselect import harness, structure_fit
 from hteselect.scm_gen import ScmSpec, make_dataset
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "discovery.json")
@@ -65,18 +61,13 @@ def discover(spec: ScmSpec) -> dict:
 
     with mock.patch.object(structure_fit, "pc_simple", pc), \
             mock.patch.object(structure_fit, "discover_colliders", colliders):
-        k, cfg = ds.x.shape[1], structure_fit.CiTestConfig()
-        stacked = np.column_stack([ds.x, ds.t, ds.y])
-        result = structure_fit.structure_fit(
-            structure_fit.FisherZTester(stacked, cfg),
-            structure_fit.DataOrienter(stacked, binary_col=k),
-            k, k + 1, range(k), cfg,
-        )
+        selected, trace, _ = harness.run_selector(
+            harness.MethodSpec("StructureFit"), ds.x, ds.t, ds.y)
     return {
         "spec": dataclasses.asdict(spec),
-        "selected": list(result.selected),
-        "forbidden": sorted(result.forbidden),
-        "edges": [list(e) for e in result.edges],
+        "selected": list(selected),
+        "forbidden": trace["nodes"],
+        "edges": trace["directed_edges"],
         "visited": visited,
     }
 

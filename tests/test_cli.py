@@ -338,8 +338,10 @@ def test_select_with_graph_of_another_dataset_exits_one(simulated, tmp_path, cap
     small_data, small_graph = tmp_path / "small.csv", tmp_path / "small.json"
     assert main(["simulate", "--d", "6", "--p-e", "0.4", "--n", "200", "--seed", "1",
                  "--out-data", str(small_data), "--out-graph", str(small_graph)]) == 0
-    for data_path, graph_path, counts in [(small_data, graph, "6 feature nodes, but --data has 4"),
-                                          (data, small_graph, "4 feature nodes, but --data has 6")]:
+    for data_path, graph_path, counts in [
+        (small_data, graph, "6 feature nodes, but the data has 4"),
+        (data, small_graph, "4 feature nodes, but the data has 6"),
+    ]:
         args = ["select", "--data", str(data_path), "--graph", str(graph_path),
                 "--selector", "OracleOSet"]
         assert main(args) == 1
@@ -367,6 +369,17 @@ def _non_parent_interaction(payload):
     d, y = len(payload["order"]), payload["y_node"]
     stranger = next(v for v in range(d) if not payload["adj"][v * d + y])
     return dict(payload, hte_parents={str(y): [stranger]})
+
+
+def _off_edge(payload, key, value):
+    """The graph with ``key`` set to ``value`` at the first pair (i, j), i
+    before j in ``order``, that is not an edge of ``adj``."""
+    order, d = payload["order"], len(payload["order"])
+    cell = next(i * d + j for at, i in enumerate(order) for j in order[at + 1 :]
+                if not payload["adj"][i * d + j])
+    values = list(payload[key])
+    values[cell] = value
+    return dict(payload, **{key: values})
 
 
 @pytest.mark.parametrize(
@@ -400,6 +413,8 @@ def _non_parent_interaction(payload):
         (lambda payload: dict(payload, hte_parents={str(payload["t_node"]): []}),
          "is neither the 'y_node'"),
         (_non_parent_interaction, "is not its parent in 'adj'"),
+        (lambda payload: _off_edge(payload, "adj", 1), "is 0.0, but 'adj' has the edge"),
+        (lambda payload: _off_edge(payload, "coef", 0.5), "is 0.5, but 'adj' lacks the edge"),
     ],
     ids=[
         "empty", "no_t_node", "list", "spec_list", "t_node_out_of_range", "t_node_str",
@@ -408,6 +423,7 @@ def _non_parent_interaction(payload):
         "hte_parent_negative", "hte_parents_int", "adj_short", "coef_long", "adj_nested",
         "adj_cycle", "order_reversed", "y_node_is_t_node", "y_node_mediator",
         "t_node_mediator", "chain_not_a_path", "hte_key_off_chain", "hte_entry_not_parent",
+        "adj_edge_without_coef", "coef_off_adj",
     ],
 )
 def test_select_on_malformed_graph_exits_one(edit, message, simulated, tmp_path, capsys):
@@ -536,6 +552,8 @@ def fuzz_dir(tmp_path_factory):
 @example(mutation=(("spec", "d"), 3))  # named a node of 'order', not 'd', before
 @example(mutation=(("spec", "d"), 4))
 @example(mutation=(("spec", "d"), 5))
+@example(mutation=(("adj", 8), 1))  # an edge 1 -> 2 with coef 0 loaded before
+@example(mutation=(("coef", 8), 1.0))  # a coef off the edges of adj loaded before
 def test_graph_reader_fuzz(fuzz_dir, mutation):
     args = ["select", "--data", str(fuzz_dir / "data.csv"), "--graph",
             str(fuzz_dir / "graph.json"), "--selector", "OracleValid"]

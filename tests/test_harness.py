@@ -128,6 +128,16 @@ def test_oracle_selector_without_graph_is_a_config_error(selector):
         run_selector(MethodSpec(selector), x, t, y)
 
 
+@pytest.mark.parametrize("selector", ["None", "OracleValid", "StructureFit"])
+def test_graph_of_other_data_is_a_config_error(selector):
+    # d = 8: six feature nodes, given the first three feature columns
+    spec = ScmSpec(d=8, p_e=0.4, sigma=0.2, rho=0.5, gamma=True, m=1, p_h=0, m_p=False,
+                   n=100, seed=5)
+    graph, ds, _ = make_dataset(spec)
+    with pytest.raises(ConfigError, match="6 feature nodes, but the data has 3 feature columns"):
+        run_selector(MethodSpec(selector), ds.x[:, :3], ds.t, ds.y, graph)
+
+
 def test_mediator_excluded_from_pipeline_monte_carlo():
     # mediator graph with noise columns: M leaves the combined selection
     hits = 0
@@ -319,7 +329,7 @@ def test_failed_cells_recorded_and_ranked_last(monkeypatch):
     failed = [r for r in rows if r.failed]
     assert len(failed) == 1
     assert failed[0].selector == "StructureFit"
-    assert failed[0].rank == 3.0  # worst valid rank + 1
+    assert failed[0].rank == 3.0  # the last place, after the two valid cells
     assert any(f.startswith("failed:") for f in failed[0].flags)
 
 
@@ -543,6 +553,21 @@ def test_outcome_scaling_scales_errors_and_scores_by_its_square(cell, method, ma
         patch.setattr(harness, "make_dataset", transformed)
         got = harness._run_replicate(config, 0)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("mses, n_failed, want", [
+    ((1.0, 1.0), 1, [1.5, 1.5, 3.0]),
+    ((1.0, 2.0), 2, [1.0, 2.0, 3.5, 3.5]),
+], ids=["tied_valid", "two_failed"])
+def test_failed_cells_share_the_last_places(mses, n_failed, want):
+    # an SCM's k ranks sum to k(k+1)/2 whatever fails
+    rows = [BenchmarkRow("scm0000", "None+T", "None", "T", "", 1, (0,), mse, 0.0, 0.0)
+            for mse in mses]
+    rows += [BenchmarkRow("scm0000", "None+T", "None", "T", "", 0, (), math.nan, math.nan,
+                          math.nan, flags=("failed:NumericError",)) for _ in range(n_failed)]
+    assign_ranks(rows)
+    assert [r.rank for r in rows] == want
+    assert sum(want) == len(want) * (len(want) + 1) / 2
 
 
 def test_rank_invariance_under_constant_shift():

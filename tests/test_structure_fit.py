@@ -398,7 +398,7 @@ def test_collider_discovery_oracle_multivariable(multivariable_graph):
 
 def _reci(data, i, j):
     """``orient_reci`` on fresh ``StandardColumn``s of data columns i and j."""
-    return orient_reci(StandardColumn(data[:, i]), StandardColumn(data[:, j]), i, j)
+    return orient_reci(StandardColumn(data[:, i]), StandardColumn(data[:, j]))
 
 
 def test_reci_recovers_cubic_mechanism():
@@ -407,8 +407,7 @@ def test_reci_recovers_cubic_mechanism():
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, size=2000)
         y = x**3 + 0.05 * rng.normal(size=2000)
-        res = _reci(np.column_stack([x, y]), 0, 1)
-        hits += res.direction == "i_to_j" and not res.tie
+        hits += _reci(np.column_stack([x, y]), 0, 1) > 0
     assert hits >= 80
 
 
@@ -418,9 +417,7 @@ def test_reci_tie_on_exactly_symmetric_sample():
     b = 0.6 * a + 0.8 * rng.normal(size=500)
     # mirror the sample so the empirical joint is exchange-symmetric
     data = np.column_stack([np.concatenate([a, b]), np.concatenate([b, a])])
-    res = _reci(data, 0, 1)
-    assert res.tie
-    assert res.direction == "i_to_j"  # low-index convention
+    assert _reci(data, 0, 1) == 0.0
 
 
 def test_reci_antisymmetric_in_arguments():
@@ -430,11 +427,26 @@ def test_reci_antisymmetric_in_arguments():
         x = r.uniform(-1, 1, size=500)
         y = x**3 + 0.1 * r.normal(size=500)
         data = np.column_stack([x, y])
-        fwd = _reci(data, 0, 1)
-        rev = _reci(data, 1, 0)
-        physical_fwd = (0, 1) if fwd.direction == "i_to_j" else (1, 0)
-        physical_rev = (1, 0) if rev.direction == "i_to_j" else (0, 1)
-        assert physical_fwd == physical_rev
+        assert _reci(data, 1, 0) == -_reci(data, 0, 1)
+
+
+# entries whose products with 2^e, |e| <= 300, stay normal: such a scaling is exact
+_RECI_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=60)
+@given(columns=st.integers(6, 40).flatmap(
+           lambda n: st.tuples(*[st.lists(_RECI_ENTRY, min_size=n, max_size=n)] * 2)),
+       e_a=st.integers(-300, 300), e_b=st.integers(-300, 300))
+def test_reci_score_is_antisymmetric_and_invariant_to_power_of_two_scaling(columns, e_a, e_b):
+    # column_moments scales exactly with a column, so its standardized column,
+    # and with it every residual the score compares, is the same bit for bit
+    a, b = map(np.array, columns)
+    assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+    score = orient_reci(StandardColumn(a), StandardColumn(b))
+    assert orient_reci(StandardColumn(b), StandardColumn(a)) == -score
+    scaled = orient_reci(StandardColumn(np.ldexp(a, e_a)), StandardColumn(np.ldexp(b, e_b)))
+    assert scaled.hex() == score.hex()
 
 
 def test_reci_rejects_constant_column():
@@ -488,9 +500,7 @@ def test_ci_test_and_orientation_on_a_column_far_from_unit_scale(scale):
     np.testing.assert_allclose(
         FisherZTester(far, CFG).corr, FisherZTester(data, CFG).corr, rtol=1e-12, atol=1e-15
     )
-    want, got = _reci(data, 0, 1), _reci(far, 0, 1)
-    assert (got.direction, got.tie) == (want.direction, want.tie)
-    assert got.gap == pytest.approx(want.gap, rel=1e-9)
+    assert _reci(far, 0, 1) == pytest.approx(_reci(data, 0, 1), rel=1e-9)
 
 
 @pytest.mark.parametrize("label", [0.0, 1.0])
@@ -605,9 +615,9 @@ def test_frontier_visits_each_node_once(multivariable_graph):
     orienter = GraphOrienter(multivariable_graph)
 
     class CountingOrienter:
-        def classify(self, target, member):
+        def is_child(self, target, member):
             calls.append((target, member))
-            return orienter.classify(target, member)
+            return orienter.is_child(target, member)
 
     structure_fit(
         DSepOracle(multivariable_graph), CountingOrienter(), 2, 8,
@@ -625,9 +635,9 @@ def test_walk_stops_at_the_outcomes_children():
     orienter = GraphOrienter(graph)
 
     class CountingOrienter:
-        def classify(self, target, member):
+        def is_child(self, target, member):
             calls.append((target, member))
-            return orienter.classify(target, member)
+            return orienter.is_child(target, member)
 
     res = structure_fit(DSepOracle(graph), CountingOrienter(), T, Y, [W, M, C, D], CFG)
     assert res.selected == (W, D)
@@ -769,15 +779,22 @@ def _reference_reci(data, i, j):
     return "i_to_j" if diff < 0 else "j_to_i", False, gap
 
 
-def _reference_classify(data, binary_col, target, member):
-    """``DataOrienter.classify`` from uncached columns."""
+def _reference_score(data, i, j):
+    """The signed score that ``_reference_reci``'s triple implies."""
+    direction, tie, gap = _reference_reci(data, i, j)
+    return 0.0 if tie else gap if direction == "i_to_j" else -gap
+
+
+def _reference_is_child(data, binary_col, target, member):
+    """Whether ``member`` is a child of ``target``, by the verdict rule on
+    ``_reference_reci``'s (direction, tie, gap) triple, from uncached columns."""
     if binary_col in (target, member):
         other = member if target == binary_col else target
         cont = StandardColumn(data[:, other])
         causes = binary_direction_loglik(data[:, binary_col], cont) > LR_THRESHOLD
-        return "child" if causes == (target == binary_col) else "parent"
+        return causes == (target == binary_col)
     direction, tie, gap = _reference_reci(data, target, member)
-    return "child" if direction == "i_to_j" and not tie and gap >= CHILD_GATE else "parent"
+    return direction == "i_to_j" and not tie and gap >= CHILD_GATE
 
 
 def _outcome(call, *args):
@@ -788,18 +805,19 @@ def _outcome(call, *args):
 
 
 def test_cached_orientation_matches_uncached_reference():
-    """One orienter over every ordered pair, twice, gives each verdict and gap
-    of the reference that standardizes and cubes afresh per call, bit for bit."""
+    """One orienter over every ordered pair, twice, gives each verdict and
+    score of the reference that standardizes and cubes afresh per call, bit
+    for bit."""
     data = _orientation_data()
     orienter = DataOrienter(data, binary_col=3)
     pairs = [(i, j) for i in range(data.shape[1]) for j in range(data.shape[1]) if i != j]
     for i, j in pairs * 2:
-        assert _outcome(orienter.classify, i, j) == _outcome(_reference_classify, data, 3, i, j)
+        assert _outcome(orienter.is_child, i, j) == _outcome(_reference_is_child, data, 3, i, j)
         if 3 in (i, j):
             continue
-        want = _outcome(_reference_reci, data, i, j)
+        want = _outcome(_reference_score, data, i, j)
         assert _outcome(_reci, data, i, j) == want
-        assert _outcome(orient_reci, orienter.column(i), orienter.column(j), i, j) == want
+        assert _outcome(orient_reci, orienter.column(i), orienter.column(j)) == want
 
 
 def test_orienter_standardizes_and_cubes_each_column_once(monkeypatch):
@@ -823,7 +841,7 @@ def test_orienter_standardizes_and_cubes_each_column_once(monkeypatch):
     for i in range(data.shape[1]):
         for j in range(data.shape[1]):
             if i != j:
-                _outcome(orienter.classify, i, j)
-                _outcome(orienter.classify, i, j)
+                _outcome(orienter.is_child, i, j)
+                _outcome(orienter.is_child, i, j)
     assert made == Counter({0: 1, 1: 1, 2: 1, 4: 1, 5: 1, 6: 1})  # not the treatment
     assert cubed == Counter({0: 1, 1: 1, 2: 1, 5: 1, 6: 1})  # not the constant column either
