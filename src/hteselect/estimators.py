@@ -11,9 +11,14 @@ set of rows, the row-block statistics an estimator kind needs: ridge
 ``Moments`` per block its outcome models are fit on, and a ``LogisticBlock``
 where a propensity model is fit by IRLS.  ``fit_columns`` then fits the
 estimator on any column subset from those statistics alone; each
-propensity fit is warm-started by its block from the subsets fit before.
-``fit_estimator`` is the all-columns case; the greedy subset scorer prepares
-once per inner split and fits every candidate subset.
+propensity fit is warm-started by its block from the subsets fit before,
+so an X or DR fit depends on the fits its ``Prepared`` made earlier.
+``fit_estimator`` is the all-columns case.  The greedy subset scorer
+prepares once per inner split and fits every candidate subset; the harness
+prepares T once per replicate on every training column and fits each
+method's final model on its selected columns.  A sub-block fit agrees with
+``fit_estimator`` on those columns alone up to the rounding of the grams,
+not bit for bit.
 
 Every model predicts in its own standardized space: ``CateEstimator.effects``
 takes the ``Rows`` of ``Prepared.rows``, standardized once per model block,

@@ -265,13 +265,14 @@ def _failed(exc: Exception) -> str:
 def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[BenchmarkRow], dict]:
     """Every method cell of one replicate; never raises.
 
-    A package error inside one method's cell fails that cell only.  A
-    package error while drawing the replicate's dataset or fitting its
-    shared held-out yardstick, or an error of any other type anywhere, fails
-    every cell of the replicate, each with its own ``failed:<Error>`` row:
-    one replicate cannot lose the rows of the others (with ``workers > 1``
-    an exception would abort the pool's map).  Errors of other types are
-    logged with their traceback.
+    A package error inside one method's cell fails that cell only; an error
+    of the replicate's shared T ``prepare`` is raised again by every T
+    cell, so fails each of them.  A package error while drawing the
+    replicate's dataset or fitting its shared held-out yardstick, or an
+    error of any other type anywhere, fails every cell of the replicate,
+    each with its own ``failed:<Error>`` row: one replicate cannot lose the
+    rows of the others (with ``workers > 1`` an exception would abort the
+    pool's map).  Errors of other types are logged with their traceback.
     """
     scm_id = f"scm{replicate:04d}"
     try:
@@ -282,10 +283,32 @@ def _run_replicate(config: ExperimentConfig, replicate: int) -> tuple[list[Bench
         return [_row(scm_id, method, [_failed(exc)]) for method in config.methods], {}
 
 
+def _yardstick(x_tr, t_tr, y_tr, x_te, y_te) -> tuple[np.ndarray, np.ndarray]:
+    """The held-out outcome residual and propensity behind the reported
+    ``tau_risk``: a ridge and a logistic fit on one standardized design of
+    the training rows, both predicted on the test rows standardized once."""
+    design = supervised.Standardized.of(x_tr)
+    z_te = supervised.standardize(x_te, design.mu, design.scale)
+    y_resid = y_te - supervised.predict_standardized(supervised.fit_ridge(design, y_tr), z_te)
+    p_hat = supervised.predict_standardized(supervised.fit_logistic(design, t_tr), z_te)
+    return y_resid, p_hat
+
+
 def _replicate_cells(
     config: ExperimentConfig, replicate: int, scm_id: str
 ) -> tuple[list[BenchmarkRow], dict]:
-    """The rows and traces of ``_run_replicate``, raising what fails all cells."""
+    """The rows and traces of ``_run_replicate``, raising what fails all cells.
+
+    Each statistic of the training partition is computed once: the
+    yardstick's standardized design serves both of its fits, and every
+    final T model is a sub-block solve (``fit_columns``) of one all-column
+    T ``prepare``, made and timed by the first T cell.  T is shared in every
+    config: sub-block moments differ from a subset's own in the last bits,
+    so sharing a kind only when two methods use it would make a row depend
+    on which other methods ran.  S, X and DR fit on their own columns: S's
+    all-column design costs more than one own-column fit, and X and DR
+    warm-start each propensity fit from their block's earlier fits.
+    """
     graph, dataset, _ = make_dataset(config.spec_for_replicate(replicate))
     n = dataset.x.shape[0]
     split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
@@ -295,12 +318,10 @@ def _replicate_cells(
     x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
     x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
     tau_te = dataset.tau[test]
-
-    # shared held-out yardstick for the reported risk metric
-    y_resid = y_te - supervised.predict(supervised.fit_ridge(x_tr, y_tr), x_te)
-    p_hat = supervised.predict(supervised.fit_logistic(x_tr, t_tr), x_te)
+    y_resid, p_hat = _yardstick(x_tr, t_tr, y_tr, x_te, y_te)
     cfg = config.ci_config()
 
+    t_prepared = None
     rows: list[BenchmarkRow] = []
     traces: dict = {}
     for method in config.methods:
@@ -314,9 +335,11 @@ def _replicate_cells(
             if not selected:
                 raise HteSelectError("selector returned no columns")
             cols = list(selected)
-            est = estimators.fit_estimator(
-                method.estimator, x_tr[:, cols], t_tr, y_tr
-            )
+            if method.estimator == "T":
+                t_prepared = t_prepared or estimators.prepare("T", x_tr, t_tr, y_tr)
+                est = estimators.fit_columns(t_prepared, cols)
+            else:
+                est = estimators.fit_estimator(method.estimator, x_tr[:, cols], t_tr, y_tr)
             tau_hat = est.predict(x_te[:, cols])
             mse = fit_metrics.effect_mse(tau_hat, tau_te)
             risk = fit_metrics.residual_risk(tau_hat, y_resid, t_te, p_hat)

@@ -11,8 +11,10 @@ Ridge solves the centered normal equations of the standardized design,
 (Z'Z + lam*I) b = Z'y, by Cholesky; because Z is centered the intercept is
 the mean of y.  ``Moments`` holds Z'Z, Z'y and the column moments of one
 block of rows, so a ridge fit on any column subset of those rows is a
-sub-block solve that never touches the rows again.  ``lstsq`` runs only as
-the fallback when the Cholesky factorization fails.
+sub-block solve that never touches the rows again; built from a
+``Standardized`` design, it shares that design's columns with logistic
+fits on the same rows.  ``lstsq`` runs only as the fallback when the
+Cholesky factorization fails.
 
 Logistic regression is IRLS on the standardized design (``Standardized``):
 steps are accepted by a concavity certificate or else halved on the exact
@@ -126,12 +128,15 @@ def _fold_back(w_std: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarr
     return np.concatenate([[intercept], slopes])
 
 
-def _regression_inputs(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
+def _regression_inputs(x, y) -> tuple[np.ndarray | Standardized, np.ndarray]:
+    """x and y as float arrays; a ``Standardized`` x, checked when it was
+    built, stays as it is."""
+    std = isinstance(x, Standardized)
+    x = x if std else np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],) or x.shape[0] < 1:
+    if len(x.shape) != 2 or y.shape != (x.shape[0],) or x.shape[0] < 1:
         raise ValueError("x must be (n, k) with matching y")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not ((std or np.isfinite(x).all()) and np.isfinite(y).all()):
         raise NumericError("non-finite values in regression inputs")
     return x, y
 
@@ -172,9 +177,14 @@ class Moments:
     y_mean: float
 
     @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray | None = None) -> "Moments":
-        x, target = _regression_inputs(x, np.zeros(len(x)) if y is None else y)
-        z, mu, scale = _standardize(x)
+    def of(cls, x, y: np.ndarray | None = None) -> "Moments":
+        """The statistics of rows ``x``: a feature matrix, or an already
+        ``Standardized`` design, whose feature columns are Z as they stand."""
+        x, target = _regression_inputs(x, np.zeros(np.shape(x)[0]) if y is None else y)
+        if isinstance(x, Standardized):
+            z, mu, scale = x.design[:, 1:], x.mu, x.scale
+        else:
+            z, mu, scale = _standardize(x)
         zy = None if y is None else z.T @ target
         return cls(x.shape[0], mu, scale, z.T @ z, zy, float(target.mean()))
 
@@ -206,9 +216,10 @@ def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
     return LinearModel(w_std, "regression", mu, scale)
 
 
-def fit_ridge(x: np.ndarray, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
+def fit_ridge(x, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:
     """Ridge regression on standardized features, intercept unpenalized:
-    the ``Moments`` normal-equation solve over all columns (lam > 0)."""
+    the ``Moments`` normal-equation solve over all columns (lam > 0).
+    ``x`` is a feature matrix or an already ``Standardized`` design."""
     return Moments.of(x, y).ridge(np.arange(np.shape(x)[1]), lam)
 
 
@@ -217,12 +228,18 @@ class Standardized:
     """Column-standardized rows behind a leading intercept column.
 
     ``design`` is (n, k+1) in column-major order, so that selecting a
-    column subset copies contiguous columns.
+    column subset copies contiguous columns.  ``shape`` is (n, k), that of
+    the feature rows, so ``np.shape`` sizes a design as it does a matrix.
     """
 
     design: np.ndarray
     mu: np.ndarray
     scale: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, width = self.design.shape
+        return n, width - 1
 
     @classmethod
     def of(cls, x: np.ndarray) -> "Standardized":
@@ -230,7 +247,7 @@ class Standardized:
         if x.ndim != 2:
             raise ValueError("x must be (n, k)")
         if not np.isfinite(x).all():
-            raise NumericError("non-finite values in logistic features")
+            raise NumericError("non-finite values in features")
         design = np.empty((x.shape[0], x.shape[1] + 1), order="F")
         design[:, 0] = 1.0
         _, mu, scale = _standardize(x, out=design[:, 1:])

@@ -188,6 +188,33 @@ def test_concurrent_execution_matches_sequential(monkeypatch):
     assert rows_to_csv(rows_a) == rows_to_csv(rows_b)
 
 
+_SHARED_KIND_METHODS = tuple(
+    MethodSpec(selector, kind)
+    for kind in ESTIMATOR_KINDS
+    for selector in ("None", "OracleValid", "OracleParents")
+)
+
+
+def test_rows_do_not_depend_on_the_other_methods():
+    """Every S, T, X and DR row, used by three methods each, has the same
+    selection, flags, mse and tau_risk bits in the config's order, in
+    reverse order and run alone: a replicate's shared statistics are the
+    same whichever methods read them, and no fit warm-starts from
+    another method's."""
+
+    def cells(methods):
+        rows, _ = run_experiment(_base_config(methods=tuple(methods), record_timing=False))
+        return {(r.scm_id, r.method): repr((r.selected, r.flags, r.mse, r.tau_risk))
+                for r in rows}
+
+    together = cells(_SHARED_KIND_METHODS)
+    assert cells(reversed(_SHARED_KIND_METHODS)) == together
+    alone = {}
+    for method in _SHARED_KIND_METHODS:
+        alone.update(cells([method]))
+    assert alone == together
+
+
 @pytest.mark.parametrize(
     "replicates, workers, pools", [(1, 3, []), (2, 5, [2]), (64, 64, [4])]
 )

@@ -102,6 +102,24 @@ def test_moments_subset_ridge_matches_fit_on_columns():
         assert np.allclose(got.weights, want.weights, rtol=1e-10, atol=1e-12)
 
 
+def test_ridge_on_a_standardized_design_is_the_ridge_on_its_rows():
+    """A ``Standardized`` design holds the columns ``Moments.of`` would
+    standardize itself (the same statistics, bit for bit), so only the
+    gram's summation order may differ; its target is still checked."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(150, 4)) * [1.0, 3.0, 0.5, 2.0] + [0.0, 4.0, -1.0, 9.0]
+    y = rng.normal(size=150)
+    design = Standardized.of(x)
+    assert np.shape(design) == x.shape
+    got, want = fit_ridge(design, y, lam=0.1), fit_ridge(x, y, lam=0.1)
+    assert np.array_equal(got.mu, want.mu) and np.array_equal(got.scale, want.scale)
+    assert np.allclose(got.w_std, want.w_std, rtol=1e-12, atol=1e-14)
+    with pytest.raises(NumericError):
+        fit_ridge(design, np.where(np.arange(150) == 3, np.inf, y))
+    with pytest.raises(ValueError):
+        fit_ridge(design, y[1:])
+
+
 def test_failed_cholesky_falls_back_to_lstsq():
     # an indefinite system has no Cholesky factor; lstsq still solves it
     zy = np.array([1.0, -2.0, 0.5])
