@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 on success; 1 for a ``ConfigError`` (a bad option or input
 file) or an ``OSError`` on a named path; 2 for any other ``HteSelectError``,
-a runtime failure.  A benchmark in which every cell of some replicate failed
-still writes its results, then exits 2.  Other exceptions are bugs.
+a runtime failure.  A benchmark checks its output paths before it runs, and
+one in which every cell of some replicate failed still writes its results,
+then exits 2.  Other exceptions are bugs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -86,6 +88,18 @@ def _read(path: Path) -> str:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
+def _check_writable(option: str, path: Path) -> None:
+    """ConfigError now, leaving the file as it is, if ``path`` cannot be
+    written later: a directory, or a file whose directory is missing or
+    not writable."""
+    if path.is_dir():
+        raise ConfigError(f"{option} {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{option} {path}: directory {path.parent} does not exist")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise ConfigError(f"{option} {path} is not writable")
+
+
 def _cmd_simulate(args) -> int:
     spec = ScmSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScmSpec)})
     graph, dataset, attempts = make_dataset(spec)
@@ -122,6 +136,9 @@ def _cmd_select(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     config = harness.config_from_json(_read(args.config))
+    for option, path in (("--out", args.out), ("--traces", args.traces)):
+        if path is not None:
+            _check_writable(option, path)
     rows, traces = harness.run_experiment(config)
     args.out.write_text(harness.rows_to_csv(rows))
     if args.traces is not None:

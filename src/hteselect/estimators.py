@@ -20,9 +20,12 @@ method's final model on its selected columns.  A sub-block fit agrees with
 ``fit_estimator`` on those columns alone up to the rounding of the grams,
 not bit for bit.
 
-Every model predicts in its own standardized space: ``CateEstimator.effects``
-takes the ``Rows`` of ``Prepared.rows``, standardized once per model block,
-and ``CateEstimator.predict`` runs it on raw rows standardized alike.
+A fitted ``CateEstimator`` holds only the models its effects read; X's
+stage-one, S's joint and DR's nuisance fits are not kept.  Every model
+predicts in its own standardized space: ``CateEstimator.effects`` takes the
+``Rows`` of ``Prepared.rows``, standardized once per model block, and
+``CateEstimator.predict`` runs it on raw rows standardized alike.  A DR
+fold's ``Rows`` also hold the fold in the all-rows block's space, ``"all"``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from . import supervised
 from .errors import DimensionMismatch, check_arms
 from .fit_metrics import doubly_robust_effects
-from .supervised import LinearModel, LogisticBlock, Moments, solve_ridge
+from .supervised import LinearModel, LogisticBlock, Moments
 
 # unused here: perfbench/tests/test_tracing.py checks that tracing also wraps these bindings
 from .supervised import fit_logistic, fit_ridge  # noqa: F401
@@ -65,7 +68,7 @@ class Rows:
 
 @dataclass
 class CateEstimator:
-    """A fitted effect estimator with its component models.
+    """A fitted effect estimator: exactly the models ``effects`` reads.
 
     ``predict`` takes a raw matrix with exactly ``feature_dim`` columns,
     already subset by the caller; ``effects`` takes ``Rows`` and ``cols``.
@@ -75,14 +78,14 @@ class CateEstimator:
     models: dict[str, LinearModel]
 
     @property
-    def feature_dim(self) -> int:  # the column count of the kind's effect models
-        return self.models[next(iter(_EFFECT_BLOCKS[self.kind]))].feature_dim
+    def feature_dim(self) -> int:
+        return next(iter(self.models.values())).feature_dim
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise DimensionMismatch(f"{self.kind}-learner expects {self.feature_dim} columns")
-        spaces = {m: (self.models[m].mu, self.models[m].scale) for m in _EFFECT_BLOCKS[self.kind]}
+        spaces = {m: (model.mu, model.scale) for m, model in self.models.items()}
         return self.effects(Rows(x, spaces))  # each effect model's own space
 
     def effects(self, rows: Rows, cols=None) -> np.ndarray:
@@ -144,7 +147,7 @@ def _fit_s(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     model = joint.ridge(np.concatenate([cols, [k], k + 1 + cols]))
     w = np.concatenate([[model.w_std[c + 1] / joint.scale[k]], model.w_std[c + 2:]])
     effect = LinearModel(w, "regression", np.zeros(c), joint.scale[k + 1 + cols])
-    return CateEstimator(kind="S", models={"joint": model, "effect": effect})
+    return CateEstimator(kind="S", models={"effect": effect})
 
 
 def _fit_t(prep: Prepared, cols: np.ndarray) -> CateEstimator:
@@ -161,14 +164,10 @@ def _residual_ridge(
     The residual is affine in the block's standardized columns, so its
     normal-equation statistics follow from Z'Z and Z'y.
     """
-    gram = block.sub_gram(cols)
-    mu, scale = block.mu[cols], block.scale[cols]
     slopes = model.weights[1:]
-    z_resid = block.zy[cols] - gram @ (scale * slopes)
-    resid_mean = block.y_mean - model.weights[0] - float(mu @ slopes)
-    return solve_ridge(
-        gram, sign * z_resid, sign * resid_mean, mu, scale, supervised.OUTCOME_LAMBDA
-    )
+    z_resid = block.zy[cols] - block.sub_gram(cols) @ (block.scale[cols] * slopes)
+    resid_mean = block.y_mean - model.weights[0] - float(block.mu[cols] @ slopes)
+    return block.solve(cols, sign * z_resid, sign * resid_mean)
 
 
 def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
@@ -178,11 +177,11 @@ def _fit_x(prep: Prepared, cols: np.ndarray) -> CateEstimator:
     effects D1 = y1 - f0(x1) and D0 = f1(x0) - y0 onto features, and the
     prediction is the pointwise convex combination
     p(x) * g0(x) + (1 - p(x)) * g1(x).  Both stages are solved from the
-    per-arm moments.
+    per-arm moments; the stage-one models serve the imputation alone.
     """
     blocks = prep.blocks
     f1, f0 = blocks["f1"].ridge(cols), blocks["f0"].ridge(cols)
-    models = {"f1": f1, "f0": f0, "g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
+    models = {"g1": _residual_ridge(blocks["f1"], cols, f0, 1.0),
               "g0": _residual_ridge(blocks["f0"], cols, f1, -1.0),
               "propensity": blocks["propensity"].fit(cols)}
     return CateEstimator(kind="X", models=models)
@@ -198,11 +197,8 @@ def _prepare_dr(x, t, y) -> dict:
         )
     whole = Moments.of(x)
     for apply, fit in zip(folds, folds[::-1]):  # a fold's rows as the other fold's models see them
-        xa = apply["x"]
         spaces = {name: (fit[name].mu, fit[name].scale) for name in ("f1", "f0", "propensity")}
-        apply["rows"] = Rows(xa, spaces)
-        z_all = np.empty(xa.shape, order="F")
-        apply["z_all"] = supervised.standardize(xa, whole.mu, whole.scale, z_all)
+        apply["rows"] = Rows(apply["x"], dict(spaces, all=(whole.mu, whole.scale)))
     return {"folds": folds, "all": whole}
 
 
@@ -224,11 +220,9 @@ def _fit_dr(prep: Prepared, cols: np.ndarray) -> CateEstimator:
         nuisance["propensity"] = fit["propensity"].fit(cols)
         m1, m0, p = (apply["rows"].predict(model, name, cols) for name, model in nuisance.items())
         phi = doubly_robust_effects(apply["y"], apply["t"], m1, m0, p)
-        z_phi += apply["z_all"][:, cols].T @ phi
+        z_phi += apply["rows"].z["all"][:, cols].T @ phi
         phi_sum += float(phi.sum())
-    effect = solve_ridge(whole.sub_gram(cols), z_phi, phi_sum / whole.n, whole.mu[cols],
-                         whole.scale[cols], supervised.OUTCOME_LAMBDA)
-    return CateEstimator(kind="DR", models={"effect": effect})
+    return CateEstimator(kind="DR", models={"effect": whole.solve(cols, z_phi, phi_sum / whole.n)})
 
 
 _PREPARERS: dict[str, Callable] = {

@@ -104,9 +104,13 @@ class ExperimentConfig:
         empty = sorted(k for k, values in self.grid.items() if not values)
         if empty:
             raise ConfigError(f"grid keys {empty} have no values")
-        # fail fast on unusable SCM parameters in any grid cell
+        # fail fast on unusable SCM parameters or an empty partition in any grid cell
         for cell in range(math.prod(map(len, self.grid.values()))):
-            self.spec_for_replicate(cell)
+            n = self.spec_for_replicate(cell).n
+            cut = _train_size(self.split_ratio, n)
+            if cut in (0, n):
+                side = "test" if cut else "training"
+                raise ConfigError(f"split_ratio {self.split_ratio} leaves no {side} rows at n={n}")
 
     def ci_config(self) -> structure_fit.CiTestConfig:
         """The CI-test parameters every replicate's structure discovery uses."""
@@ -124,6 +128,11 @@ class ExperimentConfig:
             cell[key] = self.grid[key][digit]
         cell["seed"] = _derived_seed(self.master_seed, replicate, 0)
         return spec_from_json("config 'scm'", cell)
+
+
+def _train_size(split_ratio: float, n: int) -> int:
+    """The number of a replicate's n rows in its training partition."""
+    return int(round(split_ratio * n))
 
 
 def _derived_seed(master_seed: int, *key: int) -> int:
@@ -313,7 +322,7 @@ def _replicate_cells(
     n = dataset.x.shape[0]
     split_rng = np.random.default_rng(_derived_seed(config.master_seed, replicate, 1))
     order = split_rng.permutation(n)
-    cut = int(round(config.split_ratio * n))
+    cut = _train_size(config.split_ratio, n)
     train, test = order[:cut], order[cut:]
     x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
     x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]

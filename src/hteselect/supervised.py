@@ -11,7 +11,8 @@ Ridge solves the centered normal equations of the standardized design,
 (Z'Z + lam*I) b = Z'y, by Cholesky; because Z is centered the intercept is
 the mean of y.  ``Moments`` holds Z'Z, Z'y and the column moments of one
 block of rows, so a ridge fit on any column subset of those rows is a
-sub-block solve that never touches the rows again; built from a
+sub-block solve (``Moments.solve``) that never touches the rows again, for
+the block's own target or one whose Z'y a caller derives; built from a
 ``Standardized`` design, it shares that design's columns with logistic
 fits on the same rows.  ``lstsq`` runs only as the fallback when the
 Cholesky factorization fails.
@@ -165,8 +166,8 @@ class Moments:
     ``gram`` is Z'Z and ``zy`` is Z'y for the column-standardized design Z
     of the block (centered, so Z'1 = 0), ``y_mean`` the mean of the target.
     Standardization is per column, so the statistics of a column subset are
-    the matching sub-blocks.  Built without a target, ``zy`` is None and
-    callers supply target statistics to ``solve_ridge`` themselves.
+    the matching sub-blocks.  ``solve`` fits any target whose Z'y a caller
+    derives on these rows; built without a target, ``zy`` is None.
     """
 
     n: int
@@ -195,25 +196,19 @@ class Moments:
     def ridge(self, cols, lam: float = OUTCOME_LAMBDA) -> LinearModel:
         """Ridge fit of the block's target on columns ``cols`` (lam > 0)."""
         cols = np.asarray(cols, dtype=np.intp)
-        return solve_ridge(
-            self.sub_gram(cols), self.zy[cols], self.y_mean, self.mu[cols], self.scale[cols], lam
-        )
+        return self.solve(cols, self.zy[cols], self.y_mean, lam)
 
-
-def solve_ridge(gram, zy, y_mean, mu, scale, lam: float) -> LinearModel:
-    """Ridge model from standardized normal-equation statistics (lam > 0).
-
-    Solves (gram + lam*I) b = zy by Cholesky, falling back to ``lstsq`` on
-    the same system when the factorization fails; the standardized-space
-    intercept is ``y_mean``.
-    """
-    if lam <= 0:
-        raise ValueError("normal-equation ridge needs lam > 0")
-    k = gram.shape[0]
-    system = gram.copy()
-    system.flat[:: k + 1] += lam
-    w_std = np.concatenate([[y_mean], _spd_solve(system, zy)])
-    return LinearModel(w_std, "regression", mu, scale)
+    def solve(self, cols, zy, y_mean: float, lam: float = OUTCOME_LAMBDA) -> LinearModel:
+        """Ridge model on columns ``cols`` of a target with Z'y ``zy`` (over
+        ``cols``) and mean ``y_mean`` on these rows (lam > 0): Cholesky on
+        the block's own (Z'Z + lam*I), ``lstsq`` if that fails."""
+        if lam <= 0:
+            raise ValueError("normal-equation ridge needs lam > 0")
+        cols = np.asarray(cols, dtype=np.intp)
+        system = self.sub_gram(cols)
+        system.flat[:: len(cols) + 1] += lam
+        w_std = np.concatenate([[y_mean], _spd_solve(system, zy)])
+        return LinearModel(w_std, "regression", self.mu[cols], self.scale[cols])
 
 
 def fit_ridge(x, y: np.ndarray, lam: float = OUTCOME_LAMBDA) -> LinearModel:

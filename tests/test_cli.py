@@ -4,14 +4,16 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hteselect import harness, structure_fit
+from hteselect import cli, harness, structure_fit
 from hteselect.cli import main
 from hteselect.harness import rows_from_csv
 from hteselect.scm_gen import (
@@ -191,6 +193,40 @@ def test_bad_config_exits_one(tmp_path):
     # the config alone sets the process count
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
                  "--workers", "2"]) == 1
+
+
+@pytest.mark.parametrize("option", ["--out", "--traces"])
+@pytest.mark.parametrize("where", ["does not exist", "is a directory", "is not writable"])
+def test_benchmark_checks_output_paths_before_running(option, where, tmp_path, monkeypatch,
+                                                       capsys):
+    def never(config):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(harness, "run_experiment", never)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scm": {"d": 6, "p_e": 0.4, "sigma": 0.2, "rho": 0.5,
+                                       "gamma": True, "m": 1, "p_h": 0, "m_p": False,
+                                       "n": 400},
+                               "methods": [{"selector": "None"}]}))
+    paths = {"--out": tmp_path / "results.csv", "--traces": tmp_path / "traces.json"}
+    paths["--out"].write_text("kept")  # an existing results file is not truncated
+    if where == "does not exist":
+        paths[option] = tmp_path / "missing" / "results.csv"
+    elif where == "is a directory":
+        paths[option] = tmp_path
+    else:  # the file, or the directory that would hold a new one, refuses writes
+        locked = {paths[option], tmp_path}
+        real_access = os.access
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: Path(path) not in locked and real_access(path, mode))
+    args = ["benchmark", "--config", str(cfg)]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {option} {paths[option]}") and where in err
+    assert (tmp_path / "results.csv").read_text() == "kept"
+    assert not (tmp_path / "traces.json").exists()
 
 
 def test_infeasible_spec_exits_two(tmp_path):

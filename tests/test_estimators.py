@@ -69,6 +69,27 @@ def test_predict_is_effects_on_prepared_rows(kind):
     assert np.array_equal(est.predict(x_new), est.effects(rows))
 
 
+EFFECT_MODELS = {"S": ["effect"], "T": ["f1", "f0"], "X": ["g1", "g0", "propensity"],
+                 "DR": ["effect"]}
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_fitted_estimator_holds_exactly_the_models_effects_reads(kind):
+    x, t, y, _ = _randomized(600, 18, "linear")
+    est = fit_estimator(kind, x, t, y)
+    assert sorted(est.models) == sorted(EFFECT_MODELS[kind])
+
+    class Recorded(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return super().__getitem__(name)
+
+    read: list[str] = []
+    est.models = Recorded(est.models)
+    est.predict(x)
+    assert sorted(read) == sorted(EFFECT_MODELS[kind])
+
+
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 @pytest.mark.parametrize("cols", [[0], [2], [0, 2], [1, 2], [0, 1, 2]])
 def test_sub_block_fit_is_the_fit_on_those_columns(kind, cols):
@@ -85,13 +106,13 @@ def test_sub_block_fit_is_the_fit_on_those_columns(kind, cols):
 
 
 def test_s_learner_effect_is_the_joint_model_difference():
-    """S's ``effect`` model is f(x, 1) - f(x, 0) of its ``joint`` ridge on
+    """S's ``effect`` model is f(x, 1) - f(x, 0) of the joint ridge f on
     [x, t - 1/2, (t - 1/2) x]: the joint model predicted on both arms of
     that design gives the same effects up to rounding."""
     x, t, y, _ = _randomized(1_000, 15, "linear")
     x = _offset(x)
     est = fit_estimator("S", x, t, y)
-    joint, ones = est.models["joint"], np.ones(len(x))
+    joint, ones = fit_ridge(_s_design(x, t), y), np.ones(len(x))
     want = lin_predict(joint, _s_design(x, ones)) - lin_predict(joint, _s_design(x, 1.0 - ones))
     got = est.predict(x)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sqrt(np.mean(got**2))
@@ -122,8 +143,9 @@ def test_x_learner_effect_models_fit_imputed_effects():
     x = x * [1.0, 4.0, 0.3] + [2.0, -1.0, 0.0]
     est = fit_estimator("X", x, t, y)
     treated, control = t == 1, t == 0
-    d1 = y[treated] - lin_predict(est.models["f0"], x[treated])
-    d0 = lin_predict(est.models["f1"], x[control]) - y[control]
+    f1, f0 = fit_ridge(x[treated], y[treated]), fit_ridge(x[control], y[control])
+    d1 = y[treated] - lin_predict(f0, x[treated])
+    d0 = lin_predict(f1, x[control]) - y[control]
     for name, rows, target in (("g1", treated, d1), ("g0", control, d0)):
         want = fit_ridge(x[rows], target).weights
         assert np.allclose(est.models[name].weights, want, rtol=1e-10, atol=1e-12)

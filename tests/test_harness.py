@@ -303,7 +303,7 @@ def test_selection_never_reads_test_rows():
     n = dataset.x.shape[0]
     split_rng = np.random.default_rng(harness._derived_seed(config.master_seed, 0, 1))
     order = split_rng.permutation(n)
-    test_idx = order[int(round(config.split_ratio * n)):]
+    test_idx = order[harness._train_size(config.split_ratio, n):]
 
     rows_clean, _ = harness._run_replicate(config, 0)
 
@@ -791,6 +791,25 @@ def test_config_errors_rejected(mutate):
 def test_config_built_in_code_checks_every_grid_cell():
     with pytest.raises(ConfigError, match="d must be >= 3"):
         _base_config(grid={"d": [10, 2]})
+
+
+@pytest.mark.parametrize("ratio, side", [(0.999, "test"), (0.001, "training")])
+def test_split_leaving_an_empty_partition_is_a_config_error(ratio, side):
+    # at n=400, 0.999 rounds to 400 training rows and 0.001 to none
+    want = f"split_ratio {ratio} leaves no {side} rows at n=400"
+    with pytest.raises(ConfigError, match=want):
+        _base_config(split_ratio=ratio)
+    payload = {"scm": _base_config().base, "methods": [{"selector": "None"}],
+               "split_ratio": ratio}
+    with pytest.raises(ConfigError, match=want):
+        config_from_json(json.dumps(payload))
+
+
+def test_split_is_checked_in_every_grid_cell():
+    # 0.999 * 2000 leaves 2 test rows; 0.999 * 400 leaves none
+    assert _base_config(split_ratio=0.999, grid={"n": [2000]}).split_ratio == 0.999
+    with pytest.raises(ConfigError, match="leaves no test rows at n=400"):
+        _base_config(split_ratio=0.999, grid={"n": [2000, 400]})
 
 
 def test_method_id_formats():

@@ -19,7 +19,6 @@ from hteselect.supervised import (
     fit_ridge,
     predict,
     projected_start,
-    solve_ridge,
 )
 
 # a penalty small enough that ridge reproduces least squares to ~1e-12
@@ -123,7 +122,8 @@ def test_ridge_on_a_standardized_design_is_the_ridge_on_its_rows():
 def test_failed_cholesky_falls_back_to_lstsq():
     # an indefinite system has no Cholesky factor; lstsq still solves it
     zy = np.array([1.0, -2.0, 0.5])
-    model = solve_ridge(-np.eye(3), zy, 0.5, np.zeros(3), np.ones(3), lam=1e-3)
+    block = Moments(10, np.zeros(3), np.ones(3), -np.eye(3), None, 0.0)
+    model = block.solve([0, 1, 2], zy, 0.5, lam=1e-3)
     assert np.allclose(model.weights[1:], zy / (-1.0 + 1e-3))
     assert model.weights[0] == 0.5
 
@@ -442,14 +442,13 @@ def test_far_starts_converge_without_lowering_the_objective():
         assert np.allclose(model.w_std, cold, rtol=1e-8, atol=1e-8)
 
 
-def test_solve_ridge_matches_explicit_penalty_matrix_bitwise():
+def test_moments_solve_matches_explicit_penalty_matrix_bitwise():
     rng = np.random.default_rng(10)
     for k in (1, 3, 8):
         moments = Moments.of(rng.normal(size=(60, k)) * rng.uniform(0.1, 5.0, size=k),
                              rng.normal(size=60))
         for lam in (1e-3, 0.7):
-            got = solve_ridge(moments.gram, moments.zy, moments.y_mean, moments.mu,
-                              moments.scale, lam)
+            got = moments.solve(np.arange(k), moments.zy, moments.y_mean, lam)
             slopes = supervised._spd_solve(moments.gram + lam * np.eye(k), moments.zy)
             want = supervised._fold_back(np.r_[moments.y_mean, slopes], moments.mu,
                                          moments.scale)
