@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 on success; 1 for a ``ConfigError`` (a bad option or input
 file) or an ``OSError`` on a named path; 2 for any other ``HteSelectError``,
-a runtime failure.  A benchmark checks its output paths before it runs, and
-one in which every cell of some replicate failed still writes its results,
-then exits 2.  Other exceptions are bugs.
+a runtime failure.  Every subcommand checks its output paths before it
+works, and a benchmark in which every cell of some replicate failed still
+writes its results, then exits 2.  Other exceptions are bugs.
 """
 
 from __future__ import annotations
@@ -88,20 +88,25 @@ def _read(path: Path) -> str:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _check_writable(option: str, path: Path) -> None:
-    """ConfigError now, leaving the file as it is, if ``path`` cannot be
-    written later: a directory, or a file whose directory is missing or
-    not writable."""
-    if path.is_dir():
-        raise ConfigError(f"{option} {path} is a directory")
-    if not path.parent.is_dir():
-        raise ConfigError(f"{option} {path}: directory {path.parent} does not exist")
-    if not os.access(path if path.exists() else path.parent, os.W_OK):
-        raise ConfigError(f"{option} {path} is not writable")
+def _check_writable(args, *options: str) -> None:
+    """ConfigError now, leaving every file as it is, if the path given to
+    one of the output ``options`` cannot be written later: a directory, or
+    a file whose directory is missing or not writable."""
+    for option in options:
+        path = getattr(args, option.removeprefix("--").replace("-", "_"))
+        if path is None:
+            continue
+        if path.is_dir():
+            raise ConfigError(f"{option} {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"{option} {path}: directory {path.parent} does not exist")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"{option} {path} is not writable")
 
 
 def _cmd_simulate(args) -> int:
     spec = ScmSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScmSpec)})
+    _check_writable(args, "--out-data", "--out-graph")
     graph, dataset, attempts = make_dataset(spec)
     args.out_data.write_text(dataset_to_csv(dataset))
     args.out_graph.write_text(graph_to_json(graph, spec))
@@ -123,6 +128,7 @@ def _cmd_select(args) -> int:
         graph, _ = graph_from_json(_read(args.graph))
     dataset = dataset_from_csv(_read(args.data))
     cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
+    _check_writable(args, "--trace-out")
     selected, trace, _ = harness.run_selector(
         method, dataset.x, dataset.t, dataset.y, graph, cfg, args.seed
     )
@@ -136,9 +142,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     config = harness.config_from_json(_read(args.config))
-    for option, path in (("--out", args.out), ("--traces", args.traces)):
-        if path is not None:
-            _check_writable(option, path)
+    _check_writable(args, "--out", "--traces")
     rows, traces = harness.run_experiment(config)
     args.out.write_text(harness.rows_to_csv(rows))
     if args.traces is not None:

@@ -326,7 +326,8 @@ def _replicate_cells(
     train, test = order[:cut], order[cut:]
     x_tr, t_tr, y_tr = dataset.x[train], dataset.t[train], dataset.y[train]
     x_te, t_te, y_te = dataset.x[test], dataset.t[test], dataset.y[test]
-    tau_te = dataset.tau[test]
+    tau_te, post_mask = dataset.tau[test], dataset.post_treatment_mask
+    del dataset  # its all-row x would otherwise stay alive next to the partitions
     y_resid, p_hat = _yardstick(x_tr, t_tr, y_tr, x_te, y_te)
     cfg = config.ci_config()
 
@@ -352,7 +353,7 @@ def _replicate_cells(
             tau_hat = est.predict(x_te[:, cols])
             mse = fit_metrics.effect_mse(tau_hat, tau_te)
             risk = fit_metrics.residual_risk(tau_hat, y_resid, t_te, p_hat)
-            ie = fit_metrics.inclusion_error(selected, dataset.post_treatment_mask)
+            ie = fit_metrics.inclusion_error(selected, post_mask)
             if not ie.defined:
                 flags.append("ie_undefined")
             row = _row(scm_id, method, flags, selected, mse, risk, ie.value)

@@ -352,7 +352,9 @@ def sample_or_retry(
 
 
 def sample_noise(spec: ScmSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows of N(0, Sigma) noise, Sigma_ii = 1 and Sigma_ij = sigma.
+    """Draw n rows of N(0, Sigma) noise, Sigma_ii = 1 and Sigma_ij = sigma, as
+    a column-major copy of the row-major product (a matmul written straight
+    into column-major order rounds differently at some shapes).
 
     Realized through the symmetric eigen-root of Sigma so a near-singular
     covariance fails loudly instead of silently losing precision.
@@ -374,7 +376,7 @@ def sample_noise(spec: ScmSpec, rng: np.random.Generator) -> np.ndarray:
     np.fill_diagonal(cov, 1.0)
     eigvals, eigvecs = np.linalg.eigh(cov)
     root = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
-    return rng.standard_normal((spec.n, d)) @ root
+    return np.asfortranarray(rng.standard_normal((spec.n, d)) @ root)
 
 
 def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray
@@ -383,32 +385,34 @@ def simulate_arms(graph: CausalGraph, spec: ScmSpec, noise: np.ndarray
     the treatment's latent (pre-forcing) linear value, the same in both, and
     ``post``, the boolean node mask of T's strict descendants.
 
+    ``noise`` is consumed: the do(T=1) arm is written over it (a node's
+    noise column is read by that node only, before either arm's value of it
+    is written), and both arms keep its layout, column-major from
+    ``sample_noise``, so parents gather from contiguous columns.
+
     One pass over the causal order marks a node post-treatment iff T or a
     marked node is among its parents; an unmarked node has one value in both
     arms, computed once.  A node listed in ``hte_parents`` adds its chain
-    predecessor times the sum of its interaction parents.  The arms are
-    column-major, so parents gather from contiguous columns.
+    predecessor times the sum of its interaction parents.
     """
-    n = noise.shape[0]
-    arm1, arm0 = np.zeros((n, graph.d), order="F"), np.zeros((n, graph.d), order="F")
+    arm1, arm0 = noise, np.empty_like(noise)
     post = np.zeros(graph.d, dtype=bool)
     chain = (graph.t_node, *graph.mediators, graph.y_node)
     chain_pred = dict(zip(chain[1:], chain))
     for i in graph.order.tolist():
         parents = graph.parents(i)
         post[i] = graph.adj[graph.t_node, i] or post[parents].any()
+        vals = []
         for values in (arm1, arm0) if post[i] else (arm1,):
             val = (values[:, parents] @ graph.coef[parents, i] + spec.rho * noise[:, i]
                    if parents.size else noise[:, i])
             interaction = graph.hte_parents.get(i)
             if interaction:
                 val = val + values[:, chain_pred[i]] * values[:, list(interaction)].sum(axis=1)
-            values[:, i] = val
+            vals.append(val)
         if i == graph.t_node:
-            latent_t = arm1[:, i].copy()
-            arm1[:, i], arm0[:, i] = 1.0, 0.0
-        elif not post[i]:
-            arm0[:, i] = arm1[:, i]
+            latent_t, vals = vals[0].copy(), (1.0, 0.0)  # a view of noise if T has no parents
+        arm1[:, i], arm0[:, i] = vals[0], vals[-1]
     return arm1, arm0, latent_t, post
 
 
@@ -417,27 +421,29 @@ def generate(graph: CausalGraph, spec: ScmSpec, rng: np.random.Generator) -> Dat
 
     Both counterfactual arms are simulated on shared noise; the factual row
     is the drawn arm, so factual values agree with the matching do() arm
-    exactly.  ``post_treatment_mask`` is ``simulate_arms``' mask of T's
-    descendants at the feature nodes.
+    exactly: the do(T=0) arm, with the do(T=1) values copied in at the
+    treated rows of T's descendants, is the factual matrix that ``x`` and
+    ``y`` copy out of.  ``post_treatment_mask`` is ``simulate_arms``' mask
+    of T's descendants at the feature nodes.
 
     Raises:
         DegenerateArms: the drawn treatment is single-class; increase n.
     """
     if graph.t_node is None or graph.y_node is None:
         raise ValueError("graph needs assigned roles; run select_roles first")
-    noise = sample_noise(spec, rng)
-    arm1, arm0, latent_t, post = simulate_arms(graph, spec, noise)
+    arm1, arm0, latent_t, post = simulate_arms(graph, spec, sample_noise(spec, rng))
     propensity = 1.0 / (1.0 + np.exp(-latent_t))
     t = (rng.random(spec.n) < propensity).astype(np.float64)
     check_arms(t, "drawn treatment vector")
-    values = np.where(t[:, None] == 1.0, arm1, arm0)
     tau = arm1[:, graph.y_node] - arm0[:, graph.y_node]
+    np.copyto(arm0, arm1, where=(t == 1.0)[:, None] & post)
+    del arm1  # before x is copied out, so that two n x d matrices are the most alive
 
     feature_nodes = graph.feature_nodes()
     return Dataset(
-        x=values[:, feature_nodes],
+        x=arm0[:, feature_nodes],
         t=t,
-        y=values[:, graph.y_node],
+        y=arm0[:, graph.y_node].copy(),
         tau=tau,
         post_treatment_mask=post[feature_nodes],
     )

@@ -66,7 +66,8 @@ BLOCK_ENTRIES = 1 << 14
 #   level_verdicts: a Cholesky sweep of (S, c, T) stopped after S, exact for
 #     |E| <= gamma_(|S|+1) (|G^T||G| + |R|) <= 2.01 (n - 1) u (rows of G have
 #     norm <= 1, |R| <= 1), ||E|| <= 2.01 n^2 u;
-#   both: np.corrcoef may leave F asymmetric by an ulp, ||E|| <= n u.
+#   both: FisherZTester.corr (np.corrcoef's steps: two standard-deviation
+#     divides) may leave F asymmetric by an ulp, ||E|| <= n u.
 # To first order dP = -P E P, so |dP_ij| <= sqrt(P_ii P_jj) ||P|| ||E||, and r
 # moves by at most 2 ||P|| ||E|| and each diag P by a relative ||P|| ||E||.
 # The two r thus differ by at most 2 n W (3.01 n^3 2^(n-1) + 2.01 n^2 + n) u,
@@ -112,7 +113,9 @@ def _fisher_z(r, dof: int):
 
 
 class FisherZTester:
-    """Partial-correlation independence test on a precomputed correlation matrix."""
+    """Partial-correlation independence test on a precomputed correlation
+    matrix: ``np.corrcoef`` of the power-of-two-scaled columns, bit for bit,
+    its steps run in place on the one scaled copy that it would copy again."""
 
     def __init__(self, data: np.ndarray, cfg: CiTestConfig):
         data = np.asarray(data, dtype=np.float64)
@@ -122,9 +125,15 @@ class FisherZTester:
         self.n = data.shape[0]
         # exact power-of-two column scalings, so that no product over- or underflows
         _, exponent = np.frexp(np.abs(data).max(axis=0, initial=0.0))
-        with np.errstate(invalid="ignore"):
-            self.corr = np.corrcoef(np.ldexp(data, -exponent), rowvar=False)
-        self.corr = np.nan_to_num(self.corr, nan=0.0)  # NaN rows: constant columns
+        dev = np.ldexp(data, -exponent).T
+        dev -= dev.mean(axis=1)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = np.dot(dev, dev.T) * np.true_divide(1, self.n - 1)
+            stddev = np.sqrt(np.diag(corr))
+            corr /= stddev[:, None]
+            corr /= stddev[None, :]
+        np.clip(corr, -1, 1, out=corr)
+        self.corr = np.nan_to_num(corr, nan=0.0, copy=False)  # NaN rows: constant columns
         np.fill_diagonal(self.corr, 1.0)
         self.z_alpha = math.sqrt(2.0) * float(erfcinv(cfg.alpha))
 

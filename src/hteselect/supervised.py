@@ -100,7 +100,8 @@ def column_moments(x: np.ndarray):
     def moments(values):  # numpy's own std arithmetic, on the mean already taken
         with np.errstate(over="ignore"):
             dev = values - (mu := values.mean(axis=0))
-            return mu, np.sqrt(np.add.reduce(dev * dev, axis=0) / len(values))
+            np.multiply(dev, dev, out=dev)
+            return mu, np.sqrt(np.add.reduce(dev, axis=0) / len(values))
 
     mu, scale = moments(x)
     rounding = len(x) * np.finfo(np.float64).eps * np.abs(mu)

@@ -195,6 +195,19 @@ def test_bad_config_exits_one(tmp_path):
                  "--workers", "2"]) == 1
 
 
+def _refused(where, path, tmp_path, monkeypatch):
+    """A path standing in for ``path`` that fails ``_check_writable`` as ``where`` says."""
+    if where == "does not exist":
+        return tmp_path / "missing" / path.name
+    if where == "is a directory":
+        return tmp_path
+    locked = {path, tmp_path}  # the file, or the directory that would hold a new one
+    real_access = os.access
+    monkeypatch.setattr(cli.os, "access",
+                        lambda p, mode: Path(p) not in locked and real_access(p, mode))
+    return path
+
+
 @pytest.mark.parametrize("option", ["--out", "--traces"])
 @pytest.mark.parametrize("where", ["does not exist", "is a directory", "is not writable"])
 def test_benchmark_checks_output_paths_before_running(option, where, tmp_path, monkeypatch,
@@ -210,15 +223,7 @@ def test_benchmark_checks_output_paths_before_running(option, where, tmp_path, m
                                "methods": [{"selector": "None"}]}))
     paths = {"--out": tmp_path / "results.csv", "--traces": tmp_path / "traces.json"}
     paths["--out"].write_text("kept")  # an existing results file is not truncated
-    if where == "does not exist":
-        paths[option] = tmp_path / "missing" / "results.csv"
-    elif where == "is a directory":
-        paths[option] = tmp_path
-    else:  # the file, or the directory that would hold a new one, refuses writes
-        locked = {paths[option], tmp_path}
-        real_access = os.access
-        monkeypatch.setattr(cli.os, "access",
-                            lambda path, mode: Path(path) not in locked and real_access(path, mode))
+    paths[option] = _refused(where, paths[option], tmp_path, monkeypatch)
     args = ["benchmark", "--config", str(cfg)]
     for name, path in paths.items():
         args += [name, str(path)]
@@ -227,6 +232,43 @@ def test_benchmark_checks_output_paths_before_running(option, where, tmp_path, m
     assert err.startswith(f"config error: {option} {paths[option]}") and where in err
     assert (tmp_path / "results.csv").read_text() == "kept"
     assert not (tmp_path / "traces.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--out-data", "--out-graph"])
+@pytest.mark.parametrize("where", ["does not exist", "is a directory", "is not writable"])
+def test_simulate_checks_output_paths_before_sampling(option, where, tmp_path, monkeypatch,
+                                                      capsys):
+    def never(spec):
+        raise AssertionError("make_dataset called")
+
+    monkeypatch.setattr(cli, "make_dataset", never)
+    kept = tmp_path / "kept"  # the other output's directory, which takes writes
+    kept.mkdir()
+    paths = {"--out-data": kept / "d.csv", "--out-graph": kept / "g.json"}
+    paths[option] = _refused(where, tmp_path / paths[option].name, tmp_path, monkeypatch)
+    args = ["simulate", "--d", "6", "--p-e", "0.4", "--n", "100"]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {option} {paths[option]}") and where in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["kept"]  # neither file was written
+
+
+@pytest.mark.parametrize("where", ["does not exist", "is a directory", "is not writable"])
+def test_select_checks_trace_path_before_selecting(where, simulated, tmp_path, monkeypatch,
+                                                   capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("run_selector called")
+
+    monkeypatch.setattr(harness, "run_selector", never)
+    trace = _refused(where, tmp_path / "trace.json", tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(["select", "--data", str(simulated[0]), "--selector", "HteFitB",
+                 "--trace-out", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: --trace-out {trace}") and where in err
+    assert not (tmp_path / "trace.json").exists()
 
 
 def test_infeasible_spec_exits_two(tmp_path):

@@ -1,6 +1,7 @@
 """Generator contracts: sampling, role assignment, noise, counterfactuals."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_interaction_effect_matches_symbolic_expansion():
     g = build_graph(4, list(c), t=1, y=3, mediators=(2,), hte={3: (0,)}, coef=c)
     spec = _spec(d=4, m=1, p_h=1, n=1000)
     noise = sample_noise(spec, np.random.default_rng(5))
-    arm1, arm0, _, _ = simulate_arms(g, spec, noise)
+    arm1, arm0, _, _ = simulate_arms(g, spec, noise.copy(order="F"))  # it consumes noise
     tau = arm1[:, g.y_node] - arm0[:, g.y_node]
     x_p = noise[:, 0]  # source node takes its raw noise value
     expected = 0.5 * 0.8 + 0.8 * x_p
@@ -491,7 +492,7 @@ def test_simulate_arms_matches_per_arm_reference(spec):
     except InfeasibleSpec:
         return
     noise = sample_noise(spec, rng)
-    arm1, arm0, latent_t, _ = simulate_arms(graph, spec, noise)
+    arm1, arm0, latent_t, _ = simulate_arms(graph, spec, noise.copy(order="F"))
     ref1, ref_latent = _simulate_arm(graph, spec, noise, 1.0)
     ref0, _ = _simulate_arm(graph, spec, noise, 0.0)
     assert arm1.flags.f_contiguous and arm0.flags.f_contiguous
@@ -519,6 +520,25 @@ def test_dataset_layout(spec):
     assert ds.x.ndim == 2 and ds.x.flags.f_contiguous
     for v in (ds.t, ds.y, ds.tau, ds.post_treatment_mask):
         assert v.ndim == 1 and v.flags.c_contiguous
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_make_dataset_holds_two_value_matrices_at_its_peak(seed):
+    """``generate`` keeps at most the two arms alive at once, plus the widest
+    parent gather and a few n-vectors: no noise, factual or ``x`` matrix next
+    to them.  (With the factual matrix kept beside the arms, the peak was
+    about 5 n x d matrices.)  ``y`` owns its data rather than viewing one."""
+    spec = _spec(d=20, p_e=0.3, gamma=True, m=1, p_h=1, n=20_000, seed=seed)
+    tracemalloc.start()
+    try:
+        graph, ds, _ = make_dataset(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    column = spec.n * 8
+    widest = int(graph.adj.sum(axis=0).max())
+    assert peak < (2 * spec.d + widest + 4) * column
+    assert ds.y.base is None
 
 
 @settings(max_examples=40, deadline=None)

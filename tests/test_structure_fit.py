@@ -53,6 +53,35 @@ CFG = CiTestConfig(alpha=0.05, max_cond=3)
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(4, 80),
+    kinds=st.lists(st.sampled_from(["normal", "constant", "times 2^300", "times 2^-300"]),
+                   min_size=2, max_size=7),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tester_correlation_is_numpy_corrcoef_bit_for_bit(n, kinds, fortran, seed):
+    """``FisherZTester.corr``, computed in place on its one prescaled copy,
+    is ``np.corrcoef`` of that copy bit for bit, with NaN (a constant
+    column) set to 0 and the diagonal to 1, in either memory layout."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            data[:, j] = data[0, j]
+        elif kind != "normal":
+            data[:, j] = np.ldexp(data[:, j], int(kind.removeprefix("times 2^")))
+    if fortran:
+        data = np.asfortranarray(data)
+    _, exponent = np.frexp(np.abs(data).max(axis=0))
+    with np.errstate(invalid="ignore"):
+        want = np.nan_to_num(np.corrcoef(np.ldexp(data, -exponent), rowvar=False))
+    np.fill_diagonal(want, 1.0)
+    got = FisherZTester(data, CFG).corr
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_identical_columns_dependent():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(200, 2))
@@ -273,7 +302,8 @@ def test_singular_set_in_a_level_is_dependent(caplog):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_duplicated_column_set_is_singular(seed, caplog):
-    # np.corrcoef rounds the copy's correlation to 1.0 on some seeds only;
+    # the tester's correlation (np.corrcoef's arithmetic) rounds the copy's
+    # correlation to 1.0 on some seeds only;
     # the verdict must not depend on that last bit
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(200, 5))
