@@ -2,7 +2,7 @@
 
 Subcommands:
     simulate   sample one SCM and write its dataset CSV plus graph JSON
-    select     run one selector on a dataset, print the chosen columns
+    select     run one selector on a dataset, print its columns (flags on stderr)
     benchmark  run a full experiment config and write the results CSV; the
                config's ``workers`` sets the process count
     report     aggregate a results CSV into rank and inclusion-error tables
@@ -129,9 +129,11 @@ def _cmd_select(args) -> int:
     dataset = dataset_from_csv(_read(args.data))
     cfg = structure_fit.CiTestConfig(alpha=args.alpha, max_cond=args.max_cond)
     _check_writable(args, "--trace-out")
-    selected, trace, _ = harness.run_selector(
+    selected, trace, flags = harness.run_selector(
         method, dataset.x, dataset.t, dataset.y, graph, cfg, args.seed
     )
+    if flags:
+        print(f"flags: {' '.join(flags)}", file=sys.stderr)
     if not selected:
         raise HteSelectError("selector returned no columns")
     print(" ".join(str(c) for c in selected))

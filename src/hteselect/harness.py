@@ -183,22 +183,22 @@ def run_selector(
 ) -> tuple[tuple[int, ...], dict, list[str]]:
     """One selector's columns, trace and flags on a training partition.
 
-    HteFS is HTE-Fit's forward selection followed by Structure-Fit on its
-    output; when pruning would empty that set, the greedy-stage output is
-    kept and flagged ``fallback_stage_one``, since estimation needs at least
-    one column.  Only Oracle selectors read ``graph`` (a ConfigError if it is
-    None), mapping its nodes to columns by ``graph.feature_nodes()``; a
-    graph whose feature count differs from x's is a ConfigError for every
-    selector.  An empty selection is returned, not raised, so a caller can
-    record it.
+    Oracle selectors read the adjustment set off ``graph`` (a ConfigError
+    if it is None), mapping its nodes to columns by ``graph.feature_nodes()``,
+    and trace its sorted node ids as ``adjustment``.  Every other selector
+    runs at most two stages on all of x's columns: HTE-Fit's greedy search
+    (HteFitF, HteFitB and HteFS), traced as ``stage_one``, then Structure-Fit
+    on the columns it kept (StructureFit and HteFS), traced as ``structure``.
+    When Structure-Fit forbids every column, stage one's columns are kept
+    and flagged ``fallback_stage_one``, since estimation needs at least one;
+    without a stage one the result is empty and flagged ``empty_selection``,
+    returned rather than raised so that a caller can record it.  A graph
+    whose feature count differs from x's is a ConfigError for every selector.
     """
     k = np.shape(x)[1]
     if graph is not None and graph.d - 2 != k:
         raise ConfigError(f"the graph has {graph.d - 2} feature nodes, but the data has "
                           f"{k} feature columns")
-    candidates = tuple(range(k))
-    if method.selector == "None":
-        return candidates, {}, []
     if method.selector.startswith("Oracle"):
         if graph is None:
             raise ConfigError(f"{method.selector} needs the true causal graph")
@@ -206,35 +206,29 @@ def run_selector(
         col_of_node = {node: j for j, node in enumerate(graph.feature_nodes())}
         cols = tuple(sorted(col_of_node[n] for n in result.nodes))
         flags = ["empty_causal_path"] if result.empty_causal_path else []
-        return cols, {"nodes": sorted(result.nodes)}, flags
-    if method.selector != "StructureFit":
+        return cols, {"adjustment": sorted(result.nodes)}, flags
+    selected, trace, flags = tuple(range(k)), {}, []
+    if method.selector in _METRIC_SELECTORS:
         stage_one = hte_fit.select_features(
             x, t, y,
             metric=method.metric, estimator=method.estimator,
             direction="backward" if method.selector == "HteFitB" else "forward", seed=seed,
         )
-        if method.selector != "HteFS":
-            return stage_one.final_set, stage_one.to_dict(), []
-        candidates = stage_one.final_set
-    stacked = np.column_stack([np.asarray(x, float), np.asarray(t, float), np.asarray(y, float)])
-    result = structure_fit.structure_fit(
-        structure_fit.FisherZTester(stacked, cfg),
-        structure_fit.DataOrienter(stacked, binary_col=k),
-        k, k + 1, candidates, cfg,
-    )
-    if method.selector == "StructureFit":
-        flags = [] if result.selected else ["empty_selection"]
-        return result.selected, result.to_dict(), flags
-    flags = [] if result.selected else ["fallback_stage_one"]
-    selected = tuple(result.selected or candidates)
-    trace = {
-        "stage_one": stage_one.to_dict(),
-        "structure": result.to_dict(),
-        "forbidden": sorted(result.forbidden),
-        "selected": list(selected),
-        "flags": flags,
-    }
-    return selected, trace, list(flags)
+        selected, trace["stage_one"] = stage_one.final_set, stage_one.to_dict()
+    if method.selector in ("StructureFit", "HteFS"):
+        result = structure_fit.structure_fit(
+            structure_fit.FisherZTester(np.column_stack([x, t, y]), cfg),
+            structure_fit.DataOrienter([*np.transpose(x), t, y], binary_col=k),
+            k, k + 1, selected, cfg,
+        )
+        trace["structure"] = result.to_dict()
+        if result.selected:
+            selected = result.selected
+        elif "stage_one" in trace:
+            flags = ["fallback_stage_one"]
+        else:
+            selected, flags = (), ["empty_selection"]
+    return selected, trace, flags
 
 
 # ---------------------------------------------------------------------------

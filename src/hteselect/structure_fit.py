@@ -33,7 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 from scipy.special import erfc, erfcinv
@@ -430,19 +430,19 @@ class DataOrienter:
     A treatment edge is outgoing when the generative likelihood margin
     exceeds ``LR_THRESHOLD``; any other member is a child when its signed
     RECI score from the target reaches ``CHILD_GATE``, so ties and near-ties
-    are parents.  ``column(k)`` standardizes column k, and builds its cubic
-    basis, at most once per orienter.
+    are parents.  ``column(k)`` standardizes the 1-d ``columns[k]``, read in
+    place, and builds its cubic basis, at most once per orienter.
     """
 
-    def __init__(self, data: np.ndarray, binary_col: int):
-        self.data = data = np.asarray(data, dtype=np.float64)
+    def __init__(self, columns: Sequence[np.ndarray], binary_col: int):
+        self.columns = columns
         self.binary_col = binary_col
-        self.column = functools.cache(lambda col: StandardColumn(data[:, col]))
+        self.column = functools.cache(lambda col: StandardColumn(columns[col]))
 
     def is_child(self, target: int, member: int) -> bool:
         if self.binary_col in (target, member):
             other = member if target == self.binary_col else target
-            margin = binary_direction_loglik(self.data[:, self.binary_col], self.column(other))
+            margin = binary_direction_loglik(self.columns[self.binary_col], self.column(other))
             return (margin > LR_THRESHOLD) == (target == self.binary_col)
         return orient_reci(self.column(target), self.column(member)) >= CHILD_GATE
 
@@ -482,8 +482,8 @@ class StructureFitResult(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "nodes": sorted(self.forbidden),
-            "directed_edges": [list(e) for e in self.edges],
+            "forbidden": sorted(self.forbidden),
+            "edges": [list(e) for e in self.edges],
         }
 
 

@@ -1,12 +1,13 @@
-"""Print a sha256 of every result row and trace of three fixed config sets.
+"""Print sha256 digests of every result row and trace of three fixed config sets.
 
 Usage, from the repository root:
     PYTHONPATH=src python3 tests/data/identity_digests.py [corpus] [grid] [panel]
 
-With no argument it prints all three.  Each digest covers, for every config
-of its set in order, ``rows_to_csv`` of the rows followed by
-``json.dumps(traces, sort_keys=True)``, all run with ``record_timing=False``
-and one BLAS thread.  The sets:
+With no argument it prints all three.  Each set gets two digests.  The
+first covers, for every config of the set in order, ``rows_to_csv`` of the
+rows followed by ``json.dumps(traces, sort_keys=True)``; the second, after
+``rows:``, covers the ``rows_to_csv`` texts alone.  All run with
+``record_timing=False`` and one BLAS thread.  The sets:
 
 - ``corpus``: the config stored in ``tests/data/corpus.json`` (204 rows);
 - ``grid``: ``None``/``HteFitF``/``HteFitB`` x S/T/X/DR x the four metrics
@@ -15,7 +16,8 @@ and one BLAS thread.  The sets:
   its own one-replicate run (62 rows).
 
 A change meant to keep every row and trace bit for bit prints the same
-digests as its parent commit; the file name keeps pytest from collecting it.
+digests as its parent commit.  A change meant to move only traces prints
+the same ``rows:`` digests.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -57,15 +59,18 @@ def panel_configs() -> list:
 SETS = {"corpus": corpus_configs, "grid": grid_configs, "panel": panel_configs}
 
 
-def digest(configs) -> tuple[str, int]:
-    """The sha256 of every config's rows and traces, and the row count."""
-    sha, count = hashlib.sha256(), 0
+def digest(configs) -> tuple[str, str, int]:
+    """The sha256 of every config's rows and traces, that of its rows
+    alone, and the row count."""
+    sha, rows_sha, count = hashlib.sha256(), hashlib.sha256(), 0
     for config in configs:
         rows, traces = harness.run_experiment(config)
-        sha.update(harness.rows_to_csv(rows).encode())
+        csv_text = harness.rows_to_csv(rows).encode()
+        sha.update(csv_text)
         sha.update(json.dumps(traces, sort_keys=True).encode())
+        rows_sha.update(csv_text)
         count += len(rows)
-    return sha.hexdigest(), count
+    return sha.hexdigest(), rows_sha.hexdigest(), count
 
 
 def main(argv: list[str]) -> int:
@@ -75,8 +80,8 @@ def main(argv: list[str]) -> int:
         print(f"unknown set(s) {unknown}; choose from {list(SETS)}", file=sys.stderr)
         return 1
     for name in names:
-        sha, count = digest(SETS[name]())
-        print(f"{name} {sha} ({count} rows)")
+        sha, rows_sha, count = digest(SETS[name]())
+        print(f"{name} {sha} rows:{rows_sha} ({count} rows)")
     return 0
 
 

@@ -66,8 +66,8 @@ def discover(spec: ScmSpec) -> dict:
     return {
         "spec": dataclasses.asdict(spec),
         "selected": list(selected),
-        "forbidden": trace["nodes"],
-        "edges": trace["directed_edges"],
+        "forbidden": trace["structure"]["forbidden"],
+        "edges": trace["structure"]["edges"],
         "visited": visited,
     }
 

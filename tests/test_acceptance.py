@@ -81,7 +81,7 @@ def test_criterion_2_data_driven_recovery():
     for seed in range(50):
         ds = _mediator_style_dataset(seed)
         stacked = np.column_stack([ds.x, ds.t, ds.y])
-        res = structure_fit(FisherZTester(stacked, cfg), DataOrienter(stacked, binary_col=2),
+        res = structure_fit(FisherZTester(stacked, cfg), DataOrienter(stacked.T, binary_col=2),
                             2, 3, (0, 1), cfg)
         excluded += 1 not in res.selected
         kept += 0 in res.selected

@@ -71,11 +71,12 @@ def test_select_prints_columns_and_trace(simulated, tmp_path, capsys):
          "--seed", "2", "--trace-out", str(trace)]
     )
     assert code == 0
-    printed = capsys.readouterr().out.strip()
+    printed, err = capsys.readouterr()
+    assert err == ""  # no flags
     cols = [int(c) for c in printed.split()]
     assert len(cols) >= 1
     payload = json.loads(trace.read_text())
-    assert payload["final_set"] == cols
+    assert payload["stage_one"]["final_set"] == cols
 
 
 def test_select_oracle_requires_graph(simulated, capsys):
@@ -109,11 +110,24 @@ def test_select_matches_harness_dispatch(selector, simulated, tmp_path, capsys):
     assert json.loads(trace.read_text()) == json.loads(json.dumps(expected_trace))
 
 
-def test_select_empty_selection_exits_two(simulated, monkeypatch):
+def test_select_empty_selection_exits_two(simulated, monkeypatch, capsys):
     data, _ = simulated
     empty = structure_fit.StructureFitResult((), frozenset(), edges=())
     monkeypatch.setattr(structure_fit, "structure_fit", lambda *a, **kw: empty)
     assert main(["select", "--data", str(data), "--selector", "StructureFit"]) == 2
+    assert capsys.readouterr().err == ("flags: empty_selection\n"
+                                       "runtime failure: selector returned no columns\n")
+
+
+def test_select_prints_flags_on_stderr(simulated, monkeypatch, capsys):
+    # Structure-Fit forbids every column HTE-Fit kept, so HteFS falls back
+    data, _ = simulated
+    empty = structure_fit.StructureFitResult((), frozenset(), edges=())
+    monkeypatch.setattr(structure_fit, "structure_fit", lambda *a, **kw: empty)
+    assert main(["select", "--data", str(data), "--selector", "HteFS", "--seed", "2"]) == 0
+    printed, err = capsys.readouterr()
+    assert printed.split()
+    assert err == "flags: fallback_stage_one\n"
 
 
 def test_select_backward_on_one_feature_dataset(tmp_path, capsys):

@@ -74,9 +74,9 @@ def test_hte_fs_scripted_stage_composition(monkeypatch):
     x, t, y = rng.normal(size=(50, 3)), (rng.random(50) < 0.5).astype(float), rng.normal(size=50)
     selected, combined, flags = harness.run_selector(MethodSpec("HteFS"), x, t, y)
     assert selected == (0, 1)
-    assert combined["forbidden"] == [2, 3]
-    assert combined["flags"] == flags == []
-    assert flags is not combined["flags"]  # a harness row appends to its flags
+    assert combined == {"stage_one": {"final_set": [0, 1, 2]},
+                        "structure": {"forbidden": [2, 3], "edges": [[3, 2]]}}
+    assert flags == []
 
 
 def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
@@ -102,7 +102,8 @@ def test_hte_fs_falls_back_when_everything_forbidden(monkeypatch):
     x, t, y = rng.normal(size=(50, 3)), (rng.random(50) < 0.5).astype(float), rng.normal(size=50)
     selected, combined, flags = harness.run_selector(MethodSpec("HteFS"), x, t, y)
     assert selected == (1,)
-    assert combined["flags"] == flags == ["fallback_stage_one"]
+    assert combined["structure"]["forbidden"] == [1, 3]
+    assert flags == ["fallback_stage_one"]
 
 
 def test_hte_fs_without_post_treatment_features_keeps_stage_one():
@@ -117,7 +118,32 @@ def test_hte_fs_without_post_treatment_features_keeps_stage_one():
     ds = generate(graph, spec, np.random.default_rng(0))
     selected, combined, flags = run_selector(MethodSpec("HteFS"), ds.x, ds.t, ds.y, seed=0)
     assert selected == tuple(combined["stage_one"]["final_set"])
-    assert combined["flags"] == flags == []
+    assert flags == []
+
+
+# each stage's record, under its own key: HTE-Fit's greedy search, Structure-Fit,
+# or the oracle's adjustment set
+_TRACE_KEYS = {
+    "None": set(),
+    "HteFitF": {"stage_one"},
+    "HteFitB": {"stage_one"},
+    "StructureFit": {"structure"},
+    "HteFS": {"stage_one", "structure"},
+    "OracleParents": {"adjustment"},
+    "OracleValid": {"adjustment"},
+    "OracleOSet": {"adjustment"},
+}
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_trace_holds_each_stage_record_once(selector):
+    spec = ScmSpec(d=6, p_e=0.4, sigma=0.2, rho=0.5, gamma=True, m=1, p_h=0, m_p=False,
+                   n=300, seed=5)
+    graph, ds, _ = make_dataset(spec)
+    _, trace, _ = run_selector(MethodSpec(selector), ds.x, ds.t, ds.y, graph)
+    assert set(trace) == _TRACE_KEYS[selector]
+    assert not set(trace) & {f.name for f in dataclasses.fields(BenchmarkRow)}
+    assert json.loads(json.dumps(trace)) == trace
 
 
 @pytest.mark.parametrize("selector", ["OracleParents", "OracleValid", "OracleOSet"])
@@ -690,7 +716,7 @@ def test_backward_selection_on_one_feature_scm_keeps_every_row():
     assert len(rows) == 4
     assert not any(r.failed for r in rows)
     assert all(r.selected == (0,) for r in rows)
-    assert traces["scm0000/HteFitB(TauRisk)+T"]["steps"] == []
+    assert traces["scm0000/HteFitB(TauRisk)+T"]["stage_one"]["steps"] == []
 
 
 # ---------------------------------------------------------------------------

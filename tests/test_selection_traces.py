@@ -39,12 +39,13 @@ def _summaries() -> dict:
         record_timing=False,
     )
     _, traces = run_experiment(config)
+    stages = {key: trace["stage_one"] for key, trace in traces.items()}
     return {
         key: {
-            "final_set": trace["final_set"],
-            "steps": [[step["column"], step["accepted"]] for step in trace["steps"]],
+            "final_set": stage["final_set"],
+            "steps": [[step["column"], step["accepted"]] for step in stage["steps"]],
         }
-        for key, trace in sorted(traces.items())
+        for key, stage in sorted(stages.items())
     }
 
 

@@ -557,7 +557,7 @@ def test_local_structure_empty_pc():
     rng = np.random.default_rng(8)
     data = rng.normal(size=(2000, 3))
     tester = FisherZTester(data, CFG)
-    orienter = DataOrienter(data, binary_col=data.shape[1])  # no treatment column
+    orienter = DataOrienter(data.T, binary_col=data.shape[1])  # no treatment column
     assert local_structure(tester, orienter, 0, [1, 2], CFG) == (set(), set())
 
 
@@ -684,7 +684,7 @@ def test_partial_graph_json():
     graph = build_graph(6, [(W, T), (W, Y), (T, M), (T, C), (M, Y), (Y, C), (C, D)], t=T, y=Y)
     res = structure_fit(DSepOracle(graph), GraphOrienter(graph), T, Y, [W, M, C, D], CFG)
     payload = res.to_dict()
-    assert payload == {"nodes": [T, M, Y, C], "directed_edges": [[T, M], [T, C], [M, Y], [Y, C]]}
+    assert payload == {"forbidden": [T, M, Y, C], "edges": [[T, M], [T, C], [M, Y], [Y, C]]}
     assert json.loads(json.dumps(payload)) == payload
 
 
@@ -726,7 +726,7 @@ def test_data_driven_mediator_recovery():
     for seed in range(50):
         _, ds = fig1b_dataset(seed)
         stacked = np.column_stack([ds.x, ds.t, ds.y])
-        res = structure_fit(FisherZTester(stacked, CFG), DataOrienter(stacked, binary_col=2),
+        res = structure_fit(FisherZTester(stacked, CFG), DataOrienter(stacked.T, binary_col=2),
                             2, 3, (0, 1), CFG)
         excluded += 1 not in res.selected  # column 1 holds the mediator node
         kept += 0 in res.selected
@@ -839,7 +839,7 @@ def test_cached_orientation_matches_uncached_reference():
     score of the reference that standardizes and cubes afresh per call, bit
     for bit."""
     data = _orientation_data()
-    orienter = DataOrienter(data, binary_col=3)
+    orienter = DataOrienter(data.T, binary_col=3)
     pairs = [(i, j) for i in range(data.shape[1]) for j in range(data.shape[1]) if i != j]
     for i, j in pairs * 2:
         assert _outcome(orienter.is_child, i, j) == _outcome(_reference_is_child, data, 3, i, j)
@@ -867,7 +867,7 @@ def test_orienter_standardizes_and_cubes_each_column_once(monkeypatch):
             return super().basis
 
     monkeypatch.setattr(hteselect.structure_fit, "StandardColumn", Counting)
-    orienter = DataOrienter(data, binary_col=3)
+    orienter = DataOrienter(data.T, binary_col=3)
     for i in range(data.shape[1]):
         for j in range(data.shape[1]):
             if i != j:
